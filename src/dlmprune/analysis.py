@@ -53,6 +53,16 @@ def flops_for_lengths(layers: int, d: int, mu: int, lengths: Sequence[int]) -> i
     return layers * sum(flops_per_pass(n, d, mu) for n in lengths)
 
 
+def flops_report(layers: int, d: int, mu: int, baseline_lengths: Sequence[int],
+                 lengths: Sequence[int], **params) -> FlopsReport:
+    """Cost of a run with the given per-step lengths against a baseline run."""
+    baseline = flops_for_lengths(layers, d, mu, baseline_lengths)
+    pruned = flops_for_lengths(layers, d, mu, lengths)
+    return FlopsReport(baseline=baseline, pruned=pruned,
+                       ratio=pruned / baseline if baseline else 1.0,
+                       params={"layers": layers, "d": d, "mu": mu, **params})
+
+
 def flops_pruned(layers: int, steps: int, n: int, n_r: int, d: int, mu: int) -> FlopsReport:
     """Cost with one full-length step followed by steps at the pruned length n_r."""
     if n_r > n:

@@ -14,7 +14,7 @@ from typing import Optional
 from . import analysis, harness
 from .decoder import run_inference
 from .model import embed_prompt, encode_image
-from .pruning import ScorerKind, StrategyKind, keep_count
+from .pruning import ScorerKind, StrategyKind, keep_schedule
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,7 +46,8 @@ def _apply_overrides(args) -> harness.RunConfig:
     if args.seed is not None:
         override.setdefault("decode", {})["seed"] = args.seed
         override.setdefault("tasks", {})["seed"] = args.seed + 1000003
-        override.setdefault("prune", {})["seed"] = args.seed + 2000003
+        if cfg.raw["prune"] is not None:
+            override["prune"] = {"seed": args.seed + 2000003}
     if args.policy is not None:
         override.setdefault("decode", {})["policy"] = args.policy
     for key, value in [("r", args.r), ("scorer", args.scorer), ("strategy", args.strategy)]:
@@ -108,15 +109,16 @@ def _cmd_bench(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
 
 
 def _cmd_flops(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
-    n = cfg.model.num_patches + cfg.bench.prompt_len + cfg.response_len
-    ratio = cfg.prune.ratio if cfg.prune is not None else 1.0
-    n_r = keep_count(cfg.model.num_patches, ratio) + cfg.bench.prompt_len + cfg.response_len
-    report = analysis.flops_pruned(cfg.model.layers, cfg.steps, n, n_r,
-                                   cfg.model.embed_dim, cfg.model.ffn_dim)
+    n_vis, rest = cfg.model.num_patches, cfg.bench.prompt_len + cfg.response_len
+    base = [v + rest for v in keep_schedule(None, n_vis, cfg.steps)]
+    pruned = [v + rest for v in keep_schedule(cfg.prune, n_vis, cfg.steps)]
+    report = analysis.flops_report(cfg.model.layers, cfg.model.embed_dim, cfg.model.ffn_dim,
+                                   base, pruned, steps=cfg.steps)
     print(f"baseline flops: {report.baseline}")
     print(f"pruned flops  : {report.pruned}")
     print(f"ratio         : {report.ratio:.6f}")
-    return [harness.BenchReport(variant=f"flops/r={ratio:g}", flops=report, config=cfg.raw)]
+    return [harness.BenchReport(variant=f"flops/{harness.variant_label(cfg.prune)}",
+                                flops=report, config=cfg.raw)]
 
 
 _COMMANDS = {

@@ -89,7 +89,6 @@ class SequenceState:
 class StepOutcome:
     newly_decoded: np.ndarray
     attention: Optional[AttentionCapture] = None
-    logits_snapshot: Optional[np.ndarray] = None  # rows for positions masked at step entry
 
 
 @dataclass
@@ -177,49 +176,8 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
         state.masked[p] = False
     state.step = k + 1
 
-    outcome = StepOutcome(
-        newly_decoded=np.array(sorted(commit), dtype=np.int64),
-        attention=cap,
-        logits_snapshot=resp_logits[entry_masked].copy() if capture else None,
-    )
-    return state, outcome
-
-
-def _plan_wants_scores(plan: Optional[pruning.PrunePlan], k: int, total_steps: int) -> bool:
-    if plan is None:
-        return False
-    if plan.strategy == pruning.StrategyKind.ONCE:
-        return k == 1
-    if plan.strategy == pruning.StrategyKind.PROGRESSIVE:
-        return k <= total_steps - 1 and plan.per_step_counts[k - 1] > 0
-    return False
-
-
-def _apply_plan(state: SequenceState, plan: pruning.PrunePlan, k: int,
-                capture: Optional[AttentionCapture], prune_rng: Optional[SeededRng]) -> None:
-    strat = plan.strategy
-    if strat == pruning.StrategyKind.ONCE and k == 1:
-        keep = pruning.select_top(
-            state.visual_index_map, _scores_now(state, plan, capture, k), plan.ratio)
-        pruning.apply_prune(state, keep)
-    elif strat == pruning.StrategyKind.RANDOM_ONCE and k == 1:
-        keep = pruning.random_keep(state.visual_index_map, plan.ratio, prune_rng)
-        pruning.apply_prune(state, keep)
-    elif strat == pruning.StrategyKind.PROGRESSIVE and k <= state.total_steps - 1:
-        count = plan.per_step_counts[k - 1]
-        if count > 0:
-            scores = _scores_now(state, plan, capture, k)
-            keep_n = state.num_visual - count
-            keep = pruning.keep_top_n(state.visual_index_map, scores, keep_n)
-            pruning.apply_prune(state, keep)
-
-
-def _scores_now(state: SequenceState, plan: pruning.PrunePlan,
-                capture: AttentionCapture, k: int) -> pruning.ImportanceScores:
-    abar = pruning.mean_attention(capture)
-    rows = pruning.guidance_rows(state, plan.scorer)
-    cols = np.arange(state.num_visual)
-    return pruning.importance_scores(abar, rows, cols, step=k, scorer=plan.scorer)
+    return state, StepOutcome(newly_decoded=np.array(sorted(commit), dtype=np.int64),
+                              attention=cap)
 
 
 def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
@@ -230,18 +188,19 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
                   ) -> tuple[np.ndarray, list[StepOutcome], RunStats]:
     """Decode a full response, optionally pruning visual tokens along the way.
 
+    The plan's keep schedule alone decides the pruning: after step k the
+    state is cut to the count scheduled for step k+1 when that count is
+    smaller, and attention is captured only for a step whose prune is scored.
     ``collect_attention`` keeps every step's maps in the trace (memory-heavy);
     otherwise maps live only long enough to score the prune. ``score_with``
     records the per-step importance vector for that guidance set without
     pruning anything (used for score-stability analysis); steps whose guidance
     set is empty are skipped.
     """
-    if prune_plan is not None:
-        prune_plan.validate(num_visual=np.asarray(visual).shape[0], total_steps=total_steps)
+    schedule = pruning.keep_schedule(prune_plan, np.asarray(visual).shape[0], total_steps)
     rng = SeededRng(policy.rng_seed) if policy.kind == PolicyKind.STOCHASTIC else None
-    prune_rng = None
-    if prune_plan is not None and prune_plan.strategy == pruning.StrategyKind.RANDOM_ONCE:
-        prune_rng = SeededRng(prune_plan.rng_seed)
+    prune_rng = (SeededRng(prune_plan.rng_seed)
+                 if prune_plan is not None and prune_plan.rng_seed is not None else None)
 
     state = init_state(visual, prompt, tau, total_steps,
                        mask_token_id=weights.config.mask_token_id)
@@ -253,26 +212,26 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     for k in range(1, total_steps + 1):
         if not state.masked.any():
             break
+        prune_next = k < total_steps and schedule[k] < state.num_visual
         need_capture = (collect_attention or score_with is not None
-                        or _plan_wants_scores(prune_plan, k, total_steps))
+                        or (prune_next and prune_plan.scored))
         t_step = time.perf_counter()
         stats.per_step_lengths.append(state.seq_len)
         state, outcome = step(state, weights, policy, rng, capture=need_capture)
-        if score_with is not None and state.masked.any():
-            rows = pruning.guidance_rows(state, score_with)
-            if rows.size:
-                abar = pruning.mean_attention(outcome.attention)
-                cols = np.arange(state.num_visual)
-                s = pruning.importance_scores(abar, rows, cols, step=k, scorer=score_with)
-                score_trace.append(s.values)
-        if prune_plan is not None and state.masked.any():
-            # No forward pass follows once decoding completes, so late prune
-            # hooks would be dead work (and masked-row guidance is gone).
-            _apply_plan(state, prune_plan, k, outcome.attention, prune_rng)
+        # No forward pass follows once decoding completes, so late scores and
+        # prunes would be dead work (and masked-row guidance is gone).
+        if state.masked.any():
+            if score_with is not None:
+                try:
+                    scores = pruning.step_scores(state, outcome.attention, score_with)
+                    score_trace.append(scores.values)
+                except pruning.EmptyGuidanceSet:
+                    pass
+            if prune_next:
+                pruning.prune_to(state, prune_plan, schedule[k], outcome.attention, prune_rng)
         stats.per_step_seconds.append(time.perf_counter() - t_step)
         if not collect_attention:
             outcome.attention = None
-            outcome.logits_snapshot = None
         trace.append(outcome)
     stats.seconds_total = time.perf_counter() - t_start
     stats.score_trace = score_trace

@@ -23,7 +23,7 @@ from .decoder import PolicyKind, SchedulePolicy, run_inference
 from .model import (CopyTaskVocab, ModelConfig, ModelWeights, build_copy_model,
                     copy_model_config, embed_prompt, encode_image, init_random_model)
 from .numerics import SeededRng
-from .pruning import PrunePlan, ScorerKind, StrategyKind, keep_count
+from .pruning import PrunePlan, ScorerKind, StrategyKind
 
 
 class ConfigError(ValueError):
@@ -112,7 +112,7 @@ def copy_setup(tasks: TaskParams, layers: int = 12, heads: int = 1
 
 def _run_variant(weights: ModelWeights, cfg: RunConfig, plan: Optional[PrunePlan],
                  instances: Sequence[TaskInstance]) -> tuple[float, float, list, np.ndarray]:
-    """Run all tasks under one plan. Returns (accuracy, seconds, lengths, first ids)."""
+    """Run all tasks under one plan. Returns (accuracy, seconds, all lengths, first ids)."""
     correct = 0
     seconds = 0.0
     lengths: list = []
@@ -124,7 +124,7 @@ def _run_variant(weights: ModelWeights, cfg: RunConfig, plan: Optional[PrunePlan
                                       weights, cfg.policy, plan)
         correct += int(ids[0] == inst.expected)
         seconds += stats.seconds_total
-        lengths = stats.per_step_lengths
+        lengths += stats.per_step_lengths
         if first_ids is None:
             first_ids = ids
     return correct / len(instances), seconds, lengths, first_ids
@@ -142,15 +142,8 @@ def _report(cfg: RunConfig, label: str, accuracy, seconds, samples,
             baseline_lengths, variant_lengths, model_cfg: ModelConfig) -> BenchReport:
     flops = None
     if baseline_lengths and variant_lengths:
-        base = analysis.flops_for_lengths(model_cfg.layers, model_cfg.embed_dim,
-                                          model_cfg.ffn_dim, baseline_lengths)
-        var = analysis.flops_for_lengths(model_cfg.layers, model_cfg.embed_dim,
-                                         model_cfg.ffn_dim, variant_lengths)
-        flops = analysis.FlopsReport(
-            baseline=base, pruned=var, ratio=var / base if base else 1.0,
-            params={"layers": model_cfg.layers, "steps": cfg.steps,
-                    "d": model_cfg.embed_dim, "mu": model_cfg.ffn_dim},
-        )
+        flops = analysis.flops_report(model_cfg.layers, model_cfg.embed_dim, model_cfg.ffn_dim,
+                                      baseline_lengths, variant_lengths, steps=cfg.steps)
     return BenchReport(
         variant=label,
         latency_s_per_sample=seconds / samples,
@@ -231,6 +224,7 @@ def run_bench(cfg: RunConfig, *, plans: Optional[list[PrunePlan]] = None) -> lis
 
     Timing covers the inference loop only (all forward passes plus pruning
     overhead); model construction, input embedding, and warmup are excluded.
+    FLOPs come from the per-step lengths every timed decode recorded.
     """
     if cfg.bench.warmup < 1:
         raise ConfigError("bench needs warmup >= 1")
@@ -240,35 +234,29 @@ def run_bench(cfg: RunConfig, *, plans: Optional[list[PrunePlan]] = None) -> lis
     inputs = _bench_inputs(cfg, weights)
     if plans is None:
         plans = [cfg.prune] if cfg.prune is not None else []
-    n_full = cfg.model.num_patches + cfg.bench.prompt_len + cfg.response_len
-    reports = []
-    resolution = time.get_clock_info("perf_counter").resolution
-    for plan in [None] + list(plans):
-        for _ in range(cfg.bench.warmup):
+    # Variants take turns on each input, so a drift in machine speed reaches
+    # all of them alike instead of whichever ran during it.
+    variants = [None] + list(plans)
+    for _ in range(cfg.bench.warmup):
+        for plan in variants:
             run_inference(inputs[0][0], inputs[0][1], cfg.response_len, cfg.steps,
                           weights, cfg.policy, plan)
-        seconds = 0.0
-        for visual, prompt in inputs:
+    seconds = [0.0] * len(variants)
+    lengths: list = [[] for _ in variants]
+    for visual, prompt in inputs:
+        for i, plan in enumerate(variants):
             _, _, stats = run_inference(visual, prompt, cfg.response_len, cfg.steps,
                                         weights, cfg.policy, plan)
-            seconds += stats.seconds_total
-        if seconds < 100.0 * resolution:
-            raise TimerResolutionError(
-                f"measured {seconds:.3e}s is under 100 clock ticks ({resolution:.1e}s); "
-                "increase reps or problem size")
-        n_r = (keep_count(cfg.model.num_patches, plan.ratio) + cfg.bench.prompt_len
-               + cfg.response_len) if plan is not None else n_full
-        flops = analysis.flops_pruned(cfg.model.layers, cfg.steps, n_full, n_r,
-                                      cfg.model.embed_dim, cfg.model.ffn_dim)
-        reports.append(BenchReport(
-            variant=variant_label(plan),
-            latency_s_per_sample=seconds / cfg.bench.reps,
-            throughput_tok_per_s=cfg.response_len * cfg.bench.reps / seconds,
-            accuracy=None,
-            flops=flops,
-            config=cfg.raw,
-        ))
-    return reports
+            seconds[i] += stats.seconds_total
+            lengths[i] += stats.per_step_lengths
+    resolution = time.get_clock_info("perf_counter").resolution
+    if min(seconds) < 100.0 * resolution:
+        raise TimerResolutionError(
+            f"measured {min(seconds):.3e}s is under 100 clock ticks ({resolution:.1e}s); "
+            "increase reps or problem size")
+    return [_report(cfg, variant_label(plan), None, secs, cfg.bench.reps,
+                    lengths[0], lens, cfg.model)
+            for plan, secs, lens in zip(variants, seconds, lengths)]
 
 
 # --- serialization -----------------------------------------------------------
@@ -391,13 +379,19 @@ def _default_alphabet(n: int) -> tuple[str, ...]:
 
 
 def _merge(base: dict, override: Optional[dict]) -> dict:
-    out = {k: dict(v) for k, v in base.items()}
+    if not isinstance(override, (dict, type(None))):
+        raise ConfigError("a configuration must be a JSON object")
+    out = {k: None if v is None else dict(v) for k, v in base.items()}
     for section, values in (override or {}).items():
         if section not in out:
             raise ConfigError(f"unknown config section: {section}")
         if values is None:
             out[section] = None
             continue
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section} must be an object or null")
+        if out[section] is None:
+            raise ConfigError(f"cannot set {', '.join(values)} in disabled section {section}")
         out[section].update(values)
     return out
 
@@ -414,6 +408,8 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
             patch_grid=grid, mask_token_id=int(m.get("mask_id", int(m["vocab"]) - 1)),
         )
         dec = raw["decode"]
+        if int(dec["K"]) < 1 or int(dec["tau"]) < 1:
+            raise ConfigError("decode needs K >= 1 and tau >= 1")
         policy_name = str(dec["policy"])
         if policy_name == PolicyKind.STOCHASTIC.value:
             policy = SchedulePolicy.stochastic(int(dec["seed"]))

@@ -68,14 +68,6 @@ class AttentionCapture:
     step_index: int = 0
 
     @property
-    def num_layers(self) -> int:
-        return len(self.maps)
-
-    @property
-    def num_heads(self) -> int:
-        return len(self.maps[0]) if self.maps else 0
-
-    @property
     def seq_len(self) -> int:
         return self.maps[0][0].shape[0] if self.maps and self.maps[0] else 0
 

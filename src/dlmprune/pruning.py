@@ -84,6 +84,11 @@ class PrunePlan:
             if sum(counts) != expect or any(c < 0 for c in counts):
                 raise ValueError(f"per-step counts must be nonnegative and sum to {expect}")
 
+    @property
+    def scored(self) -> bool:
+        """Whether the keep set comes from importance scores rather than a random draw."""
+        return self.strategy != StrategyKind.RANDOM_ONCE
+
     @classmethod
     def once(cls, ratio: float, scorer: ScorerKind = ScorerKind.MASKED) -> "PrunePlan":
         return cls(StrategyKind.ONCE, ratio, scorer=scorer)
@@ -173,6 +178,40 @@ def plan_progressive(num_visual: int, r: float, total_steps: int) -> list[int]:
     slots = total_steps - 1
     base, rem = divmod(budget, slots)
     return [base + 1 if i < rem else base for i in range(slots)]
+
+
+def keep_schedule(plan: Optional[PrunePlan], num_visual: int, total_steps: int) -> list[int]:
+    """Visual tokens present at each step 1..K under the plan (validated here): all N
+    without a plan; N, then keep_count(N, r) for once and random; N minus the
+    running sum of the per-step counts for progressive."""
+    if total_steps < 1:
+        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+    if plan is None:
+        return [num_visual] * total_steps
+    plan.validate(num_visual, total_steps)
+    if plan.strategy == StrategyKind.PROGRESSIVE:
+        return [num_visual - sum(plan.per_step_counts[:k]) for k in range(total_steps)]
+    return [num_visual] + [keep_count(num_visual, plan.ratio)] * (total_steps - 1)
+
+
+def step_scores(state: "SequenceState", capture: AttentionCapture,
+                scorer: ScorerKind) -> ImportanceScores:
+    """Importance of the surviving visual tokens from the step just run."""
+    rows = guidance_rows(state, scorer)
+    return importance_scores(mean_attention(capture), rows, np.arange(state.num_visual),
+                             step=state.step - 1, scorer=scorer)
+
+
+def prune_to(state: "SequenceState", plan: PrunePlan, n_keep: int,
+             capture: Optional[AttentionCapture], rng: Optional[SeededRng]) -> None:
+    """Cut the state's visual tokens to the plan's keep set of size n_keep."""
+    if plan.scored:
+        keep = keep_top_n(state.visual_index_map, step_scores(state, capture, plan.scorer),
+                          n_keep)
+    else:
+        # Random pruning happens once, from all N tokens, so keep_count(N, r) == n_keep.
+        keep = random_keep(state.visual_index_map, plan.ratio, rng)
+    apply_prune(state, keep)
 
 
 def apply_prune(state: "SequenceState", keep: KeepSet) -> "SequenceState":

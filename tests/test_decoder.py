@@ -6,7 +6,7 @@ from dlmprune.decoder import (PolicyKind, SchedulePolicy, decode_quota, init_sta
 from dlmprune.model import (ModelConfig, build_copy_model, copy_model_config, embed_prompt,
                             encode_image, init_random_model)
 from dlmprune.numerics import SeededRng
-from dlmprune.pruning import PrunePlan, ScorerKind
+from dlmprune.pruning import PrunePlan, ScorerKind, keep_schedule
 
 
 def tiny_model(seed=1, grid=(2, 2), vocab=12):
@@ -207,6 +207,15 @@ class TestRunInference:
         # budget 9 - keep(4) = 5 over 3 steps, remainder first: [2, 2, 1]
         assert plan.per_step_counts == [2, 2, 1]
         assert stats.per_step_lengths == [17, 15, 13, 12]
+
+    @pytest.mark.parametrize("plan", [None, PrunePlan.once(0.5),
+                                      PrunePlan.random_once(0.5, seed=3),
+                                      PrunePlan.progressive(0.25)])
+    def test_lengths_follow_keep_schedule(self, plan):
+        cfg, w = tiny_model(grid=(3, 3))
+        v, p = tiny_inputs(w)
+        _, _, stats = run_inference(v, p, 6, 4, w, SchedulePolicy.confidence(), plan)
+        assert stats.per_step_lengths == [n + 2 + 6 for n in keep_schedule(plan, 9, 4)]
 
     def test_invalid_progressive_counts(self):
         cfg, w = tiny_model(grid=(3, 3))

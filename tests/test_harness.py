@@ -80,6 +80,19 @@ class TestRunAccuracy:
         assert pruned.flops is not None
         assert 0.0 < pruned.flops.ratio < 1.0
 
+    def test_progressive_flops_exceed_once_summed_over_tasks(self):
+        cfg = config_from_dict({
+            "decode": {"K": 4, "tau": 4, "policy": "confidence", "seed": 7},
+            "tasks": {"count": 3, "grid": [4, 4], "alphabet": 4, "seed": 0},
+        })
+        base, once, prog = run_accuracy(cfg, plans=[PrunePlan.once(0.25),
+                                                    PrunePlan.progressive(0.25)])
+        m = harness.copy_setup(cfg.tasks)[0]
+        n = 16 + 1 + 4  # visual + prompt + response
+        per_task = analysis.flops_for_lengths(m.layers, m.embed_dim, m.ffn_dim, [n] * 4)
+        assert base.flops.pruned == base.flops.baseline == 3 * per_task
+        assert once.flops.ratio < prog.flops.ratio < 1.0
+
 
 class TestRunSimilarity:
     def test_copy_model_curve_is_flat(self):
@@ -127,6 +140,19 @@ class TestRunBench:
         assert [r.variant for r in reports] == ["baseline", "once/masked/r=0.5"]
         assert reports[0].flops.ratio == 1.0
         assert reports[1].flops.ratio < 1.0
+
+    def test_progressive_flops_exceed_once(self):
+        cfg = self.bench_config()
+        base, once, prog = run_bench(cfg, plans=[PrunePlan.once(0.5),
+                                                 PrunePlan.progressive(0.5)])
+        n = 16 + 4 + 8  # visual + prompt + response
+        assert base.flops.baseline == 3 * analysis.flops_for_lengths(1, 16, 16, [n] * 4)
+        # once keeps 8 of 16 from step 2 on; progressive removes 3, 3, 2 over steps 1..3
+        assert once.flops.pruned == 3 * analysis.flops_for_lengths(
+            1, 16, 16, [n, n - 8, n - 8, n - 8])
+        assert prog.flops.pruned == 3 * analysis.flops_for_lengths(
+            1, 16, 16, [n, n - 3, n - 6, n - 8])
+        assert once.flops.ratio < prog.flops.ratio < 1.0
 
     def test_warmup_required(self):
         cfg = self.bench_config()
@@ -224,6 +250,16 @@ class TestConfig:
         cfg = config_from_dict({"prune": None})
         assert cfg.prune is None
 
+    @pytest.mark.parametrize("data", [[1], {"prune": 5}, {"decode": [8]}])
+    def test_non_object_config_rejected(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("decode", [{"K": 0}, {"tau": 0}])
+    def test_empty_decode_rejected(self, decode):
+        with pytest.raises(ConfigError):
+            config_from_dict({"decode": decode})
+
     def test_invalid_section_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"nonsense": {}})
@@ -237,6 +273,9 @@ class TestConfig:
             config_from_dict({"model": {"d": 30, "H": 4}})
 
 
+ONCE_PRUNE = {"strategy": "once", "scorer": "masked", "r": 0.5, "seed": 1}
+
+
 class TestCli:
     def base_args(self):
         return ["--seed", "5"]
@@ -245,6 +284,34 @@ class TestCli:
         assert main(["flops", "--r", "0.25"]) == 0
         out = capsys.readouterr().out
         assert "baseline flops" in out
+
+    def test_flops_command_progressive_exceeds_once(self, tmp_path):
+        got = {}
+        for strategy in ("once", "progressive"):
+            path = tmp_path / f"{strategy}.json"
+            assert main(["flops", "--r", "0.25", "--strategy", strategy,
+                         "--out", str(path)]) == 0
+            got[strategy] = json.loads(path.read_text())["flops"]
+        # default config: N=16 patches + 16 prompt + 8 response, K=8, L=2, d=32, mu=64
+        base = analysis.flops_for_lengths(2, 32, 64, [40] * 8)
+        once = analysis.flops_for_lengths(2, 32, 64, [40] + [28] * 7)
+        prog = analysis.flops_for_lengths(2, 32, 64, [40, 38, 36, 34, 32, 30, 29, 28])
+        assert got["once"]["baseline"] == got["progressive"]["baseline"] == base
+        assert got["once"]["pruned"] == once
+        assert got["progressive"]["pruned"] == prog > once
+
+    def test_seed_with_disabled_prune_decodes_unpruned(self, tmp_path, capsys):
+        out_path = tmp_path / "run.json"
+        code = main(["run", "--config", self.write_config(tmp_path, prune=None),
+                     "--seed", "3", "--out", str(out_path)])
+        assert code == 0
+        assert json.loads(out_path.read_text())["variant"] == "baseline"
+        assert "seq lengths : [7, 7]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--r", "0.5"], ["--strategy", "progressive"],
+                                      ["--scorer", "prompt"]])
+    def test_prune_flag_with_disabled_prune_is_config_error(self, tmp_path, flag):
+        assert main(["run", "--config", self.write_config(tmp_path, prune=None)] + flag) == 2
 
     def test_run_command_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "run.json"
@@ -292,11 +359,11 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 3
 
     @staticmethod
-    def write_config(tmp_path, K=2, tau=2, count=2):
+    def write_config(tmp_path, K=2, tau=2, count=2, prune=ONCE_PRUNE):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "decode": {"K": K, "tau": tau, "policy": "confidence", "seed": 7},
             "tasks": {"count": count, "grid": [2, 2], "alphabet": 4, "seed": 0},
-            "prune": {"strategy": "once", "scorer": "masked", "r": 0.5, "seed": 1},
+            "prune": prune,
         }))
         return str(path)

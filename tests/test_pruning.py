@@ -6,7 +6,7 @@ from dlmprune.model import (AttentionCapture, CopyTaskVocab, build_copy_model,
                             copy_model_config, embed_prompt, encode_image)
 from dlmprune.numerics import SeededRng, softmax_rows
 from dlmprune.pruning import (EmptyGuidanceSet, PrunePlan, ScorerKind, apply_prune,
-                              guidance_rows, importance_scores, keep_count,
+                              guidance_rows, importance_scores, keep_count, keep_schedule,
                               mean_attention, plan_progressive, random_keep, select_top)
 from test_decoder import tiny_inputs, tiny_model
 
@@ -219,6 +219,53 @@ class TestPlanProgressive:
             plan_progressive(8, 0.5, 1)
 
 
+class TestKeepSchedule:
+    def test_no_plan_keeps_everything(self):
+        assert keep_schedule(None, 16, 4) == [16, 16, 16, 16]
+
+    def test_once(self):
+        assert keep_schedule(PrunePlan.once(0.25), 16, 4) == [16, 4, 4, 4]
+
+    def test_random(self):
+        assert keep_schedule(PrunePlan.random_once(0.5, seed=1), 9, 3) == [9, 4, 4]
+
+    def test_progressive_hand_value(self):
+        plan = PrunePlan.progressive(0.5)
+        assert keep_schedule(plan, 64, 4) == [64, 53, 42, 32]
+        assert plan.per_step_counts == [11, 11, 10]
+
+    def test_progressive_is_n_minus_running_sum(self):
+        rng = SeededRng(15)
+        for _ in range(100):
+            n = int(rng.integers(1, 300))
+            r = float(rng.random()) or 0.5
+            steps = int(rng.integers(2, 20))
+            counts = plan_progressive(n, r, steps)
+            want = [n - sum(counts[:k]) for k in range(steps)]
+            assert keep_schedule(PrunePlan.progressive(r), n, steps) == want
+
+    def test_once_single_step(self):
+        assert keep_schedule(PrunePlan.once(0.25), 16, 1) == [16]
+
+    def test_keep_all_ratio_removes_nothing(self):
+        for plan in (PrunePlan.once(1.0), PrunePlan.random_once(1.0, seed=2),
+                     PrunePlan.progressive(1.0)):
+            assert keep_schedule(plan, 16, 4) == [16, 16, 16, 16]
+
+    def test_single_token_removes_nothing(self):
+        for plan in (PrunePlan.once(0.25), PrunePlan.random_once(0.25, seed=2),
+                     PrunePlan.progressive(0.25)):
+            assert keep_schedule(plan, 1, 4) == [1, 1, 1, 1]
+
+    def test_validates_the_plan(self):
+        plan = PrunePlan(strategy=PrunePlan.progressive(0.5).strategy, ratio=0.5,
+                         per_step_counts=[1, 1, 1])
+        with pytest.raises(ValueError):
+            keep_schedule(plan, 9, 4)
+        with pytest.raises(ValueError):
+            keep_schedule(None, 9, 0)
+
+
 class TestGuidanceRows:
     def make_state(self):
         cfg, w = tiny_model(grid=(3, 1), vocab=12)
@@ -279,6 +326,15 @@ class TestCopyModelScoring:
                                        guidance_rows(st, ScorerKind.MASKED),
                                        np.arange(4))
             assert int(np.argmax(scores.values)) == target
+
+    def test_keep_all_skips_empty_guidance(self):
+        # r=1.0 removes nothing, so nothing is scored and the empty set never surfaces
+        cfg, w = tiny_model()
+        v, p = tiny_inputs(w)
+        base, _, _ = run_inference(v, p, 2, 8, w, SchedulePolicy.confidence(), None)
+        plan = PrunePlan.once(1.0, scorer=ScorerKind.DECODED)
+        ids, _, _ = run_inference(v, p, 2, 8, w, SchedulePolicy.confidence(), plan)
+        np.testing.assert_array_equal(ids, base)
 
     def test_empty_guidance_surfaces_for_decoded_scorer(self):
         # nothing is decoded after step 1 when the quota rounds to zero
