@@ -11,7 +11,7 @@ from .harness import (BenchParams, BenchReport, ConfigError, RunConfig, TaskInst
 from .model import (AttentionCapture, CopyTaskVocab, ModelConfig, ModelWeights,
                     build_copy_model, copy_model_config, embed_prompt, embed_response,
                     encode_image, forward, init_random_model)
-from .numerics import Matrix, SeededRng, bernoulli, layer_norm, matmul, softmax_rows
+from .numerics import Matrix, SeededRng, layer_norm, softmax_rows
 from .pruning import (EmptyGuidanceSet, ImportanceScores, KeepSet, PrunePlan, ScorerKind,
                       StrategyKind, apply_prune, guidance_rows, importance_scores,
                       keep_count, keep_schedule, mean_attention, plan_progressive,

@@ -60,7 +60,6 @@ class SequenceState:
     visual_index_map: np.ndarray   # original indices of surviving visual rows, ascending
     step: int                      # next step to run, 1-based
     total_steps: int
-    mask_token_id: int
 
     @property
     def num_visual(self) -> int:
@@ -94,7 +93,6 @@ class StepOutcome:
 @dataclass
 class RunStats:
     seconds_total: float = 0.0
-    per_step_seconds: list = field(default_factory=list)
     per_step_lengths: list = field(default_factory=list)
     score_trace: Optional[list] = None  # per-step importance vectors when instrumented
 
@@ -115,7 +113,6 @@ def init_state(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
         visual_index_map=np.arange(visual.shape[0], dtype=np.int64),
         step=1,
         total_steps=total_steps,
-        mask_token_id=mask_token_id,
     )
 
 
@@ -154,7 +151,6 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
     resp_logits = logits[state.num_visual + state.prompt_len :]
 
     entry_masked = state.masked_positions()
-    commit: list[int] = []
     if policy.kind == PolicyKind.STOCHASTIC:
         if rng is None:
             raise ValueError("stochastic policy needs an rng")
@@ -162,28 +158,23 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
         # One uniform draw per masked position, in ascending position order;
         # a batched draw consumes the stream identically to scalar draws.
         stay = rng.random(size=entry_masked.size) < q
-        commit = [int(p) for p in entry_masked[~stay]]
+        commit = entry_masked[~stay]
     else:
         quota = min(decode_quota(k, state.response_len, state.total_steps), entry_masked.size)
-        if quota > 0:
-            probs = softmax_rows(resp_logits[entry_masked])
-            conf = probs.max(axis=1)
-            order = np.argsort(-conf, kind="stable")  # ties -> lower position index
-            commit = [int(entry_masked[i]) for i in order[:quota]]
+        conf = softmax_rows(resp_logits[entry_masked]).max(axis=1)
+        order = np.argsort(-conf, kind="stable")  # ties -> lower position index
+        commit = entry_masked[order[:quota]]
 
-    for p in commit:
-        state.response_ids[p] = int(np.argmax(resp_logits[p]))
-        state.masked[p] = False
+    state.response_ids[commit] = resp_logits[commit].argmax(axis=1)
+    state.masked[commit] = False
     state.step = k + 1
 
-    return state, StepOutcome(newly_decoded=np.array(sorted(commit), dtype=np.int64),
-                              attention=cap)
+    return state, StepOutcome(newly_decoded=np.sort(commit), attention=cap)
 
 
 def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
                   weights: ModelWeights, policy: SchedulePolicy,
                   prune_plan: Optional[pruning.PrunePlan] = None, *,
-                  collect_attention: bool = False,
                   score_with: Optional[pruning.ScorerKind] = None
                   ) -> tuple[np.ndarray, list[StepOutcome], RunStats]:
     """Decode a full response, optionally pruning visual tokens along the way.
@@ -191,11 +182,10 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     The plan's keep schedule alone decides the pruning: after step k the
     state is cut to the count scheduled for step k+1 when that count is
     smaller, and attention is captured only for a step whose prune is scored.
-    ``collect_attention`` keeps every step's maps in the trace (memory-heavy);
-    otherwise maps live only long enough to score the prune. ``score_with``
-    records the per-step importance vector for that guidance set without
-    pruning anything (used for score-stability analysis); steps whose guidance
-    set is empty are skipped.
+    The maps live only long enough to score it; the returned trace holds none.
+    ``score_with`` records the per-step importance vector for that guidance set
+    without pruning anything (used for score-stability analysis); steps whose
+    guidance set is empty are skipped.
     """
     schedule = pruning.keep_schedule(prune_plan, np.asarray(visual).shape[0], total_steps)
     rng = SeededRng(policy.rng_seed) if policy.kind == PolicyKind.STOCHASTIC else None
@@ -213,9 +203,7 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
         if not state.masked.any():
             break
         prune_next = k < total_steps and schedule[k] < state.num_visual
-        need_capture = (collect_attention or score_with is not None
-                        or (prune_next and prune_plan.scored))
-        t_step = time.perf_counter()
+        need_capture = score_with is not None or (prune_next and prune_plan.scored)
         stats.per_step_lengths.append(state.seq_len)
         state, outcome = step(state, weights, policy, rng, capture=need_capture)
         # No forward pass follows once decoding completes, so late scores and
@@ -229,9 +217,7 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
                     pass
             if prune_next:
                 pruning.prune_to(state, prune_plan, schedule[k], outcome.attention, prune_rng)
-        stats.per_step_seconds.append(time.perf_counter() - t_step)
-        if not collect_attention:
-            outcome.attention = None
+        outcome.attention = None
         trace.append(outcome)
     stats.seconds_total = time.perf_counter() - t_start
     stats.score_trace = score_trace

@@ -23,7 +23,7 @@ from .decoder import PolicyKind, SchedulePolicy, run_inference
 from .model import (CopyTaskVocab, ModelConfig, ModelWeights, build_copy_model,
                     copy_model_config, embed_prompt, encode_image, init_random_model)
 from .numerics import SeededRng
-from .pruning import PrunePlan, ScorerKind, StrategyKind
+from .pruning import PrunePlan, ScorerKind, StrategyKind, keep_schedule
 
 
 class ConfigError(ValueError):
@@ -181,6 +181,8 @@ def run_accuracy(cfg: RunConfig, *, include_baseline: bool = True,
 
 def run_ablation(cfg: RunConfig) -> list[BenchReport]:
     """Baseline plus every scorer (one-shot pruning) and every strategy at one ratio."""
+    if cfg.steps < 2:
+        raise ConfigError("ablation needs at least 2 steps: pruning follows step 1")
     ratio = cfg.prune.ratio if cfg.prune is not None else 0.5
     seed = (cfg.prune.rng_seed if cfg.prune is not None and cfg.prune.rng_seed is not None
             else cfg.tasks.seed + 1)
@@ -286,28 +288,6 @@ def report_to_dict(report: BenchReport) -> dict:
     if report.config:
         out["config"] = report.config
     return out
-
-
-def report_from_dict(data: dict) -> BenchReport:
-    flops = None
-    if "flops" in data:
-        f = data["flops"]
-        flops = analysis.FlopsReport(baseline=f["baseline"], pruned=f["pruned"],
-                                     ratio=f["ratio"], params=f.get("params", {}))
-    sim = None
-    if "similarity" in data:
-        s = data["similarity"]
-        sim = analysis.SimilarityCurve(sims=s["sims"], first_step=s["first_step"],
-                                       sample_count=s["sample_count"])
-    return BenchReport(
-        variant=data["variant"],
-        latency_s_per_sample=data.get("latency_s_per_sample"),
-        throughput_tok_per_s=data.get("throughput_tok_per_s"),
-        accuracy=data.get("accuracy"),
-        flops=flops,
-        similarity=sim,
-        config=data.get("config", {}),
-    )
 
 
 _CSV_COLUMNS = ["variant", "latency_s_per_sample", "throughput_tok_per_s", "accuracy",
@@ -432,6 +412,10 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
                     else tuple(str(s) for s in alphabet))
         tasks = TaskParams(count=int(t["count"]), grid=tuple(t["grid"]),
                            alphabet=alphabet, seed=int(t["seed"]))
+        rows, cols = tasks.grid
+        # A plan that cannot serve the model's or the tasks' grid fails here, not mid-run.
+        for num_visual in (model.num_patches, rows * cols):
+            keep_schedule(prune, num_visual, int(dec["K"]))
         b = raw["bench"]
         bench = BenchParams(warmup=int(b["warmup"]), reps=int(b["reps"]),
                             prompt_len=int(b.get("prompt_len", 16)))

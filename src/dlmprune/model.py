@@ -146,15 +146,14 @@ def sinusoidal_table(length: int, dim: int) -> np.ndarray:
     return table
 
 
-def encode_image(image: Sequence[Sequence[str]], weights: ModelWeights,
-                 cfg: Optional[ModelConfig] = None) -> Matrix:
+def encode_image(image: Sequence[Sequence[str]], weights: ModelWeights) -> Matrix:
     """Embed a patch-symbol grid into visual token rows (row-major patch order).
 
     Each row is the projected patch embedding plus that patch's position
     vector, so a visual token keeps its identity even after rows are sliced
     out by pruning.
     """
-    cfg = cfg or weights.config
+    cfg = weights.config
     rows, cols = cfg.patch_grid
     if len(image) != rows or any(len(r) != cols for r in image):
         raise ValueError(f"image grid does not match patch_grid {cfg.patch_grid}")

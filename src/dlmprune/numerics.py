@@ -12,17 +12,6 @@ import numpy as np
 Matrix = np.ndarray
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def softmax_rows(m: Matrix) -> Matrix:
     """Row-wise softmax with max-subtraction, so huge logits never overflow."""
     m = np.asarray(m, dtype=np.float64)
@@ -96,10 +85,3 @@ class SeededRng:
             raise ValueError(f"cannot draw {k} of {n}")
         picked = self._gen.choice(n, size=k, replace=False)
         return np.sort(picked)
-
-
-def bernoulli(p: float, rng: SeededRng) -> bool:
-    """True with probability p. Consumes exactly one uniform draw."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    return bool(rng.random() < p)

@@ -45,8 +45,6 @@ class StrategyKind(str, Enum):
 @dataclass
 class ImportanceScores:
     values: np.ndarray          # aligned with the surviving visual tokens
-    source_step: int = 0
-    scorer: ScorerKind = ScorerKind.MASKED
 
 
 @dataclass(frozen=True)
@@ -58,31 +56,20 @@ class KeepSet:
         return int(self.indices.size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrunePlan:
+    """How to prune, independent of run shape: one plan serves any N and K."""
+
     strategy: StrategyKind
     ratio: float
     scorer: ScorerKind = ScorerKind.MASKED
     rng_seed: Optional[int] = None
-    per_step_counts: Optional[list[int]] = None
 
     def __post_init__(self):
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
         if self.strategy == StrategyKind.RANDOM_ONCE and self.rng_seed is None:
             raise ValueError("random pruning needs rng_seed")
-
-    def validate(self, num_visual: int, total_steps: int) -> None:
-        """Cross-check the plan against an actual run shape."""
-        if self.strategy == StrategyKind.PROGRESSIVE:
-            if self.per_step_counts is None:
-                self.per_step_counts = plan_progressive(num_visual, self.ratio, total_steps)
-            counts = self.per_step_counts
-            if len(counts) != total_steps - 1:
-                raise ValueError(f"need {total_steps - 1} per-step counts, got {len(counts)}")
-            expect = num_visual - keep_count(num_visual, self.ratio)
-            if sum(counts) != expect or any(c < 0 for c in counts):
-                raise ValueError(f"per-step counts must be nonnegative and sum to {expect}")
 
     @property
     def scored(self) -> bool:
@@ -136,8 +123,7 @@ def importance_scores(abar: Matrix, guidance_rows: Sequence[int], visual_cols: S
     n = abar.shape[0]
     if rows.max() >= n or cols.size and cols.max() >= abar.shape[1]:
         raise ValueError("guidance rows / visual cols exceed map dimensions")
-    values = abar[np.ix_(rows, cols)].mean(axis=0)
-    return ImportanceScores(values=values, source_step=step, scorer=scorer)
+    return ImportanceScores(values=abar[np.ix_(rows, cols)].mean(axis=0))
 
 
 def keep_top_n(visual_indices: np.ndarray, scores: Union[ImportanceScores, np.ndarray],
@@ -181,16 +167,17 @@ def plan_progressive(num_visual: int, r: float, total_steps: int) -> list[int]:
 
 
 def keep_schedule(plan: Optional[PrunePlan], num_visual: int, total_steps: int) -> list[int]:
-    """Visual tokens present at each step 1..K under the plan (validated here): all N
-    without a plan; N, then keep_count(N, r) for once and random; N minus the
-    running sum of the per-step counts for progressive."""
+    """Visual tokens present at each step 1..K under the plan: all N without a
+    plan; N, then keep_count(N, r) for once and random; N minus the running sum
+    of plan_progressive(N, r, K) for progressive. Raises ValueError for a shape
+    the plan cannot serve."""
     if total_steps < 1:
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")
     if plan is None:
         return [num_visual] * total_steps
-    plan.validate(num_visual, total_steps)
     if plan.strategy == StrategyKind.PROGRESSIVE:
-        return [num_visual - sum(plan.per_step_counts[:k]) for k in range(total_steps)]
+        counts = plan_progressive(num_visual, plan.ratio, total_steps)
+        return [num_visual - sum(counts[:k]) for k in range(total_steps)]
     return [num_visual] + [keep_count(num_visual, plan.ratio)] * (total_steps - 1)
 
 

@@ -4,9 +4,9 @@ import pytest
 from dlmprune.decoder import (PolicyKind, SchedulePolicy, decode_quota, init_state,
                               remask_prob, run_inference, step)
 from dlmprune.model import (ModelConfig, build_copy_model, copy_model_config, embed_prompt,
-                            encode_image, init_random_model)
-from dlmprune.numerics import SeededRng
-from dlmprune.pruning import PrunePlan, ScorerKind, keep_schedule
+                            embed_response, encode_image, forward, init_random_model)
+from dlmprune.numerics import SeededRng, softmax_rows
+from dlmprune.pruning import PrunePlan, ScorerKind, keep_schedule, plan_progressive, prune_to
 
 
 def tiny_model(seed=1, grid=(2, 2), vocab=12):
@@ -85,7 +85,41 @@ class TestDecodeQuota:
             assert all(q >= 0 for q in quotas)
 
 
+def reference_step(state, weights, policy, rng):
+    """One step committed position by position: the loop that step() vectorises."""
+    k = state.step
+    x = np.vstack([state.visual, state.prompt, embed_response(state.response_ids, weights)])
+    resp_logits = forward(x, weights)[0][state.num_visual + state.prompt_len:]
+    entry_masked = state.masked_positions()
+    if policy.kind == PolicyKind.STOCHASTIC:
+        stay = rng.random(size=entry_masked.size) < remask_prob(k, state.total_steps)
+        commit = [int(p) for p in entry_masked[~stay]]
+    else:
+        quota = min(decode_quota(k, state.response_len, state.total_steps), entry_masked.size)
+        conf = softmax_rows(resp_logits[entry_masked]).max(axis=1)
+        commit = [int(entry_masked[i]) for i in np.argsort(-conf, kind="stable")[:quota]]
+    for p in commit:
+        state.response_ids[p] = int(np.argmax(resp_logits[p]))
+        state.masked[p] = False
+    state.step = k + 1
+    return sorted(commit)
+
+
 class TestStep:
+    @pytest.mark.parametrize("policy", [SchedulePolicy.confidence(),
+                                        SchedulePolicy.stochastic(8)])
+    def test_matches_per_position_reference(self, policy):
+        cfg, w = tiny_model()
+        v, p = tiny_inputs(w)
+        st, ref = (init_state(v, p, 7, 5, mask_token_id=cfg.mask_token_id) for _ in range(2))
+        rng, ref_rng = SeededRng(8), SeededRng(8)
+        for _ in range(5):
+            st, out = step(st, w, policy, rng, capture=False)
+            assert out.newly_decoded.tolist() == reference_step(ref, w, policy, ref_rng)
+            np.testing.assert_array_equal(st.response_ids, ref.response_ids)
+            np.testing.assert_array_equal(st.masked, ref.masked)
+        assert not st.masked.any()
+
     def test_decoded_positions_never_change(self):
         cfg, w = tiny_model()
         v, p = tiny_inputs(w)
@@ -192,12 +226,18 @@ class TestRunInference:
     def test_pruned_run_lengths(self):
         cfg, w = tiny_model(grid=(3, 3))
         v, p = tiny_inputs(w)
-        _, trace, stats = run_inference(v, p, 4, 4, w, SchedulePolicy.confidence(),
-                                        PrunePlan.once(0.5), collect_attention=True)
+        plan = PrunePlan.once(0.5)
+        _, trace, stats = run_inference(v, p, 4, 4, w, SchedulePolicy.confidence(), plan)
         # step 1 at full length, steps 2+ at pruned length
         assert stats.per_step_lengths == [9 + 2 + 4, 4 + 2 + 4, 4 + 2 + 4, 4 + 2 + 4]
-        assert trace[0].attention.seq_len == 15
-        assert trace[1].attention.seq_len == 10
+        assert all(out.attention is None for out in trace)  # maps live only to score
+        # the same prune by hand: the capture after it covers the pruned sequence
+        st = init_state(v, p, 4, 4, mask_token_id=cfg.mask_token_id)
+        st, out = step(st, w, SchedulePolicy.confidence())
+        assert out.attention.seq_len == 15
+        prune_to(st, plan, 4, out.attention, None)
+        _, out = step(st, w, SchedulePolicy.confidence())
+        assert out.attention.seq_len == 10
 
     def test_progressive_lengths_follow_counts(self):
         cfg, w = tiny_model(grid=(3, 3))
@@ -205,7 +245,7 @@ class TestRunInference:
         plan = PrunePlan.progressive(0.5, scorer=ScorerKind.MASKED)
         _, _, stats = run_inference(v, p, 6, 4, w, SchedulePolicy.confidence(), plan)
         # budget 9 - keep(4) = 5 over 3 steps, remainder first: [2, 2, 1]
-        assert plan.per_step_counts == [2, 2, 1]
+        assert plan_progressive(9, 0.5, 4) == [2, 2, 1]
         assert stats.per_step_lengths == [17, 15, 13, 12]
 
     @pytest.mark.parametrize("plan", [None, PrunePlan.once(0.5),
@@ -218,9 +258,9 @@ class TestRunInference:
         assert stats.per_step_lengths == [n + 2 + 6 for n in keep_schedule(plan, 9, 4)]
 
     def test_invalid_progressive_counts(self):
+        # a single step leaves no step to spread the progressive removals over
         cfg, w = tiny_model(grid=(3, 3))
         v, p = tiny_inputs(w)
-        plan = PrunePlan(strategy=PrunePlan.progressive(0.5).strategy, ratio=0.5,
-                         per_step_counts=[1, 1, 1])
         with pytest.raises(ValueError):
-            run_inference(v, p, 4, 4, w, SchedulePolicy.confidence(), plan)
+            run_inference(v, p, 4, 1, w, SchedulePolicy.confidence(),
+                          PrunePlan.progressive(0.5))

@@ -5,8 +5,7 @@ import pytest
 from dlmprune import analysis, harness
 from dlmprune.cli import main
 from dlmprune.harness import (BenchReport, ConfigError, config_from_dict, emit_report,
-                              gen_pointer_task, report_from_dict, run_accuracy,
-                              run_bench, run_similarity)
+                              gen_pointer_task, run_accuracy, run_bench, run_similarity)
 from dlmprune.model import CopyTaskVocab
 from dlmprune.pruning import PrunePlan, ScorerKind
 
@@ -199,17 +198,16 @@ class TestReports:
         )
 
     def test_json_round_trip(self, tmp_path):
-        report = self.sample_report()
-        path = emit_report(report, tmp_path / "r.json", format="json")
-        parsed = report_from_dict(json.loads(path.read_text()))
-        assert parsed.variant == report.variant
-        assert parsed.latency_s_per_sample == pytest.approx(report.latency_s_per_sample,
-                                                            abs=1e-6)
-        assert parsed.flops.pruned == 625
-        assert parsed.similarity.sims == [0.999, 0.998]
-        # a second emit/parse cycle is exact
-        again = emit_report(parsed, tmp_path / "r2.json", format="json")
-        assert report_from_dict(json.loads(again.read_text())) == parsed
+        path = emit_report(self.sample_report(), tmp_path / "r.json", format="json")
+        assert json.loads(path.read_text()) == {
+            "variant": "once/masked/r=0.5",
+            "latency_s_per_sample": 0.123457,
+            "throughput_tok_per_s": 64.5,
+            "accuracy": 0.975,
+            "flops": {"baseline": 1000, "pruned": 625, "ratio": 0.625, "params": {"n": 10}},
+            "similarity": {"sims": [0.999, 0.998], "first_step": 2, "sample_count": 4},
+            "config": {"decode": {"K": 8}},
+        }
 
     def test_json_omits_empty_sections(self, tmp_path):
         report = BenchReport(variant="baseline", latency_s_per_sample=1.0)
@@ -347,6 +345,18 @@ class TestCli:
 
     def test_missing_config_file_exit_2(self):
         assert main(["run", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "flops"])
+    def test_progressive_single_step_exit_2(self, tmp_path, command):
+        # progressive pruning has no step after step 1 to spread its removals over
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"decode": {"K": 1},
+                                   "prune": {"strategy": "progressive", "r": 0.5}}))
+        assert main([command, "--config", str(cfg)]) == 2
+
+    def test_single_step_ablation_exit_2(self, tmp_path):
+        # the ablation's progressive plan cannot serve K=1 whatever the config's strategy
+        assert main(["ablate", "--config", self.write_config(tmp_path, K=1)]) == 2
 
     def test_runtime_error_exit_3(self, tmp_path):
         cfg = tmp_path / "c.json"

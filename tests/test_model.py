@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dlmprune.decoder import SchedulePolicy, run_inference
+from dlmprune.decoder import SchedulePolicy, init_state, step
 from dlmprune.model import (CopyTaskVocab, ModelConfig, build_copy_model, copy_model_config,
                             embed_prompt, embed_response, encode_image, forward,
                             init_random_model)
@@ -159,11 +159,12 @@ class TestInitRandomModel:
 
 
 def decode_pointer(weights, vocab, image, target, tau=2, steps=2):
+    """Decode step by step, so each step's outcome keeps its attention maps."""
     visual = encode_image(image, weights)
     prompt = embed_prompt([vocab.index_id(target)], weights)
-    ids, trace, _ = run_inference(visual, prompt, tau, steps, weights,
-                                  SchedulePolicy.confidence(), None, collect_attention=True)
-    return ids, trace
+    state = init_state(visual, prompt, tau, steps, mask_token_id=weights.config.mask_token_id)
+    trace = [step(state, weights, SchedulePolicy.confidence())[1] for _ in range(steps)]
+    return state.response_ids, trace
 
 
 class TestCopyModel:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,9 +232,16 @@ class TestKeepSchedule:
         assert keep_schedule(PrunePlan.random_once(0.5, seed=1), 9, 3) == [9, 4, 4]
 
     def test_progressive_hand_value(self):
+        assert keep_schedule(PrunePlan.progressive(0.5), 64, 4) == [64, 53, 42, 32]
+        assert plan_progressive(64, 0.5, 4) == [11, 11, 10]
+
+    def test_one_plan_serves_any_shape(self):
         plan = PrunePlan.progressive(0.5)
-        assert keep_schedule(plan, 64, 4) == [64, 53, 42, 32]
-        assert plan.per_step_counts == [11, 11, 10]
+        assert keep_schedule(plan, 9, 4) == [9, 7, 5, 4]
+        assert keep_schedule(plan, 16, 4) == [16, 13, 10, 8]
+        assert keep_schedule(plan, 9, 6) == [9, 8, 7, 6, 5, 4]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.ratio = 0.25
 
     def test_progressive_is_n_minus_running_sum(self):
         rng = SeededRng(15)
@@ -258,10 +267,8 @@ class TestKeepSchedule:
             assert keep_schedule(plan, 1, 4) == [1, 1, 1, 1]
 
     def test_validates_the_plan(self):
-        plan = PrunePlan(strategy=PrunePlan.progressive(0.5).strategy, ratio=0.5,
-                         per_step_counts=[1, 1, 1])
         with pytest.raises(ValueError):
-            keep_schedule(plan, 9, 4)
+            keep_schedule(PrunePlan.progressive(0.5), 9, 1)
         with pytest.raises(ValueError):
             keep_schedule(None, 9, 0)
 
