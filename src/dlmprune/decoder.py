@@ -137,8 +137,9 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
          ) -> tuple[SequenceState, StepOutcome]:
     """Run one inference step in place and report what it committed.
 
-    Already-decoded positions are never altered. ``capture=False`` skips
-    storing attention maps (logits are unaffected).
+    Already-decoded positions are never altered. The outcome's attention is
+    the layer/head mean of this step's maps, one (n, n) map; ``capture=False``
+    skips it (logits are unaffected).
     """
     k = state.step
     if k > state.total_steps:
@@ -182,7 +183,8 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     The plan's keep schedule alone decides the pruning: after step k the
     state is cut to the count scheduled for step k+1 when that count is
     smaller, and attention is captured only for a step whose prune is scored.
-    The maps live only long enough to score it; the returned trace holds none.
+    That layer/head-mean map lives only long enough to score it; the returned
+    trace holds none.
     ``score_with`` records the per-step importance vector for that guidance set
     without pruning anything (used for score-stability analysis); steps whose
     guidance set is empty are skipped.

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from . import analysis
 from .decoder import PolicyKind, SchedulePolicy, run_inference
-from .model import (CopyTaskVocab, ModelConfig, ModelWeights, build_copy_model,
-                    copy_model_config, embed_prompt, encode_image, init_random_model)
+from .model import (DEFAULT_MAX_PROMPT, DEFAULT_MAX_RESPONSE, CopyTaskVocab, ModelConfig,
+                    ModelWeights, build_copy_model, copy_model_config, embed_prompt,
+                    encode_image, init_random_model)
 from .numerics import SeededRng
 from .pruning import PrunePlan, ScorerKind, StrategyKind, keep_schedule
 
@@ -111,12 +110,11 @@ def copy_setup(tasks: TaskParams, layers: int = 12, heads: int = 1
 
 
 def _run_variant(weights: ModelWeights, cfg: RunConfig, plan: Optional[PrunePlan],
-                 instances: Sequence[TaskInstance]) -> tuple[float, float, list, np.ndarray]:
-    """Run all tasks under one plan. Returns (accuracy, seconds, all lengths, first ids)."""
+                 instances: Sequence[TaskInstance]) -> tuple[float, float, list]:
+    """Run all tasks under one plan. Returns (accuracy, seconds, all lengths)."""
     correct = 0
     seconds = 0.0
     lengths: list = []
-    first_ids = None
     for inst in instances:
         visual = encode_image(inst.image, weights)
         prompt = embed_prompt(inst.prompt, weights)
@@ -125,9 +123,7 @@ def _run_variant(weights: ModelWeights, cfg: RunConfig, plan: Optional[PrunePlan
         correct += int(ids[0] == inst.expected)
         seconds += stats.seconds_total
         lengths += stats.per_step_lengths
-        if first_ids is None:
-            first_ids = ids
-    return correct / len(instances), seconds, lengths, first_ids
+    return correct / len(instances), seconds, lengths
 
 
 def variant_label(plan: Optional[PrunePlan]) -> str:
@@ -169,11 +165,11 @@ def run_accuracy(cfg: RunConfig, *, include_baseline: bool = True,
     reports = []
     base_lengths = None
     if include_baseline:
-        acc, secs, base_lengths, _ = _run_variant(weights, cfg, None, instances)
+        acc, secs, base_lengths = _run_variant(weights, cfg, None, instances)
         reports.append(_report(cfg, "baseline", acc, secs, len(instances),
                                base_lengths, base_lengths, model_cfg))
     for plan in plans:
-        acc, secs, lengths, _ = _run_variant(weights, cfg, plan, instances)
+        acc, secs, lengths = _run_variant(weights, cfg, plan, instances)
         reports.append(_report(cfg, variant_label(plan), acc, secs, len(instances),
                                base_lengths, lengths, model_cfg))
     return reports
@@ -388,8 +384,8 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
             patch_grid=grid, mask_token_id=int(m.get("mask_id", int(m["vocab"]) - 1)),
         )
         dec = raw["decode"]
-        if int(dec["K"]) < 1 or int(dec["tau"]) < 1:
-            raise ConfigError("decode needs K >= 1 and tau >= 1")
+        if int(dec["K"]) < 1 or not 1 <= int(dec["tau"]) <= DEFAULT_MAX_RESPONSE:
+            raise ConfigError(f"decode needs K >= 1 and 1 <= tau <= {DEFAULT_MAX_RESPONSE}")
         policy_name = str(dec["policy"])
         if policy_name == PolicyKind.STOCHASTIC.value:
             policy = SchedulePolicy.stochastic(int(dec["seed"]))
@@ -412,13 +408,18 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
                     else tuple(str(s) for s in alphabet))
         tasks = TaskParams(count=int(t["count"]), grid=tuple(t["grid"]),
                            alphabet=alphabet, seed=int(t["seed"]))
-        rows, cols = tasks.grid
-        # A plan that cannot serve the model's or the tasks' grid fails here, not mid-run.
-        for num_visual in (model.num_patches, rows * cols):
+        if tasks.count < 1:
+            raise ConfigError("tasks needs count >= 1")
+        # Tasks the copy model cannot host, or a plan that cannot serve the
+        # model's or the tasks' grid, fail here, not mid-run.
+        copy_cfg = copy_model_config(tasks.grid, tasks.alphabet)
+        for num_visual in (model.num_patches, copy_cfg.num_patches):
             keep_schedule(prune, num_visual, int(dec["K"]))
         b = raw["bench"]
         bench = BenchParams(warmup=int(b["warmup"]), reps=int(b["reps"]),
                             prompt_len=int(b.get("prompt_len", 16)))
+        if not 0 <= bench.prompt_len <= DEFAULT_MAX_PROMPT:
+            raise ConfigError(f"bench needs 0 <= prompt_len <= {DEFAULT_MAX_PROMPT}")
         return RunConfig(
             model=model, steps=int(dec["K"]), response_len=int(dec["tau"]),
             policy=policy, prune=prune, tasks=tasks, bench=bench, raw=raw,

@@ -62,7 +62,8 @@ class ModelConfig:
 
 @dataclass
 class AttentionCapture:
-    """Row-stochastic attention maps from one forward pass: maps[layer][head] is (n, n)."""
+    """Row-stochastic (n, n) attention maps, maps[layer][head]. ``forward``
+    captures only their layer/head mean, as the one map maps[0][0]."""
 
     maps: list[list[np.ndarray]]
     step_index: int = 0
@@ -126,14 +127,6 @@ class ModelWeights:
     output_w: np.ndarray = None
     output_b: np.ndarray = None
 
-    @property
-    def max_prompt_len(self) -> int:
-        return self.response_pos_base - self.prompt_pos_base
-
-    @property
-    def max_response_len(self) -> int:
-        return self.positional.shape[0] - self.response_pos_base
-
 
 def sinusoidal_table(length: int, dim: int) -> np.ndarray:
     """Classic fixed sin/cos position table, values in [-1, 1]."""
@@ -193,9 +186,12 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 def forward(x: Matrix, weights: ModelWeights,
             capture: bool = False) -> tuple[Matrix, Optional[AttentionCapture]]:
-    """Full bidirectional self-attention over all rows; optionally keep every map.
+    """Full bidirectional self-attention over all rows; optionally capture the
+    layer/head mean of the attention maps as one (n, n) map.
 
-    Capture is observation-only: logits are identical with it on or off.
+    The maps are summed in (layer, head) order as ``pruning.mean_attention``
+    sums them, and are not kept. Capture is observation-only: logits are
+    identical with it on or off.
     """
     cfg = weights.config
     x = np.asarray(x, dtype=np.float64)
@@ -205,28 +201,27 @@ def forward(x: Matrix, weights: ModelWeights,
         raise ValueError("need at least one input row")
     scale = 1.0 / np.sqrt(cfg.head_dim)
     h = x.copy()
-    maps: list[list[np.ndarray]] = []
+    total = np.zeros((x.shape[0], x.shape[0])) if capture else None
     for lw in weights.layers:
         a_in = layer_norm(h, *lw.norm1) if lw.norm1 is not None else h
         head_outs = []
-        layer_maps = []
         for hd in range(cfg.heads):
             q = a_in @ lw.wq[hd]
             k = a_in @ lw.wk[hd]
             v = a_in @ lw.wv[hd]
             attn = softmax_rows((q @ k.T) * scale)
             if capture:
-                layer_maps.append(attn)
+                total += attn
             head_outs.append(attn @ v)
-        if capture:
-            maps.append(layer_maps)
         h = h + np.concatenate(head_outs, axis=1) @ lw.wo
         f_in = layer_norm(h, *lw.norm2) if lw.norm2 is not None else h
         h = h + gelu(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
     if weights.final_norm is not None:
         h = layer_norm(h, *weights.final_norm)
     logits = h @ weights.output_w + weights.output_b
-    return logits, (AttentionCapture(maps) if capture else None)
+    if not capture:
+        return logits, None
+    return logits, AttentionCapture([[total / (len(weights.layers) * cfg.heads)]])
 
 
 DEFAULT_MAX_PROMPT = 256

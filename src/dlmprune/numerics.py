@@ -50,10 +50,6 @@ class SeededRng:
         self._seq = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)
         self._gen = np.random.Generator(np.random.Philox(self._seq))
 
-    @property
-    def seed(self) -> int:
-        return int(self._seq.entropy)
-
     @classmethod
     def _from_sequence(cls, seq: np.random.SeedSequence) -> "SeededRng":
         rng = cls.__new__(cls)

@@ -97,7 +97,8 @@ def keep_count(n: int, r: float) -> int:
 
 
 def mean_attention(capture: AttentionCapture) -> Matrix:
-    """Mean of all layer/head maps; rows stay stochastic."""
+    """Mean of all layer/head maps; rows stay stochastic. A capture from
+    ``forward`` holds only the mean, which comes back bitwise unchanged."""
     if not capture.maps or not capture.maps[0]:
         raise ValueError("capture holds no attention maps")
     shape = capture.maps[0][0].shape

@@ -358,6 +358,25 @@ class TestCli:
         # the ablation's progressive plan cannot serve K=1 whatever the config's strategy
         assert main(["ablate", "--config", self.write_config(tmp_path, K=1)]) == 2
 
+    @pytest.mark.parametrize("command,data", [
+        ("run", {"tasks": {"grid": [0, 4]}}),
+        ("ablate", {"tasks": {"grid": [0, 4]}}),
+        ("run", {"tasks": {"alphabet": []}}),
+        ("bench", {"tasks": {"alphabet": []}}),
+        ("ablate", {"tasks": {"count": 0}}),
+        ("similarity", {"tasks": {"count": 0}}),
+        ("run", {"decode": {"tau": 5000}}),
+        ("bench", {"bench": {"prompt_len": 5000}}),
+        ("bench", {"bench": {"prompt_len": -3}}),
+        ("flops", {"bench": {"prompt_len": -30}, "decode": {"tau": 1}}),
+    ])
+    def test_unservable_tasks_or_lengths_exit_2(self, tmp_path, command, data):
+        # tasks the copy model cannot host, no tasks at all, or a prompt or
+        # response the positional table cannot hold are configuration errors
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(data))
+        assert main([command, "--config", str(cfg)]) == 2
+
     def test_runtime_error_exit_3(self, tmp_path):
         cfg = tmp_path / "c.json"
         # decoded-rows scorer is undefined at step 1 when the quota rounds to zero

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlmprune.decoder import SchedulePolicy, init_state, step
 from dlmprune.model import (CopyTaskVocab, ModelConfig, build_copy_model, copy_model_config,
-                            embed_prompt, embed_response, encode_image, forward,
+                            embed_prompt, embed_response, encode_image, forward, gelu,
                             init_random_model)
-from dlmprune.numerics import SeededRng
+from dlmprune.numerics import SeededRng, layer_norm, softmax_rows
 from dlmprune.pruning import mean_attention
 
 
@@ -133,6 +135,60 @@ class TestForward:
         w = init_random_model(small_config(), 6)
         with pytest.raises(ValueError):
             forward(np.zeros((3, 7)), w)
+
+
+def reference_forward(x, w):
+    """Forward pass that keeps every per-head map, in (layer, head) order."""
+    cfg = w.config
+    scale = 1.0 / np.sqrt(cfg.head_dim)
+    h = x.copy()
+    maps = []
+    for lw in w.layers:
+        a_in = layer_norm(h, *lw.norm1) if lw.norm1 is not None else h
+        outs = []
+        for hd in range(cfg.heads):
+            attn = softmax_rows(((a_in @ lw.wq[hd]) @ (a_in @ lw.wk[hd]).T) * scale)
+            maps.append(attn)
+            outs.append(attn @ (a_in @ lw.wv[hd]))
+        h = h + np.concatenate(outs, axis=1) @ lw.wo
+        f_in = layer_norm(h, *lw.norm2) if lw.norm2 is not None else h
+        h = h + gelu(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
+    if w.final_norm is not None:
+        h = layer_norm(h, *w.final_norm)
+    return h @ w.output_w + w.output_b, maps
+
+
+def assert_capture_is_head_mean(w, x):
+    logits, cap = forward(x, w, capture=True)
+    ref_logits, maps = reference_forward(x, w)
+    assert len(maps) == w.config.layers * w.config.heads
+    total = np.zeros((x.shape[0], x.shape[0]))
+    for m in maps:
+        total += m
+    assert len(cap.maps) == 1 and len(cap.maps[0]) == 1
+    assert cap.maps[0][0].shape == (x.shape[0], x.shape[0])
+    np.testing.assert_array_equal(cap.maps[0][0], total / len(maps))
+    np.testing.assert_array_equal(logits, ref_logits)
+    np.testing.assert_array_equal(logits, forward(x, w)[0])
+
+
+COPY_2HEAD = build_copy_model(copy_model_config((2, 2), ("a", "b"), heads=2), ("a", "b"))
+
+
+class TestCaptureIsHeadMean:
+    @settings(max_examples=25, deadline=None)
+    @given(layers=st.integers(1, 3), heads=st.integers(1, 3), n=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_model(self, layers, heads, n, seed):
+        cfg = small_config(layers=layers, heads=heads, embed_dim=4 * heads)
+        w = init_random_model(cfg, seed)
+        assert_capture_is_head_mean(w, SeededRng(seed).normal(size=(n, cfg.embed_dim)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_two_head_copy_model(self, n, seed):
+        x = SeededRng(seed).normal(size=(n, COPY_2HEAD.config.embed_dim))
+        assert_capture_is_head_mean(COPY_2HEAD, x)
 
 
 class TestInitRandomModel:
