@@ -42,10 +42,7 @@ def flops_per_pass(n: int, d: int, mu: int) -> int:
 
 
 def flops_baseline(layers: int, steps: int, n: int, d: int, mu: int) -> int:
-    for name, v in {"layers": layers, "steps": steps, "n": n, "d": d, "mu": mu}.items():
-        if v < 0:
-            raise ValueError(f"{name} must be nonnegative")
-    return layers * steps * flops_per_pass(n, d, mu)
+    return flops_pruned(layers, steps, n, n, d, mu).baseline
 
 
 def flops_for_lengths(layers: int, d: int, mu: int, lengths: Sequence[int]) -> int:
@@ -64,17 +61,15 @@ def flops_report(layers: int, d: int, mu: int, baseline_lengths: Sequence[int],
 
 
 def flops_pruned(layers: int, steps: int, n: int, n_r: int, d: int, mu: int) -> FlopsReport:
-    """Cost with one full-length step followed by steps at the pruned length n_r."""
+    """Cost with one full-length step followed by steps at the pruned length n_r,
+    against K full-length steps."""
     if n_r > n:
         raise ValueError(f"pruned length {n_r} exceeds full length {n}")
-    baseline = flops_baseline(layers, steps, n, d, mu)
-    pruned = flops_for_lengths(layers, d, mu, [n] + [n_r] * (steps - 1))
-    return FlopsReport(
-        baseline=baseline,
-        pruned=pruned,
-        ratio=pruned / baseline if baseline else 1.0,
-        params={"layers": layers, "steps": steps, "n": n, "n_r": n_r, "d": d, "mu": mu},
-    )
+    for name, v in {"layers": layers, "steps": steps, "n": n, "d": d, "mu": mu}.items():
+        if v < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    return flops_report(layers, d, mu, [n] * steps, [n] + [n_r] * (steps - 1),
+                        steps=steps, n=n, n_r=n_r)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

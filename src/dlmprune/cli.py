@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from . import analysis, harness
-from .decoder import run_inference
-from .model import embed_prompt, encode_image
 from .pruning import ScorerKind, StrategyKind, keep_schedule
 
 
@@ -59,25 +58,15 @@ def _apply_overrides(args) -> harness.RunConfig:
 
 
 def _cmd_run(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
-    _, weights, vocab = harness.copy_setup(cfg.tasks)
-    task = harness.gen_pointer_task(cfg.tasks.grid, cfg.tasks.alphabet, cfg.tasks.seed)
-    visual = encode_image(task.image, weights)
-    prompt = embed_prompt(task.prompt, weights)
-    ids, _, stats = run_inference(visual, prompt, cfg.response_len, cfg.steps,
-                                  weights, cfg.policy, cfg.prune)
+    model_cfg, weights = harness.copy_setup(cfg.tasks)
+    inputs, expected = harness.pointer_inputs(replace(cfg.tasks, count=1), weights)
+    [runs] = harness.decode(weights, cfg, inputs, [cfg.prune])
+    [(ids, stats)] = runs
     print(f"decoded ids : {ids.tolist()}")
-    print(f"expected    : {task.expected} ({'ok' if ids[0] == task.expected else 'MISS'})")
+    print(f"expected    : {expected[0]} ({'ok' if ids[0] == expected[0] else 'MISS'})")
     print(f"wall time   : {stats.seconds_total:.6f}s over {len(stats.per_step_lengths)} steps")
     print(f"seq lengths : {stats.per_step_lengths}")
-    report = harness.BenchReport(
-        variant=harness.variant_label(cfg.prune),
-        latency_s_per_sample=stats.seconds_total,
-        throughput_tok_per_s=cfg.response_len / stats.seconds_total
-        if stats.seconds_total > 0 else None,
-        accuracy=float(ids[0] == task.expected),
-        config=cfg.raw,
-    )
-    return [report]
+    return [harness.report(cfg, cfg.prune, runs, model_cfg, expected=expected)]
 
 
 def _cmd_similarity(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:

@@ -51,9 +51,9 @@ class TaskParams:
 
 @dataclass
 class BenchParams:
-    warmup: int = 3
-    reps: int = 5
-    prompt_len: int = 16
+    warmup: int
+    reps: int
+    prompt_len: int
 
 
 @dataclass
@@ -101,29 +101,35 @@ def gen_pointer_task(grid_dims: tuple[int, int], symbol_alphabet: Sequence[str],
     )
 
 
-def copy_setup(tasks: TaskParams, layers: int = 12, heads: int = 1
-               ) -> tuple[ModelConfig, ModelWeights, CopyTaskVocab]:
-    cfg = copy_model_config(tasks.grid, tasks.alphabet, layers=layers, heads=heads)
-    weights = build_copy_model(cfg, tasks.alphabet)
-    vocab = CopyTaskVocab(tuple(tasks.alphabet), cfg.num_patches)
-    return cfg, weights, vocab
+def copy_setup(tasks: TaskParams) -> tuple[ModelConfig, ModelWeights]:
+    cfg = copy_model_config(tasks.grid, tasks.alphabet)
+    return cfg, build_copy_model(cfg, tasks.alphabet)
 
 
-def _run_variant(weights: ModelWeights, cfg: RunConfig, plan: Optional[PrunePlan],
-                 instances: Sequence[TaskInstance]) -> tuple[float, float, list]:
-    """Run all tasks under one plan. Returns (accuracy, seconds, all lengths)."""
-    correct = 0
-    seconds = 0.0
-    lengths: list = []
-    for inst in instances:
-        visual = encode_image(inst.image, weights)
-        prompt = embed_prompt(inst.prompt, weights)
-        ids, _, stats = run_inference(visual, prompt, cfg.response_len, cfg.steps,
-                                      weights, cfg.policy, plan)
-        correct += int(ids[0] == inst.expected)
-        seconds += stats.seconds_total
-        lengths += stats.per_step_lengths
-    return correct / len(instances), seconds, lengths
+def pointer_inputs(tasks: TaskParams, weights: ModelWeights) -> tuple[list[tuple], list[int]]:
+    """Embedded (visual, prompt) inputs of tasks.count pointer tasks, and their answers."""
+    insts = [gen_pointer_task(tasks.grid, tasks.alphabet, tasks.seed + i)
+             for i in range(tasks.count)]
+    return ([(encode_image(t.image, weights), embed_prompt(t.prompt, weights)) for t in insts],
+            [t.expected for t in insts])
+
+
+def decode(weights: ModelWeights, cfg: RunConfig, inputs: Sequence[tuple],
+           plans: Sequence[Optional[PrunePlan]], score_with: Optional[ScorerKind] = None
+           ) -> list[list[tuple]]:
+    """Decode every (visual, prompt) input under every plan (None: unpruned).
+
+    The plans take turns on each input, so a drift in machine speed reaches
+    all of them alike instead of whichever ran during it. Returns, per plan,
+    the (ids, stats) of each input.
+    """
+    runs: list[list[tuple]] = [[] for _ in plans]
+    for visual, prompt in inputs:
+        for plan, plan_runs in zip(plans, runs):
+            ids, _, stats = run_inference(visual, prompt, cfg.response_len, cfg.steps,
+                                          weights, cfg.policy, plan, score_with=score_with)
+            plan_runs.append((ids, stats))
+    return runs
 
 
 def variant_label(plan: Optional[PrunePlan]) -> str:
@@ -134,45 +140,48 @@ def variant_label(plan: Optional[PrunePlan]) -> str:
     return f"{plan.strategy.value}/{plan.scorer.value}/r={plan.ratio:g}"
 
 
-def _report(cfg: RunConfig, label: str, accuracy, seconds, samples,
-            baseline_lengths, variant_lengths, model_cfg: ModelConfig) -> BenchReport:
-    flops = None
-    if baseline_lengths and variant_lengths:
+def report(cfg: RunConfig, plan: Optional[PrunePlan], runs: Sequence[tuple],
+           model_cfg: ModelConfig, baseline_runs: Optional[Sequence[tuple]] = None,
+           expected: Optional[Sequence[int]] = None) -> BenchReport:
+    """One variant's report from its (ids, stats) runs.
+
+    Latency and throughput come from the summed decode time; first-token
+    accuracy needs the expected ids, and FLOPs the unpruned runs of the same
+    inputs.
+    """
+    seconds = sum(stats.seconds_total for _, stats in runs)
+    accuracy = flops = None
+    if expected is not None:
+        accuracy = sum(int(ids[0] == e) for (ids, _), e in zip(runs, expected)) / len(runs)
+    if baseline_runs is not None:
         flops = analysis.flops_report(model_cfg.layers, model_cfg.embed_dim, model_cfg.ffn_dim,
-                                      baseline_lengths, variant_lengths, steps=cfg.steps)
+                                      _lengths(baseline_runs), _lengths(runs), steps=cfg.steps)
     return BenchReport(
-        variant=label,
-        latency_s_per_sample=seconds / samples,
-        throughput_tok_per_s=cfg.response_len * samples / seconds if seconds > 0 else None,
+        variant=variant_label(plan),
+        latency_s_per_sample=seconds / len(runs),
+        throughput_tok_per_s=cfg.response_len * len(runs) / seconds if seconds > 0 else None,
         accuracy=accuracy,
         flops=flops,
         config=cfg.raw,
     )
 
 
-def _instances(tasks: TaskParams) -> list[TaskInstance]:
-    return [gen_pointer_task(tasks.grid, tasks.alphabet, tasks.seed + i)
-            for i in range(tasks.count)]
+def _lengths(runs: Sequence[tuple]) -> list[int]:
+    return [n for _, stats in runs for n in stats.per_step_lengths]
 
 
 def run_accuracy(cfg: RunConfig, *, include_baseline: bool = True,
                  plans: Optional[list[PrunePlan]] = None) -> list[BenchReport]:
     """Exact-match accuracy of the first response token over generated tasks."""
-    model_cfg, weights, _ = copy_setup(cfg.tasks)
-    instances = _instances(cfg.tasks)
+    model_cfg, weights = copy_setup(cfg.tasks)
+    inputs, expected = pointer_inputs(cfg.tasks, weights)
     if plans is None:
         plans = [cfg.prune] if cfg.prune is not None else []
-    reports = []
-    base_lengths = None
-    if include_baseline:
-        acc, secs, base_lengths = _run_variant(weights, cfg, None, instances)
-        reports.append(_report(cfg, "baseline", acc, secs, len(instances),
-                               base_lengths, base_lengths, model_cfg))
-    for plan in plans:
-        acc, secs, lengths = _run_variant(weights, cfg, plan, instances)
-        reports.append(_report(cfg, variant_label(plan), acc, secs, len(instances),
-                               base_lengths, lengths, model_cfg))
-    return reports
+    variants = ([None] if include_baseline else []) + list(plans)
+    runs = decode(weights, cfg, inputs, variants)
+    baseline_runs = runs[0] if include_baseline else None
+    return [report(cfg, plan, plan_runs, model_cfg, baseline_runs, expected)
+            for plan, plan_runs in zip(variants, runs)]
 
 
 def run_ablation(cfg: RunConfig) -> list[BenchReport]:
@@ -192,16 +201,10 @@ def run_similarity(cfg: RunConfig) -> analysis.SimilarityCurve:
     """Per-step masked-row importance scores from unpruned runs, compared to step 1."""
     if cfg.steps < 3:
         raise ConfigError("similarity analysis needs at least 3 steps")
-    _, weights, _ = copy_setup(cfg.tasks)
-    traces = []
-    for inst in _instances(cfg.tasks):
-        visual = encode_image(inst.image, weights)
-        prompt = embed_prompt(inst.prompt, weights)
-        _, _, stats = run_inference(visual, prompt, cfg.response_len, cfg.steps,
-                                    weights, cfg.policy, None,
-                                    score_with=ScorerKind.MASKED)
-        traces.append(stats.score_trace)
-    return analysis.similarity_curve(traces)
+    _, weights = copy_setup(cfg.tasks)
+    inputs, _ = pointer_inputs(cfg.tasks, weights)
+    [runs] = decode(weights, cfg, inputs, [None], score_with=ScorerKind.MASKED)
+    return analysis.similarity_curve([stats.score_trace for _, stats in runs])
 
 
 def _bench_inputs(cfg: RunConfig, weights: ModelWeights) -> list[tuple]:
@@ -232,29 +235,18 @@ def run_bench(cfg: RunConfig, *, plans: Optional[list[PrunePlan]] = None) -> lis
     inputs = _bench_inputs(cfg, weights)
     if plans is None:
         plans = [cfg.prune] if cfg.prune is not None else []
-    # Variants take turns on each input, so a drift in machine speed reaches
-    # all of them alike instead of whichever ran during it.
     variants = [None] + list(plans)
     for _ in range(cfg.bench.warmup):
-        for plan in variants:
-            run_inference(inputs[0][0], inputs[0][1], cfg.response_len, cfg.steps,
-                          weights, cfg.policy, plan)
-    seconds = [0.0] * len(variants)
-    lengths: list = [[] for _ in variants]
-    for visual, prompt in inputs:
-        for i, plan in enumerate(variants):
-            _, _, stats = run_inference(visual, prompt, cfg.response_len, cfg.steps,
-                                        weights, cfg.policy, plan)
-            seconds[i] += stats.seconds_total
-            lengths[i] += stats.per_step_lengths
+        decode(weights, cfg, inputs[:1], variants)
+    runs = decode(weights, cfg, inputs, variants)
+    fastest = min(sum(stats.seconds_total for _, stats in plan_runs) for plan_runs in runs)
     resolution = time.get_clock_info("perf_counter").resolution
-    if min(seconds) < 100.0 * resolution:
+    if fastest < 100.0 * resolution:
         raise TimerResolutionError(
-            f"measured {min(seconds):.3e}s is under 100 clock ticks ({resolution:.1e}s); "
+            f"measured {fastest:.3e}s is under 100 clock ticks ({resolution:.1e}s); "
             "increase reps or problem size")
-    return [_report(cfg, variant_label(plan), None, secs, cfg.bench.reps,
-                    lengths[0], lens, cfg.model)
-            for plan, secs, lens in zip(variants, seconds, lengths)]
+    return [report(cfg, plan, plan_runs, cfg.model, baseline_runs=runs[0])
+            for plan, plan_runs in zip(variants, runs)]
 
 
 # --- serialization -----------------------------------------------------------
@@ -368,6 +360,10 @@ def _merge(base: dict, override: Optional[dict]) -> dict:
             raise ConfigError(f"config section {section} must be an object or null")
         if out[section] is None:
             raise ConfigError(f"cannot set {', '.join(values)} in disabled section {section}")
+        unknown = set(values) - set(out[section])
+        if unknown:
+            raise ConfigError(f"unknown keys in config section {section}: "
+                              f"{', '.join(sorted(unknown))}")
         out[section].update(values)
     return out
 
@@ -381,7 +377,7 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
         model = ModelConfig(
             layers=int(m["L"]), heads=int(m["H"]), embed_dim=int(m["d"]),
             vision_dim=int(m["d_v"]), ffn_dim=int(m["mu"]), vocab_size=int(m["vocab"]),
-            patch_grid=grid, mask_token_id=int(m.get("mask_id", int(m["vocab"]) - 1)),
+            patch_grid=grid, mask_token_id=int(m["vocab"]) - 1,
         )
         dec = raw["decode"]
         if int(dec["K"]) < 1 or not 1 <= int(dec["tau"]) <= DEFAULT_MAX_RESPONSE:
@@ -399,8 +395,8 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
             prune = PrunePlan(
                 strategy=StrategyKind(str(p["strategy"])),
                 ratio=float(p["r"]),
-                scorer=ScorerKind(str(p.get("scorer", "masked"))),
-                rng_seed=int(p["seed"]) if p.get("seed") is not None else None,
+                scorer=ScorerKind(str(p["scorer"])),
+                rng_seed=int(p["seed"]) if p["seed"] is not None else None,
             )
         t = raw["tasks"]
         alphabet = t["alphabet"]
@@ -417,7 +413,7 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
             keep_schedule(prune, num_visual, int(dec["K"]))
         b = raw["bench"]
         bench = BenchParams(warmup=int(b["warmup"]), reps=int(b["reps"]),
-                            prompt_len=int(b.get("prompt_len", 16)))
+                            prompt_len=int(b["prompt_len"]))
         if not 0 <= bench.prompt_len <= DEFAULT_MAX_PROMPT:
             raise ConfigError(f"bench needs 0 <= prompt_len <= {DEFAULT_MAX_PROMPT}")
         return RunConfig(

@@ -44,7 +44,11 @@ class ModelConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if len(self.patch_grid) != 2 or min(self.patch_grid) < 1:
+        if self.vocab_size < 2:
+            raise ValueError("vocab_size must be >= 2: one id is the mask token")
+        if len(self.patch_grid) != 2 or not all(
+                isinstance(s, int) and not isinstance(s, bool) and s >= 1
+                for s in self.patch_grid):
             raise ValueError(f"patch_grid must be two positive ints, got {self.patch_grid}")
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
@@ -228,13 +232,11 @@ DEFAULT_MAX_PROMPT = 256
 DEFAULT_MAX_RESPONSE = 512
 
 
-def init_random_model(cfg: ModelConfig, seed: int,
-                      max_prompt_len: int = DEFAULT_MAX_PROMPT,
-                      max_response_len: int = DEFAULT_MAX_RESPONSE) -> ModelWeights:
+def init_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
     """Seeded random weights, scaled so pre-norm residual activations stay O(1)."""
     rng = SeededRng(seed)
     d, dv, mu, h, dh = cfg.embed_dim, cfg.vision_dim, cfg.ffn_dim, cfg.heads, cfg.head_dim
-    n_pos = cfg.num_patches + max_prompt_len + max_response_len
+    n_pos = cfg.num_patches + DEFAULT_MAX_PROMPT + DEFAULT_MAX_RESPONSE
     resid_scale = 1.0 / np.sqrt(2.0 * cfg.layers)
     layers = []
     for _ in range(cfg.layers):
@@ -257,7 +259,7 @@ def init_random_model(cfg: ModelConfig, seed: int,
         token_embed=rng.normal(size=(cfg.vocab_size, d)),
         positional=sinusoidal_table(n_pos, d),
         prompt_pos_base=cfg.num_patches,
-        response_pos_base=cfg.num_patches + max_prompt_len,
+        response_pos_base=cfg.num_patches + DEFAULT_MAX_PROMPT,
         layers=layers,
         final_norm=(np.ones(d), np.zeros(d)),
         output_w=rng.normal(size=(d, cfg.vocab_size), scale=1.0 / np.sqrt(d)),
@@ -275,6 +277,10 @@ class CopyTaskVocab:
 
     symbols: tuple[str, ...]
     num_patches: int
+
+    def __post_init__(self):
+        if len(set(self.symbols)) != len(self.symbols):
+            raise ValueError(f"symbols must be distinct, got {self.symbols}")
 
     @property
     def num_symbols(self) -> int:
@@ -318,21 +324,19 @@ _MIN_COPY_LAYERS = 10  # layer-averaged mass on the target is ~(L-1)/L; 0.9 need
 def copy_model_config(patch_grid: tuple[int, int], symbols: Sequence[str],
                       layers: int = 12, heads: int = 1) -> ModelConfig:
     """Smallest ModelConfig that hosts the copy construction for this task family."""
-    n = patch_grid[0] * patch_grid[1]
+    rows, cols = patch_grid
+    n = rows * cols
     a = len(symbols)
     d_needed = max(2 * n + 4 + 2 * a, heads * max(n, a + 1))
     d = ((d_needed + heads - 1) // heads) * heads
     vocab = CopyTaskVocab(tuple(symbols), n).required_vocab
     return ModelConfig(
         layers=layers, heads=heads, embed_dim=d, vision_dim=a, ffn_dim=1,
-        vocab_size=vocab, patch_grid=tuple(patch_grid),
-        mask_token_id=vocab - 1,
+        vocab_size=vocab, patch_grid=(rows, cols), mask_token_id=vocab - 1,
     )
 
 
-def build_copy_model(cfg: ModelConfig, patch_symbols: Sequence[str],
-                     max_prompt_len: int = DEFAULT_MAX_PROMPT,
-                     max_response_len: int = DEFAULT_MAX_RESPONSE) -> ModelWeights:
+def build_copy_model(cfg: ModelConfig, patch_symbols: Sequence[str]) -> ModelWeights:
     """Analytic weights for the pointer task.
 
     Channel plan (d channels): per-patch position codes, pointer codes carried
@@ -388,12 +392,11 @@ def build_copy_model(cfg: ModelConfig, patch_symbols: Sequence[str],
         token_embed[vocab.index_id(i), idx_mark] = 1.0
     token_embed[cfg.mask_token_id, mask_mark] = 1.0
 
-    n_pos = n + max_prompt_len + max_response_len
-    positional = np.zeros((n_pos, d))
+    positional = np.zeros((n + DEFAULT_MAX_PROMPT + DEFAULT_MAX_RESPONSE, d))
     for i in range(n):
         positional[i, a1 + i] = _CODE
-    resp_base = n + max_prompt_len
-    for p in range(max_response_len):
+    resp_base = n + DEFAULT_MAX_PROMPT
+    for p in range(DEFAULT_MAX_RESPONSE):
         positional[resp_base + p, ramp_ch] = _RAMP_STEP * p
 
     def attention_only_layer(wq, wk, wv, wo) -> LayerWeights:

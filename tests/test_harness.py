@@ -4,9 +4,10 @@ import pytest
 
 from dlmprune import analysis, harness
 from dlmprune.cli import main
+from dlmprune.decoder import run_inference
 from dlmprune.harness import (BenchReport, ConfigError, config_from_dict, emit_report,
                               gen_pointer_task, run_accuracy, run_bench, run_similarity)
-from dlmprune.model import CopyTaskVocab
+from dlmprune.model import CopyTaskVocab, embed_prompt, encode_image
 from dlmprune.pruning import PrunePlan, ScorerKind
 
 
@@ -72,6 +73,32 @@ class TestRunAccuracy:
         a = run_accuracy(cfg)
         b = run_accuracy(accuracy_config(count=6, r=0.5))
         assert [r.accuracy for r in a] == [r.accuracy for r in b]
+
+    def test_matches_per_variant_reference_loop(self):
+        # decoding the variants in turn per input gives what decoding one
+        # whole variant after another gives
+        cfg = accuracy_config(count=6, grid=(3, 3))
+        plans = [PrunePlan.once(0.25), PrunePlan.random_once(0.5, seed=3),
+                 PrunePlan.progressive(0.25)]
+        reports = run_accuracy(cfg, plans=plans)
+        model_cfg, weights = harness.copy_setup(cfg.tasks)
+        tasks = [gen_pointer_task(cfg.tasks.grid, cfg.tasks.alphabet, cfg.tasks.seed + i)
+                 for i in range(cfg.tasks.count)]
+        expected, base_lengths = [], None
+        for plan in [None] + plans:
+            correct, lengths = 0, []
+            for task in tasks:
+                ids, _, stats = run_inference(
+                    encode_image(task.image, weights), embed_prompt(task.prompt, weights),
+                    cfg.response_len, cfg.steps, weights, cfg.policy, plan)
+                correct += int(ids[0] == task.expected)
+                lengths += stats.per_step_lengths
+            base_lengths = base_lengths or lengths
+            flops = analysis.flops_report(model_cfg.layers, model_cfg.embed_dim,
+                                          model_cfg.ffn_dim, base_lengths, lengths,
+                                          steps=cfg.steps)
+            expected.append((harness.variant_label(plan), correct / len(tasks), flops))
+        assert [(r.variant, r.accuracy, r.flops) for r in reports] == expected
 
     def test_flops_ratio_below_one_when_pruning(self):
         reports = run_accuracy(accuracy_config(r=0.5))
@@ -272,6 +299,8 @@ class TestConfig:
 
 
 ONCE_PRUNE = {"strategy": "once", "scorer": "masked", "r": 0.5, "seed": 1}
+COMMANDS = ["run", "ablate", "similarity", "flops", "bench"]
+FUZZ_VALUES = [-1, 0, 1.5, True, "x", None, [], [1.5, 2], [2], {}]
 
 
 class TestCli:
@@ -318,6 +347,20 @@ class TestCli:
         assert code == 0
         data = json.loads(out_path.read_text())
         assert data["accuracy"] == 1.0
+
+    def test_run_report_matches_single_task_accuracy(self, tmp_path):
+        out_path = tmp_path / "run.json"
+        config = self.write_config(tmp_path)
+        assert main(["run", "--config", config, "--out", str(out_path)]) == 0
+        cfg = harness.load_config(config)
+        cfg.tasks.count = 1
+        [ref] = run_accuracy(cfg, include_baseline=False)
+        timings = ("latency_s_per_sample", "throughput_tok_per_s")
+        got = json.loads(out_path.read_text())
+        want = json.loads(json.dumps(harness.report_to_dict(ref)))
+        for key in timings:
+            assert got.pop(key) > 0 and want.pop(key) > 0
+        assert got == want
 
     def test_similarity_command(self, tmp_path):
         code = main(["similarity", "--config", self.write_config(tmp_path, K=4, tau=4)])
@@ -369,10 +412,22 @@ class TestCli:
         ("bench", {"bench": {"prompt_len": 5000}}),
         ("bench", {"bench": {"prompt_len": -3}}),
         ("flops", {"bench": {"prompt_len": -30}, "decode": {"tau": 1}}),
+        *[(c, {"tasks": {"grid": [1.5, 2]}}) for c in COMMANDS],
+        ("bench", {"model": {"grid": [1.5, 2]}}),
+        ("flops", {"model": {"grid": [1.5, 2]}}),
+        ("flops", {"model": {"grid": [True, 2]}}),
+        *[(c, {"tasks": {"grid": grid}}) for c in COMMANDS for grid in ["x", [], [2], {}]],
+        ("bench", {"model": {"vocab": 1}}),
+        ("run", {"tasks": {"alphabet": ["a", "a", "b"]}}),
+        ("bench", {"tasks": {"alphabet": ["a", "a", "b"]}}),
+        ("run", {"decode": {"Kk": 3}}),
+        ("flops", {"model": {"mask_id": 5}}),
     ])
     def test_unservable_tasks_or_lengths_exit_2(self, tmp_path, command, data):
-        # tasks the copy model cannot host, no tasks at all, or a prompt or
-        # response the positional table cannot hold are configuration errors
+        # tasks the copy model cannot host, no tasks at all, a prompt or
+        # response the positional table cannot hold, a grid that is not two
+        # positive integers, a vocabulary with no id beside the mask token,
+        # repeated symbols and unknown keys are configuration errors
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(data))
         assert main([command, "--config", str(cfg)]) == 2
@@ -396,3 +451,17 @@ class TestCli:
             "prune": prune,
         }))
         return str(path)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (section, key, value) for section, keys in harness.DEFAULT_CONFIG.items()
+    for key in keys for value in FUZZ_VALUES])
+@pytest.mark.parametrize("command", ["run", "flops", "bench"])
+def test_config_sweep_exits_0_or_2(tmp_path, command, section, key, value):
+    # one malformed value at a time: every input is either served or rejected
+    # as a configuration error, never an untyped crash
+    data = {"bench": {"warmup": 1, "reps": 1}}
+    data.setdefault(section, {})[key] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data))
+    assert main([command, "--config", str(cfg)]) in (0, 2)

@@ -27,6 +27,8 @@ class TestModelConfig:
     @pytest.mark.parametrize("bad", [
         dict(layers=0), dict(embed_dim=15), dict(mask_token_id=12),
         dict(patch_grid=(0, 2)), dict(vocab_size=0),
+        dict(patch_grid=(1.5, 2)), dict(patch_grid=(True, 2)), dict(patch_grid=(2,)),
+        dict(vocab_size=1, mask_token_id=0),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -282,6 +284,16 @@ class TestCopyModel:
         assert ids[0] == vocab.symbol_id("a")
         abar = mean_attention(trace[0].attention)
         assert abar[4 + 1 + 0, 3] >= 0.9
+
+    def test_repeated_symbols_rejected(self):
+        # with a repeated symbol the copy model and the task answers disagree on its id
+        with pytest.raises(ValueError, match="distinct"):
+            CopyTaskVocab(("a", "a", "b"), 4)
+
+    @pytest.mark.parametrize("grid", ["x", (), (2,), (1, 2, 3)])
+    def test_copy_config_needs_two_sides(self, grid):
+        with pytest.raises(ValueError):
+            copy_model_config(grid, ("a", "b"))
 
     def test_too_small_config_rejected(self):
         symbols = ("a", "b", "c", "d")
