@@ -84,7 +84,11 @@ def _cmd_similarity(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
 def _cmd_ablate(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
     reports = harness.run_ablation(cfg)
     for r in reports:
-        print(f"{r.variant:32s} accuracy {r.accuracy:.4f}  latency {r.latency_s_per_sample:.4f}s")
+        if r.skipped is not None:
+            print(f"{r.variant:32s} skipped: {r.skipped}")
+        else:
+            print(f"{r.variant:32s} accuracy {r.accuracy:.4f}  "
+                  f"latency {r.latency_s_per_sample:.4f}s")
     return reports
 
 

@@ -22,7 +22,7 @@ from .model import (DEFAULT_MAX_PROMPT, DEFAULT_MAX_RESPONSE, CopyTaskVocab, Mod
                     ModelWeights, build_copy_model, copy_model_config, embed_prompt,
                     encode_image, init_random_model)
 from .numerics import SeededRng
-from .pruning import PrunePlan, ScorerKind, StrategyKind, keep_schedule
+from .pruning import EmptyGuidanceSet, PrunePlan, ScorerKind, StrategyKind, keep_schedule
 
 
 class ConfigError(ValueError):
@@ -76,6 +76,7 @@ class BenchReport:
     accuracy: Optional[float] = None
     flops: Optional[analysis.FlopsReport] = None
     similarity: Optional[analysis.SimilarityCurve] = None
+    skipped: Optional[str] = None  # why the variant could not run; no figures then
     config: dict = field(default_factory=dict)
 
 
@@ -185,7 +186,12 @@ def run_accuracy(cfg: RunConfig, *, include_baseline: bool = True,
 
 
 def run_ablation(cfg: RunConfig) -> list[BenchReport]:
-    """Baseline plus every scorer (one-shot pruning) and every strategy at one ratio."""
+    """Baseline plus every scorer (one-shot pruning) and every strategy at one ratio.
+
+    A scorer whose guidance set has no rows when a plan of it prunes (decoded
+    rows when step 1 commits nothing) is reported as skipped, and the
+    remaining variants are decoded again without it.
+    """
     if cfg.steps < 2:
         raise ConfigError("ablation needs at least 2 steps: pruning follows step 1")
     ratio = cfg.prune.ratio if cfg.prune is not None else 0.5
@@ -194,7 +200,18 @@ def run_ablation(cfg: RunConfig) -> list[BenchReport]:
     plans = [PrunePlan.once(ratio, scorer) for scorer in ScorerKind]
     plans.append(PrunePlan.random_once(ratio, seed))
     plans.append(PrunePlan.progressive(ratio))
-    return run_accuracy(cfg, include_baseline=True, plans=plans)
+    skipped: dict[ScorerKind, str] = {}
+    while True:
+        served = [p for p in plans if not (p.scored and p.scorer in skipped)]
+        try:
+            reports = run_accuracy(cfg, include_baseline=True, plans=served)
+            break
+        except EmptyGuidanceSet as exc:
+            skipped[exc.scorer] = str(exc)
+    by_plan = dict(zip([None] + served, reports))
+    return [by_plan[p] if p in by_plan
+            else BenchReport(variant_label(p), skipped=skipped[p.scorer], config=cfg.raw)
+            for p in [None] + plans]
 
 
 def run_similarity(cfg: RunConfig) -> analysis.SimilarityCurve:
@@ -267,6 +284,8 @@ def report_to_dict(report: BenchReport) -> dict:
             "ratio": _round6(report.flops.ratio),
             "params": report.flops.params,
         }
+    if report.skipped is not None:
+        out["skipped"] = report.skipped
     if report.similarity is not None:
         out["similarity"] = {
             "sims": [_round6(s) for s in report.similarity.sims],
@@ -368,23 +387,34 @@ def _merge(base: dict, override: Optional[dict]) -> dict:
     return out
 
 
+def _integer(raw: dict, section: str, key: str) -> int:
+    """A JSON integer; a bool, a fraction, a whole float or a string is an
+    error, never truncated or parsed."""
+    value = raw[section][key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(data: Optional[dict]) -> RunConfig:
     """Build a validated RunConfig from (partial) JSON data merged over defaults."""
     raw = _merge(DEFAULT_CONFIG, data)
     try:
         m = raw["model"]
         grid = tuple(m["grid"])
+        layers, heads, d, d_v, mu, vocab = (_integer(raw, "model", k)
+                                            for k in ("L", "H", "d", "d_v", "mu", "vocab"))
         model = ModelConfig(
-            layers=int(m["L"]), heads=int(m["H"]), embed_dim=int(m["d"]),
-            vision_dim=int(m["d_v"]), ffn_dim=int(m["mu"]), vocab_size=int(m["vocab"]),
-            patch_grid=grid, mask_token_id=int(m["vocab"]) - 1,
+            layers=layers, heads=heads, embed_dim=d, vision_dim=d_v, ffn_dim=mu,
+            vocab_size=vocab, patch_grid=grid, mask_token_id=vocab - 1,
         )
         dec = raw["decode"]
-        if int(dec["K"]) < 1 or not 1 <= int(dec["tau"]) <= DEFAULT_MAX_RESPONSE:
+        steps, tau, seed = (_integer(raw, "decode", k) for k in ("K", "tau", "seed"))
+        if steps < 1 or not 1 <= tau <= DEFAULT_MAX_RESPONSE:
             raise ConfigError(f"decode needs K >= 1 and 1 <= tau <= {DEFAULT_MAX_RESPONSE}")
         policy_name = str(dec["policy"])
         if policy_name == PolicyKind.STOCHASTIC.value:
-            policy = SchedulePolicy.stochastic(int(dec["seed"]))
+            policy = SchedulePolicy.stochastic(seed)
         elif policy_name == PolicyKind.CONFIDENCE.value:
             policy = SchedulePolicy.confidence()
         else:
@@ -396,28 +426,27 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
                 strategy=StrategyKind(str(p["strategy"])),
                 ratio=float(p["r"]),
                 scorer=ScorerKind(str(p["scorer"])),
-                rng_seed=int(p["seed"]) if p["seed"] is not None else None,
+                rng_seed=_integer(raw, "prune", "seed") if p["seed"] is not None else None,
             )
         t = raw["tasks"]
         alphabet = t["alphabet"]
-        alphabet = (_default_alphabet(int(alphabet)) if isinstance(alphabet, int)
+        alphabet = (_default_alphabet(_integer(raw, "tasks", "alphabet"))
+                    if not isinstance(alphabet, (list, tuple))
                     else tuple(str(s) for s in alphabet))
-        tasks = TaskParams(count=int(t["count"]), grid=tuple(t["grid"]),
-                           alphabet=alphabet, seed=int(t["seed"]))
+        tasks = TaskParams(count=_integer(raw, "tasks", "count"), grid=tuple(t["grid"]),
+                           alphabet=alphabet, seed=_integer(raw, "tasks", "seed"))
         if tasks.count < 1:
             raise ConfigError("tasks needs count >= 1")
         # Tasks the copy model cannot host, or a plan that cannot serve the
         # model's or the tasks' grid, fail here, not mid-run.
         copy_cfg = copy_model_config(tasks.grid, tasks.alphabet)
         for num_visual in (model.num_patches, copy_cfg.num_patches):
-            keep_schedule(prune, num_visual, int(dec["K"]))
-        b = raw["bench"]
-        bench = BenchParams(warmup=int(b["warmup"]), reps=int(b["reps"]),
-                            prompt_len=int(b["prompt_len"]))
+            keep_schedule(prune, num_visual, steps)
+        bench = BenchParams(*(_integer(raw, "bench", k) for k in ("warmup", "reps", "prompt_len")))
         if not 0 <= bench.prompt_len <= DEFAULT_MAX_PROMPT:
             raise ConfigError(f"bench needs 0 <= prompt_len <= {DEFAULT_MAX_PROMPT}")
         return RunConfig(
-            model=model, steps=int(dec["K"]), response_len=int(dec["tau"]),
+            model=model, steps=steps, response_len=tau,
             policy=policy, prune=prune, tasks=tasks, bench=bench, raw=raw,
         )
     except ConfigError:

@@ -185,7 +185,22 @@ def embed_response(ids: Sequence[int], weights: ModelWeights) -> Matrix:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
+    """Tanh-approximate GELU, ``0.5x(1 + tanh(c(x + 0.044715x^3)))``.
+
+    The cube is ``x*x*x`` (``x**3`` calls libm ``pow``, ~40x slower), so the
+    result differs from the ``x**3`` form by a few ulp; the chain runs in
+    place on one fresh array and ``x`` is left unchanged.
+    """
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= 0.7978845608028654
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
 
 
 def forward(x: Matrix, weights: ModelWeights,
@@ -193,19 +208,22 @@ def forward(x: Matrix, weights: ModelWeights,
     """Full bidirectional self-attention over all rows; optionally capture the
     layer/head mean of the attention maps as one (n, n) map.
 
-    The maps are summed in (layer, head) order as ``pruning.mean_attention``
-    sums them, and are not kept. Capture is observation-only: logits are
-    identical with it on or off.
+    Every head of every layer computes its scores and softmax in place in one
+    (n, n) buffer per call. The maps are summed in (layer, head) order as
+    ``pruning.mean_attention`` sums them, and are not kept. Capture is
+    observation-only: logits are identical with it on or off.
     """
     cfg = weights.config
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.embed_dim:
         raise ValueError(f"input must be (n, {cfg.embed_dim}), got {x.shape}")
-    if x.shape[0] < 1:
+    n = x.shape[0]
+    if n < 1:
         raise ValueError("need at least one input row")
     scale = 1.0 / np.sqrt(cfg.head_dim)
     h = x.copy()
-    total = np.zeros((x.shape[0], x.shape[0])) if capture else None
+    scores = np.empty((n, n))
+    total = np.zeros((n, n)) if capture else None
     for lw in weights.layers:
         a_in = layer_norm(h, *lw.norm1) if lw.norm1 is not None else h
         head_outs = []
@@ -213,7 +231,9 @@ def forward(x: Matrix, weights: ModelWeights,
             q = a_in @ lw.wq[hd]
             k = a_in @ lw.wk[hd]
             v = a_in @ lw.wv[hd]
-            attn = softmax_rows((q @ k.T) * scale)
+            np.matmul(q, k.T, out=scores)
+            scores *= scale
+            attn = softmax_rows(scores, out=scores)
             if capture:
                 total += attn
             head_outs.append(attn @ v)
@@ -225,7 +245,8 @@ def forward(x: Matrix, weights: ModelWeights,
     logits = h @ weights.output_w + weights.output_b
     if not capture:
         return logits, None
-    return logits, AttentionCapture([[total / (len(weights.layers) * cfg.heads)]])
+    total /= len(weights.layers) * cfg.heads
+    return logits, AttentionCapture([[total]])
 
 
 DEFAULT_MAX_PROMPT = 256

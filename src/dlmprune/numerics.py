@@ -1,10 +1,14 @@
 """Dense float64 kernels and a reproducible counter-based RNG.
 
 Matrices are plain 2-D ``numpy.float64`` arrays in row-major order. All
-functions are pure; nothing here mutates its inputs.
+functions are pure unless given ``out=``; without it nothing here mutates its
+inputs. The kernels work in place on the array they return, so they allocate
+few temporaries of their input's size.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -12,29 +16,41 @@ import numpy as np
 Matrix = np.ndarray
 
 
-def softmax_rows(m: Matrix) -> Matrix:
-    """Row-wise softmax with max-subtraction, so huge logits never overflow."""
+def softmax_rows(m: Matrix, out: Optional[Matrix] = None) -> Matrix:
+    """Row-wise softmax with max-subtraction, so huge logits never overflow.
+
+    ``out`` receives the result, following numpy's ``out=`` convention:
+    ``softmax_rows(m, out=m)`` normalises a float64 array in place.
+    """
     m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(m, m.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance, then apply gain and bias.
 
-    Accepts a single vector or a stack of row vectors.
+    Accepts a single vector or a stack of row vectors. Bitwise equal to
+    ``(v - v.mean(-1)) / sqrt(v.var(-1) + eps) * gain + bias`` (keepdims),
+    without the Python-level wrappers of ``np.mean`` and ``np.var``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     v = np.asarray(v, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
-    if gain.shape != (v.shape[-1],) or bias.shape != (v.shape[-1],):
+    n = v.shape[-1]
+    if gain.shape != (n,) or bias.shape != (n,):
         raise ValueError("gain/bias length must match the normalized axis")
-    mean = v.mean(axis=-1, keepdims=True)
-    var = v.var(axis=-1, keepdims=True)
-    return (v - mean) / np.sqrt(var + eps) * gain + bias
+    c = v - v.sum(axis=-1, keepdims=True) / n
+    var = (c * c).sum(axis=-1, keepdims=True) / n
+    var += eps
+    c /= np.sqrt(var, out=var)
+    c *= gain
+    c += bias
+    return c
 
 
 class SeededRng:

@@ -25,6 +25,10 @@ if TYPE_CHECKING:  # avoids a runtime import cycle with decoder
 class EmptyGuidanceSet(ValueError):
     """The chosen guidance set has no rows at this step; scores are undefined."""
 
+    def __init__(self, scorer: "ScorerKind", step: int):
+        super().__init__(f"guidance set {scorer.value!r} is empty at step {step}")
+        self.scorer = scorer
+
 
 class ScorerKind(str, Enum):
     MASKED = "masked"                    # still-masked response rows (default)
@@ -120,7 +124,7 @@ def importance_scores(abar: Matrix, guidance_rows: Sequence[int], visual_cols: S
     rows = np.asarray(guidance_rows, dtype=np.int64).reshape(-1)
     cols = np.asarray(visual_cols, dtype=np.int64).reshape(-1)
     if rows.size == 0:
-        raise EmptyGuidanceSet(f"guidance set {scorer.value!r} is empty at step {step}")
+        raise EmptyGuidanceSet(scorer, step)
     n = abar.shape[0]
     if rows.max() >= n or cols.size and cols.max() >= abar.shape[1]:
         raise ValueError("guidance rows / visual cols exceed map dimensions")

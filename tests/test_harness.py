@@ -301,6 +301,10 @@ class TestConfig:
 ONCE_PRUNE = {"strategy": "once", "scorer": "masked", "r": 0.5, "seed": 1}
 COMMANDS = ["run", "ablate", "similarity", "flops", "bench"]
 FUZZ_VALUES = [-1, 0, 1.5, True, "x", None, [], [1.5, 2], [2], {}]
+INTEGER_KEYS = [("model", k) for k in ("L", "H", "d", "d_v", "mu", "vocab")] + [
+    ("decode", "K"), ("decode", "tau"), ("decode", "seed"), ("prune", "seed"),
+    ("tasks", "count"), ("tasks", "alphabet"), ("tasks", "seed"),
+    ("bench", "warmup"), ("bench", "reps"), ("bench", "prompt_len")]
 
 
 class TestCli:
@@ -381,6 +385,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "once/masked" in out and "random" in out and "progressive" in out
 
+    def test_ablate_skips_a_scorer_with_no_guidance_rows(self, tmp_path, capsys):
+        # tau=1 over K=8 steps commits nothing at step 1, so no row is decoded
+        # when the one-shot plans prune
+        out_path = tmp_path / "ablate.json"
+        code = main(["ablate", "--config", self.write_config(tmp_path, K=8, tau=1),
+                     "--out", str(out_path)])
+        assert code == 0
+        reports = {r["variant"]: r for r in json.loads(out_path.read_text())}
+        skipped = reports.pop("once/decoded/r=0.5")
+        assert skipped["accuracy"] is None
+        assert skipped["skipped"] == "guidance set 'decoded' is empty at step 1"
+        assert len(reports) == 9
+        assert all(r["accuracy"] is not None and "skipped" not in r for r in reports.values())
+        assert "once/decoded/r=0.5" in capsys.readouterr().out
+
     def test_invalid_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"prune": {"r": 9}}')
@@ -422,12 +441,16 @@ class TestCli:
         ("bench", {"tasks": {"alphabet": ["a", "a", "b"]}}),
         ("run", {"decode": {"Kk": 3}}),
         ("flops", {"model": {"mask_id": 5}}),
+        ("flops", {"decode": {"K": 8.9}, "model": {"L": True}}),
+        *[("flops", {section: {key: value}}) for section, key in INTEGER_KEYS
+          for value in (8.9, 2.0, True, "8")],
     ])
     def test_unservable_tasks_or_lengths_exit_2(self, tmp_path, command, data):
         # tasks the copy model cannot host, no tasks at all, a prompt or
         # response the positional table cannot hold, a grid that is not two
         # positive integers, a vocabulary with no id beside the mask token,
-        # repeated symbols and unknown keys are configuration errors
+        # repeated symbols, unknown keys and an integer key set to anything but
+        # an integer are configuration errors
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(data))
         assert main([command, "--config", str(cfg)]) == 2

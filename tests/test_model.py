@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from dlmprune.model import (CopyTaskVocab, ModelConfig, build_copy_model, copy_m
                             init_random_model)
 from dlmprune.numerics import SeededRng, layer_norm, softmax_rows
 from dlmprune.pruning import mean_attention
+from test_numerics import ref_gelu, ref_layer_norm, ref_softmax
 
 
 def small_config(**overrides):
@@ -139,37 +142,41 @@ class TestForward:
             forward(np.zeros((3, 7)), w)
 
 
-def reference_forward(x, w):
+def reference_forward(x, w, softmax=softmax_rows, norm=layer_norm, act=gelu):
     """Forward pass that keeps every per-head map, in (layer, head) order."""
     cfg = w.config
     scale = 1.0 / np.sqrt(cfg.head_dim)
     h = x.copy()
     maps = []
     for lw in w.layers:
-        a_in = layer_norm(h, *lw.norm1) if lw.norm1 is not None else h
+        a_in = norm(h, *lw.norm1) if lw.norm1 is not None else h
         outs = []
         for hd in range(cfg.heads):
-            attn = softmax_rows(((a_in @ lw.wq[hd]) @ (a_in @ lw.wk[hd]).T) * scale)
+            attn = softmax(((a_in @ lw.wq[hd]) @ (a_in @ lw.wk[hd]).T) * scale)
             maps.append(attn)
             outs.append(attn @ (a_in @ lw.wv[hd]))
         h = h + np.concatenate(outs, axis=1) @ lw.wo
-        f_in = layer_norm(h, *lw.norm2) if lw.norm2 is not None else h
-        h = h + gelu(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
+        f_in = norm(h, *lw.norm2) if lw.norm2 is not None else h
+        h = h + act(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
     if w.final_norm is not None:
-        h = layer_norm(h, *w.final_norm)
+        h = norm(h, *w.final_norm)
     return h @ w.output_w + w.output_b, maps
+
+
+def head_mean(maps):
+    total = np.zeros(maps[0].shape)
+    for m in maps:
+        total += m
+    return total / len(maps)
 
 
 def assert_capture_is_head_mean(w, x):
     logits, cap = forward(x, w, capture=True)
     ref_logits, maps = reference_forward(x, w)
     assert len(maps) == w.config.layers * w.config.heads
-    total = np.zeros((x.shape[0], x.shape[0]))
-    for m in maps:
-        total += m
     assert len(cap.maps) == 1 and len(cap.maps[0]) == 1
     assert cap.maps[0][0].shape == (x.shape[0], x.shape[0])
-    np.testing.assert_array_equal(cap.maps[0][0], total / len(maps))
+    np.testing.assert_array_equal(cap.maps[0][0], head_mean(maps))
     np.testing.assert_array_equal(logits, ref_logits)
     np.testing.assert_array_equal(logits, forward(x, w)[0])
 
@@ -191,6 +198,46 @@ class TestCaptureIsHeadMean:
     def test_two_head_copy_model(self, n, seed):
         x = SeededRng(seed).normal(size=(n, COPY_2HEAD.config.embed_dim))
         assert_capture_is_head_mean(COPY_2HEAD, x)
+
+
+class TestForwardMatchesTextbookKernels:
+    """``forward`` against a forward built from the textbook kernels. Only
+    gelu's cube differs by an ulp, and it first acts after layer 1's maps."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(layers=st.integers(1, 3), heads=st.integers(1, 3), n=st.integers(1, 32),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_model(self, layers, heads, n, seed):
+        cfg = small_config(layers=layers, heads=heads, embed_dim=4 * heads)
+        w = init_random_model(cfg, seed)
+        x = SeededRng(seed).normal(size=(n, cfg.embed_dim))
+        logits, cap = forward(x, w, capture=True)
+        ref_logits, maps = reference_forward(x, w, ref_softmax, ref_layer_norm, ref_gelu)
+        if layers == 1:
+            np.testing.assert_array_equal(cap.maps[0][0], head_mean(maps))
+        else:
+            np.testing.assert_allclose(cap.maps[0][0], head_mean(maps), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
+
+
+class TestForwardAllocations:
+    @pytest.mark.parametrize("capture,maps", [(False, 2), (True, 3)])
+    def test_peak_is_a_few_score_maps(self, capture, maps):
+        # one reused (n, n) score buffer, plus the capture's running sum; a
+        # fresh array for each stage of each head's softmax peaks above 5 maps
+        n = 512
+        cfg = small_config(embed_dim=32, ffn_dim=64, vocab_size=64, mask_token_id=63,
+                           patch_grid=(16, 32))
+        w = init_random_model(cfg, 0)
+        x = SeededRng(0).normal(size=(n, cfg.embed_dim))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            forward(x, w, capture=capture)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= maps * 8 * n * n
 
 
 class TestInitRandomModel:

@@ -2,8 +2,48 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dlmprune.model import gelu
 from dlmprune.numerics import SeededRng, layer_norm, softmax_rows
+
+
+# Textbook forms of the kernels: the references the in-place kernels are held to.
+def ref_softmax(m):
+    e = np.exp(m - m.max(-1, keepdims=True))
+    return e / e.sum(-1, keepdims=True)
+
+
+def ref_layer_norm(v, gain, bias, eps=1e-5):
+    return (v - v.mean(-1, keepdims=True)) / np.sqrt(v.var(-1, keepdims=True) + eps) * gain + bias
+
+
+def ref_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
+
+
+class TestKernelsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.one_of(st.none(), st.integers(1, 8)), cols=st.integers(1, 300),
+           exponent=st.floats(-3, 6), seed=st.integers(0, 2**32 - 1))
+    def test_random_inputs(self, rows, cols, exponent, seed):
+        rng = SeededRng(seed)
+        shape = (cols,) if rows is None else (rows, cols)
+        m = rng.normal(size=shape, scale=10.0 ** exponent)
+        gain, bias = rng.normal(size=cols), rng.normal(size=cols)
+        before = m.copy()
+
+        np.testing.assert_array_equal(softmax_rows(m), ref_softmax(before))
+        np.testing.assert_array_equal(layer_norm(m, gain, bias), ref_layer_norm(before, gain, bias))
+        np.testing.assert_allclose(gelu(m), ref_gelu(before), rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(m, before)  # default calls are pure
+
+        buf = m.copy()
+        out = softmax_rows(buf, out=buf)
+        assert out is buf
+        np.testing.assert_array_equal(buf, ref_softmax(before))
+        np.testing.assert_array_equal(softmax_rows(m, out=np.empty(shape)), ref_softmax(before))
 
 
 class TestSoftmaxRows:
