@@ -1,7 +1,7 @@
 """Masked-diffusion vision-language inference with response-guided visual token pruning."""
 
 from .analysis import (FlopsReport, SimilarityCurve, cosine, flops_baseline,
-                       flops_for_lengths, flops_pruned, flops_report, similarity_curve)
+                       flops_for_lengths, flops_report, similarity_curve)
 from .decoder import (PolicyKind, RunStats, SchedulePolicy, SequenceState, StepOutcome,
                       decode_quota, init_state, remask_prob, run_inference, step)
 from .harness import (BenchParams, BenchReport, ConfigError, RunConfig, TaskInstance,
@@ -14,7 +14,7 @@ from .model import (AttentionCapture, CopyTaskVocab, ModelConfig, ModelWeights,
 from .numerics import Matrix, SeededRng, layer_norm, softmax_rows
 from .pruning import (EmptyGuidanceSet, ImportanceScores, KeepSet, PrunePlan, ScorerKind,
                       StrategyKind, apply_prune, guidance_rows, importance_scores,
-                      keep_count, keep_schedule, mean_attention, plan_progressive,
+                      keep_schedule, mean_attention, plan_progressive,
                       random_keep, select_top)
 
 __version__ = "0.1.0"

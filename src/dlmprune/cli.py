@@ -57,16 +57,31 @@ def _apply_overrides(args) -> harness.RunConfig:
     return cfg
 
 
+def _printed(reports: list[harness.BenchReport]) -> list[harness.BenchReport]:
+    """Print one line per report: why it was skipped, or the figures it has."""
+    for r in reports:
+        figures = [("accuracy", r.accuracy, "{:.4f}"),
+                   ("latency", r.latency_s_per_sample, "{:.4f}s"),
+                   ("throughput", r.throughput_tok_per_s, "{:.2f} tok/s"),
+                   ("flops ratio", r.flops.ratio if r.flops else None, "{:.4f}")]
+        line = (f"skipped: {r.skipped}" if r.skipped is not None else
+                "  ".join(f"{name} {fmt.format(v)}" for name, v, fmt in figures if v is not None))
+        print(f"{r.variant:32s} {line}")
+    return reports
+
+
 def _cmd_run(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
     model_cfg, weights = harness.copy_setup(cfg.tasks)
     inputs, expected = harness.pointer_inputs(replace(cfg.tasks, count=1), weights)
     [runs] = harness.decode(weights, cfg, inputs, [cfg.prune])
-    [(ids, stats)] = runs
-    print(f"decoded ids : {ids.tolist()}")
-    print(f"expected    : {expected[0]} ({'ok' if ids[0] == expected[0] else 'MISS'})")
-    print(f"wall time   : {stats.seconds_total:.6f}s over {len(stats.per_step_lengths)} steps")
-    print(f"seq lengths : {stats.per_step_lengths}")
-    return [harness.report(cfg, cfg.prune, runs, model_cfg, expected=expected)]
+    report = harness.report(cfg, cfg.prune, runs, model_cfg, expected=expected)
+    if report.skipped is None:
+        [(ids, stats)] = runs
+        print(f"decoded ids : {ids.tolist()}")
+        print(f"expected    : {expected[0]} ({'ok' if ids[0] == expected[0] else 'MISS'})")
+        print(f"wall time   : {stats.seconds_total:.6f}s over {len(stats.per_step_lengths)} steps")
+        print(f"seq lengths : {stats.per_step_lengths}")
+    return _printed([report])
 
 
 def _cmd_similarity(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
@@ -79,26 +94,6 @@ def _cmd_similarity(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
         print(f"curve written to {args.out}")
         return []
     return [harness.BenchReport(variant="similarity", similarity=curve, config=cfg.raw)]
-
-
-def _cmd_ablate(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
-    reports = harness.run_ablation(cfg)
-    for r in reports:
-        if r.skipped is not None:
-            print(f"{r.variant:32s} skipped: {r.skipped}")
-        else:
-            print(f"{r.variant:32s} accuracy {r.accuracy:.4f}  "
-                  f"latency {r.latency_s_per_sample:.4f}s")
-    return reports
-
-
-def _cmd_bench(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
-    reports = harness.run_bench(cfg)
-    for r in reports:
-        print(f"{r.variant:32s} latency {r.latency_s_per_sample:.4f}s "
-              f"throughput {r.throughput_tok_per_s:.2f} tok/s "
-              f"flops ratio {r.flops.ratio:.4f}")
-    return reports
 
 
 def _cmd_flops(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
@@ -117,8 +112,8 @@ def _cmd_flops(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
 _COMMANDS = {
     "run": _cmd_run,
     "similarity": _cmd_similarity,
-    "ablate": _cmd_ablate,
-    "bench": _cmd_bench,
+    "ablate": lambda cfg, args: _printed(harness.run_ablation(cfg)),
+    "bench": lambda cfg, args: _printed(harness.run_bench(cfg)),
     "flops": _cmd_flops,
 }
 

@@ -117,19 +117,27 @@ def pointer_inputs(tasks: TaskParams, weights: ModelWeights) -> tuple[list[tuple
 
 def decode(weights: ModelWeights, cfg: RunConfig, inputs: Sequence[tuple],
            plans: Sequence[Optional[PrunePlan]], score_with: Optional[ScorerKind] = None
-           ) -> list[list[tuple]]:
+           ) -> list[Union[list[tuple], EmptyGuidanceSet]]:
     """Decode every (visual, prompt) input under every plan (None: unpruned).
 
     The plans take turns on each input, so a drift in machine speed reaches
     all of them alike instead of whichever ran during it. Returns, per plan,
-    the (ids, stats) of each input.
+    the (ids, stats) of each input, or the EmptyGuidanceSet that stopped the
+    plan: a plan whose guidance set has no rows when it prunes is not run on
+    later inputs, and the other plans still run on every input.
     """
-    runs: list[list[tuple]] = [[] for _ in plans]
+    runs: list = [[] for _ in plans]
     for visual, prompt in inputs:
-        for plan, plan_runs in zip(plans, runs):
-            ids, _, stats = run_inference(visual, prompt, cfg.response_len, cfg.steps,
-                                          weights, cfg.policy, plan, score_with=score_with)
-            plan_runs.append((ids, stats))
+        for i, plan in enumerate(plans):
+            if isinstance(runs[i], EmptyGuidanceSet):
+                continue
+            try:
+                ids, _, stats = run_inference(visual, prompt, cfg.response_len, cfg.steps,
+                                              weights, cfg.policy, plan, score_with=score_with)
+            except EmptyGuidanceSet as exc:
+                runs[i] = exc
+            else:
+                runs[i].append((ids, stats))
     return runs
 
 
@@ -141,15 +149,19 @@ def variant_label(plan: Optional[PrunePlan]) -> str:
     return f"{plan.strategy.value}/{plan.scorer.value}/r={plan.ratio:g}"
 
 
-def report(cfg: RunConfig, plan: Optional[PrunePlan], runs: Sequence[tuple],
-           model_cfg: ModelConfig, baseline_runs: Optional[Sequence[tuple]] = None,
+def report(cfg: RunConfig, plan: Optional[PrunePlan],
+           runs: Union[Sequence[tuple], EmptyGuidanceSet], model_cfg: ModelConfig,
+           baseline_runs: Optional[Sequence[tuple]] = None,
            expected: Optional[Sequence[int]] = None) -> BenchReport:
-    """One variant's report from its (ids, stats) runs.
+    """One variant's report from its (ids, stats) runs, or its skip reason.
 
     Latency and throughput come from the summed decode time; first-token
     accuracy needs the expected ids, and FLOPs the unpruned runs of the same
-    inputs.
+    inputs. A plan that ``decode`` stopped is reported as skipped, with no
+    figures.
     """
+    if isinstance(runs, EmptyGuidanceSet):
+        return BenchReport(variant_label(plan), skipped=str(runs), config=cfg.raw)
     seconds = sum(stats.seconds_total for _, stats in runs)
     accuracy = flops = None
     if expected is not None:
@@ -186,12 +198,7 @@ def run_accuracy(cfg: RunConfig, *, include_baseline: bool = True,
 
 
 def run_ablation(cfg: RunConfig) -> list[BenchReport]:
-    """Baseline plus every scorer (one-shot pruning) and every strategy at one ratio.
-
-    A scorer whose guidance set has no rows when a plan of it prunes (decoded
-    rows when step 1 commits nothing) is reported as skipped, and the
-    remaining variants are decoded again without it.
-    """
+    """Baseline plus every scorer (one-shot pruning) and every strategy at one ratio."""
     if cfg.steps < 2:
         raise ConfigError("ablation needs at least 2 steps: pruning follows step 1")
     ratio = cfg.prune.ratio if cfg.prune is not None else 0.5
@@ -200,18 +207,7 @@ def run_ablation(cfg: RunConfig) -> list[BenchReport]:
     plans = [PrunePlan.once(ratio, scorer) for scorer in ScorerKind]
     plans.append(PrunePlan.random_once(ratio, seed))
     plans.append(PrunePlan.progressive(ratio))
-    skipped: dict[ScorerKind, str] = {}
-    while True:
-        served = [p for p in plans if not (p.scored and p.scorer in skipped)]
-        try:
-            reports = run_accuracy(cfg, include_baseline=True, plans=served)
-            break
-        except EmptyGuidanceSet as exc:
-            skipped[exc.scorer] = str(exc)
-    by_plan = dict(zip([None] + served, reports))
-    return [by_plan[p] if p in by_plan
-            else BenchReport(variant_label(p), skipped=skipped[p.scorer], config=cfg.raw)
-            for p in [None] + plans]
+    return run_accuracy(cfg, plans=plans)
 
 
 def run_similarity(cfg: RunConfig) -> analysis.SimilarityCurve:
@@ -256,7 +252,8 @@ def run_bench(cfg: RunConfig, *, plans: Optional[list[PrunePlan]] = None) -> lis
     for _ in range(cfg.bench.warmup):
         decode(weights, cfg, inputs[:1], variants)
     runs = decode(weights, cfg, inputs, variants)
-    fastest = min(sum(stats.seconds_total for _, stats in plan_runs) for plan_runs in runs)
+    fastest = min(sum(stats.seconds_total for _, stats in plan_runs) for plan_runs in runs
+                  if not isinstance(plan_runs, EmptyGuidanceSet))
     resolution = time.get_clock_info("perf_counter").resolution
     if fastest < 100.0 * resolution:
         raise TimerResolutionError(
@@ -298,7 +295,7 @@ def report_to_dict(report: BenchReport) -> dict:
 
 
 _CSV_COLUMNS = ["variant", "latency_s_per_sample", "throughput_tok_per_s", "accuracy",
-                "flops_baseline", "flops_pruned", "flops_ratio", "similarity_min"]
+                "flops_baseline", "flops_pruned", "flops_ratio", "similarity_min", "skipped"]
 
 
 def emit_report(reports: Union[BenchReport, Sequence[BenchReport]], path,
@@ -324,6 +321,7 @@ def emit_report(reports: Union[BenchReport, Sequence[BenchReport]], path,
                     r.flops.pruned if r.flops else "",
                     _fmt6(r.flops.ratio) if r.flops else "",
                     _fmt6(min(r.similarity.sims)) if r.similarity else "",
+                    r.skipped or "",
                 ])
     else:
         raise ConfigError(f"unknown report format: {format}")

@@ -27,7 +27,6 @@ class EmptyGuidanceSet(ValueError):
 
     def __init__(self, scorer: "ScorerKind", step: int):
         super().__init__(f"guidance set {scorer.value!r} is empty at step {step}")
-        self.scorer = scorer
 
 
 class ScorerKind(str, Enum):
