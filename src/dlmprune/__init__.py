@@ -12,9 +12,8 @@ from .model import (AttentionCapture, CopyTaskVocab, ModelConfig, ModelWeights,
                     build_copy_model, copy_model_config, embed_prompt, embed_response,
                     encode_image, forward, init_random_model)
 from .numerics import Matrix, SeededRng, layer_norm, softmax_rows
-from .pruning import (EmptyGuidanceSet, ImportanceScores, KeepSet, PrunePlan, ScorerKind,
-                      StrategyKind, apply_prune, guidance_rows, importance_scores,
-                      keep_schedule, mean_attention, plan_progressive,
-                      random_keep, select_top)
+from .pruning import (EmptyGuidanceSet, KeepSet, PrunePlan, ScorerKind, StrategyKind,
+                      apply_prune, guidance_rows, importance_scores, keep_schedule,
+                      mean_attention, plan_progressive, random_keep, select_top)
 
 __version__ = "0.1.0"

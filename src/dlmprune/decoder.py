@@ -80,9 +80,6 @@ class SequenceState:
     def masked_positions(self) -> np.ndarray:
         return np.flatnonzero(self.masked)
 
-    def decoded_positions(self) -> np.ndarray:
-        return np.flatnonzero(~self.masked)
-
 
 @dataclass
 class StepOutcome:
@@ -191,8 +188,6 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     """
     schedule = pruning.keep_schedule(prune_plan, np.asarray(visual).shape[0], total_steps)
     rng = SeededRng(policy.rng_seed) if policy.kind == PolicyKind.STOCHASTIC else None
-    prune_rng = (SeededRng(prune_plan.rng_seed)
-                 if prune_plan is not None and prune_plan.rng_seed is not None else None)
 
     state = init_state(visual, prompt, tau, total_steps,
                        mask_token_id=weights.config.mask_token_id)
@@ -213,12 +208,12 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
         if state.masked.any():
             if score_with is not None:
                 try:
-                    scores = pruning.step_scores(state, outcome.attention, score_with)
-                    score_trace.append(scores.values)
+                    score_trace.append(pruning.step_scores(state, outcome.attention,
+                                                           score_with))
                 except pruning.EmptyGuidanceSet:
                     pass
             if prune_next:
-                pruning.prune_to(state, prune_plan, schedule[k], outcome.attention, prune_rng)
+                pruning.prune_to(state, prune_plan, schedule[k], outcome.attention)
         outcome.attention = None
         trace.append(outcome)
     stats.seconds_total = time.perf_counter() - t_start

@@ -103,8 +103,8 @@ def gen_pointer_task(grid_dims: tuple[int, int], symbol_alphabet: Sequence[str],
 
 
 def copy_setup(tasks: TaskParams) -> tuple[ModelConfig, ModelWeights]:
-    cfg = copy_model_config(tasks.grid, tasks.alphabet)
-    return cfg, build_copy_model(cfg, tasks.alphabet)
+    weights = build_copy_model(tasks.grid, tasks.alphabet)
+    return weights.config, weights
 
 
 def pointer_inputs(tasks: TaskParams, weights: ModelWeights) -> tuple[list[tuple], list[int]]:

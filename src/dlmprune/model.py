@@ -72,10 +72,6 @@ class AttentionCapture:
     maps: list[list[np.ndarray]]
     step_index: int = 0
 
-    @property
-    def seq_len(self) -> int:
-        return self.maps[0][0].shape[0] if self.maps and self.maps[0] else 0
-
 
 @dataclass
 class LayerWeights:
@@ -97,12 +93,12 @@ class HashedPatchTable:
     def __init__(self, seed: int, dim: int):
         self.seed = int(seed)
         self.dim = int(dim)
+        self._parent = SeededRng(self.seed)  # split() draws nothing, so one parent serves all
 
     def vector(self, symbol: str) -> np.ndarray:
         digest = hashlib.sha256(symbol.encode("utf-8")).digest()
         key = int.from_bytes(digest[:8], "little")
-        child = SeededRng(self.seed).split(key)
-        return child.normal(size=self.dim)
+        return self._parent.split(key).normal(size=self.dim)
 
 
 class FixedPatchTable:
@@ -124,8 +120,6 @@ class ModelWeights:
     projector: np.ndarray  # (vision_dim, d)
     token_embed: np.ndarray  # (vocab, d)
     positional: np.ndarray  # (positions, d); segments use disjoint base offsets
-    prompt_pos_base: int
-    response_pos_base: int
     layers: list[LayerWeights] = field(default_factory=list)
     final_norm: Optional[tuple[np.ndarray, np.ndarray]] = None
     output_w: np.ndarray = None
@@ -176,12 +170,13 @@ def _embed_tokens(ids: Sequence[int], weights: ModelWeights, base: int, what: st
 
 def embed_prompt(tokens: Sequence[int], weights: ModelWeights) -> Matrix:
     """Token embeddings plus prompt-segment position offsets; empty prompts are legal."""
-    return _embed_tokens(tokens, weights, weights.prompt_pos_base, "prompt")
+    return _embed_tokens(tokens, weights, weights.config.num_patches, "prompt")
 
 
 def embed_response(ids: Sequence[int], weights: ModelWeights) -> Matrix:
     """Response-row embeddings; masked positions carry the mask token id."""
-    return _embed_tokens(ids, weights, weights.response_pos_base, "response")
+    return _embed_tokens(ids, weights, weights.config.num_patches + DEFAULT_MAX_PROMPT,
+                         "response")
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -279,8 +274,6 @@ def init_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
         projector=rng.normal(size=(dv, d), scale=1.0 / np.sqrt(dv)),
         token_embed=rng.normal(size=(cfg.vocab_size, d)),
         positional=sinusoidal_table(n_pos, d),
-        prompt_pos_base=cfg.num_patches,
-        response_pos_base=cfg.num_patches + DEFAULT_MAX_PROMPT,
         layers=layers,
         final_norm=(np.ones(d), np.zeros(d)),
         output_w=rng.normal(size=(d, cfg.vocab_size), scale=1.0 / np.sqrt(d)),
@@ -339,11 +332,9 @@ _PAYLOAD = 1.0
 _ABSTAIN = 4.0
 _RAMP_STEP = 0.1
 
-_MIN_COPY_LAYERS = 10  # layer-averaged mass on the target is ~(L-1)/L; 0.9 needs L >= 10
-
 
 def copy_model_config(patch_grid: tuple[int, int], symbols: Sequence[str],
-                      layers: int = 12, heads: int = 1) -> ModelConfig:
+                      heads: int = 1) -> ModelConfig:
     """Smallest ModelConfig that hosts the copy construction for this task family."""
     rows, cols = patch_grid
     n = rows * cols
@@ -352,13 +343,14 @@ def copy_model_config(patch_grid: tuple[int, int], symbols: Sequence[str],
     d = ((d_needed + heads - 1) // heads) * heads
     vocab = CopyTaskVocab(tuple(symbols), n).required_vocab
     return ModelConfig(
-        layers=layers, heads=heads, embed_dim=d, vision_dim=a, ffn_dim=1,
+        layers=12, heads=heads, embed_dim=d, vision_dim=a, ffn_dim=1,
         vocab_size=vocab, patch_grid=(rows, cols), mask_token_id=vocab - 1,
     )
 
 
-def build_copy_model(cfg: ModelConfig, patch_symbols: Sequence[str]) -> ModelWeights:
-    """Analytic weights for the pointer task.
+def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str],
+                     heads: int = 1) -> ModelWeights:
+    """Analytic weights for the pointer task, sized by ``copy_model_config``.
 
     Channel plan (d channels): per-patch position codes, pointer codes carried
     by index tokens, a target flag, marker channels for index/mask tokens, a
@@ -369,28 +361,15 @@ def build_copy_model(cfg: ModelConfig, patch_symbols: Sequence[str]) -> ModelWei
     2..L route every still-masked row onto the flagged token and accumulate its
     symbol payload, which the output head reads. With L layers the layer/head-
     averaged attention from masked rows onto the target is at least (L-1)/L,
-    so L >= 10 keeps it above 0.9. If no flagged token survives pruning, the
+    above 0.9 at the config's L = 12. If no flagged token survives pruning, the
     constant abstain logit wins and the model emits the abstain token. A small
     per-position ramp on the abstain logit makes confidence-ordered decoding
     commit later response positions first, so position 0 resolves last.
     """
+    cfg = copy_model_config(patch_grid, patch_symbols, heads)
     vocab = CopyTaskVocab(tuple(patch_symbols), cfg.num_patches)
     n, a = cfg.num_patches, vocab.num_symbols
     d, h, dh = cfg.embed_dim, cfg.heads, cfg.head_dim
-
-    if cfg.layers < _MIN_COPY_LAYERS:
-        raise ValueError(f"copy construction needs >= {_MIN_COPY_LAYERS} layers, got {cfg.layers}")
-    d_needed = 2 * n + 4 + 2 * a
-    if d < d_needed:
-        raise ValueError(f"copy construction needs embed_dim >= {d_needed}, got {d}")
-    if dh < max(n, a + 1):
-        raise ValueError(f"copy construction needs head_dim >= {max(n, a + 1)}, got {dh}")
-    if cfg.vision_dim < a:
-        raise ValueError(f"copy construction needs vision_dim >= {a}, got {cfg.vision_dim}")
-    if cfg.vocab_size < vocab.required_vocab:
-        raise ValueError(f"copy construction needs vocab >= {vocab.required_vocab}")
-    if cfg.mask_token_id <= vocab.null_id:
-        raise ValueError(f"mask_token_id must exceed {vocab.null_id} to avoid content ids")
 
     # Channel offsets.
     a1 = 0          # [a1, a1+n): position code of each visual token
@@ -467,8 +446,6 @@ def build_copy_model(cfg: ModelConfig, patch_symbols: Sequence[str]) -> ModelWei
         projector=projector,
         token_embed=token_embed,
         positional=positional,
-        prompt_pos_base=n,
-        response_pos_base=resp_base,
         layers=[broadcast_layer()] + [fetch_layer() for _ in range(cfg.layers - 1)],
         final_norm=None,
         output_w=output_w,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -39,15 +39,22 @@ class ScorerKind(str, Enum):
     PROMPT_MASKED = "prompt+masked"      # prompt + still-masked response rows
 
 
+# Which segments each guidance set reads: (visual, prompt, masked, decoded).
+_GUIDANCE = {
+    ScorerKind.MASKED: (False, False, True, False),
+    ScorerKind.PROMPT: (False, True, False, False),
+    ScorerKind.DECODED: (False, False, False, True),
+    ScorerKind.ALL_RESPONSE: (False, False, True, True),
+    ScorerKind.PROMPT_RESPONSE: (False, True, True, True),
+    ScorerKind.VISUAL: (True, False, False, False),
+    ScorerKind.PROMPT_MASKED: (False, True, True, False),
+}
+
+
 class StrategyKind(str, Enum):
     ONCE = "once"              # score once after step 1, prune to the keep set
     RANDOM_ONCE = "random"     # keep a uniformly random subset after step 1
     PROGRESSIVE = "progressive"  # spread prunes over steps 1..K-1, rescoring each step
-
-
-@dataclass
-class ImportanceScores:
-    values: np.ndarray          # aligned with the surviving visual tokens
 
 
 @dataclass(frozen=True)
@@ -102,23 +109,20 @@ def keep_count(n: int, r: float) -> int:
 def mean_attention(capture: AttentionCapture) -> Matrix:
     """Mean of all layer/head maps; rows stay stochastic. A capture from
     ``forward`` holds only the mean, which comes back bitwise unchanged."""
-    if not capture.maps or not capture.maps[0]:
+    maps = [m for layer_maps in capture.maps for m in layer_maps]
+    if not maps:
         raise ValueError("capture holds no attention maps")
-    shape = capture.maps[0][0].shape
-    total = np.zeros(shape)
-    count = 0
-    for layer_maps in capture.maps:
-        for m in layer_maps:
-            if m.shape != shape:
-                raise ValueError(f"inconsistent map shape {m.shape} vs {shape}")
-            total += m
-            count += 1
-    return total / count
+    total = maps[0]
+    for m in maps[1:]:
+        if m.shape != total.shape:
+            raise ValueError(f"inconsistent map shape {m.shape} vs {total.shape}")
+        total = total + m
+    return total / len(maps)
 
 
 def importance_scores(abar: Matrix, guidance_rows: Sequence[int], visual_cols: Sequence[int],
                       *, step: int = 0, scorer: ScorerKind = ScorerKind.MASKED
-                      ) -> ImportanceScores:
+                      ) -> np.ndarray:
     """Per-visual-column mean of the guidance rows of an averaged attention map."""
     rows = np.asarray(guidance_rows, dtype=np.int64).reshape(-1)
     cols = np.asarray(visual_cols, dtype=np.int64).reshape(-1)
@@ -127,13 +131,12 @@ def importance_scores(abar: Matrix, guidance_rows: Sequence[int], visual_cols: S
     n = abar.shape[0]
     if rows.max() >= n or cols.size and cols.max() >= abar.shape[1]:
         raise ValueError("guidance rows / visual cols exceed map dimensions")
-    return ImportanceScores(values=abar[np.ix_(rows, cols)].mean(axis=0))
+    return abar[np.ix_(rows, cols)].mean(axis=0)
 
 
-def keep_top_n(visual_indices: np.ndarray, scores: Union[ImportanceScores, np.ndarray],
-               n_keep: int) -> KeepSet:
+def keep_top_n(visual_indices: np.ndarray, scores: np.ndarray, n_keep: int) -> KeepSet:
     """Keep the n highest-scoring tokens; ties favor the lower original index."""
-    values = scores.values if isinstance(scores, ImportanceScores) else np.asarray(scores)
+    values = np.asarray(scores)
     indices = np.asarray(visual_indices, dtype=np.int64)
     if values.shape[0] != indices.shape[0]:
         raise ValueError(f"{values.shape[0]} scores for {indices.shape[0]} tokens")
@@ -143,8 +146,7 @@ def keep_top_n(visual_indices: np.ndarray, scores: Union[ImportanceScores, np.nd
     return KeepSet(indices=np.sort(indices[order[:n_keep]]))
 
 
-def select_top(visual_indices: np.ndarray, scores: Union[ImportanceScores, np.ndarray],
-               r: float) -> KeepSet:
+def select_top(visual_indices: np.ndarray, scores: np.ndarray, r: float) -> KeepSet:
     """Top-r keep set over the surviving visual tokens, in original order."""
     n = np.asarray(visual_indices).shape[0]
     return keep_top_n(visual_indices, scores, keep_count(n, r))
@@ -186,7 +188,7 @@ def keep_schedule(plan: Optional[PrunePlan], num_visual: int, total_steps: int) 
 
 
 def step_scores(state: "SequenceState", capture: AttentionCapture,
-                scorer: ScorerKind) -> ImportanceScores:
+                scorer: ScorerKind) -> np.ndarray:
     """Importance of the surviving visual tokens from the step just run."""
     rows = guidance_rows(state, scorer)
     return importance_scores(mean_attention(capture), rows, np.arange(state.num_visual),
@@ -194,14 +196,15 @@ def step_scores(state: "SequenceState", capture: AttentionCapture,
 
 
 def prune_to(state: "SequenceState", plan: PrunePlan, n_keep: int,
-             capture: Optional[AttentionCapture], rng: Optional[SeededRng]) -> None:
+             capture: Optional[AttentionCapture]) -> None:
     """Cut the state's visual tokens to the plan's keep set of size n_keep."""
     if plan.scored:
         keep = keep_top_n(state.visual_index_map, step_scores(state, capture, plan.scorer),
                           n_keep)
     else:
-        # Random pruning happens once, from all N tokens, so keep_count(N, r) == n_keep.
-        keep = random_keep(state.visual_index_map, plan.ratio, rng)
+        # Random pruning happens once per run, from all N tokens, so its draw
+        # is the first of the plan's stream and keep_count(N, r) == n_keep.
+        keep = random_keep(state.visual_index_map, plan.ratio, SeededRng(plan.rng_seed))
     apply_prune(state, keep)
 
 
@@ -219,26 +222,10 @@ def apply_prune(state: "SequenceState", keep: KeepSet) -> "SequenceState":
 
 
 def guidance_rows(state: "SequenceState", scorer: ScorerKind) -> np.ndarray:
-    """Sequence-coordinate rows of the chosen guidance set for the current layout."""
+    """Ascending sequence-coordinate rows of the chosen guidance set for the current layout."""
     if state.step < 2:
         raise ValueError("guidance sets are defined only after at least one step")
-    n, m = state.num_visual, state.prompt_len
-    resp_base = n + m
-    prompt = np.arange(n, n + m, dtype=np.int64)
-    masked = resp_base + state.masked_positions()
-    decoded = resp_base + state.decoded_positions()
-    if scorer == ScorerKind.MASKED:
-        return masked
-    if scorer == ScorerKind.PROMPT:
-        return prompt
-    if scorer == ScorerKind.DECODED:
-        return decoded
-    if scorer == ScorerKind.ALL_RESPONSE:
-        return np.sort(np.concatenate([masked, decoded]))
-    if scorer == ScorerKind.PROMPT_RESPONSE:
-        return np.sort(np.concatenate([prompt, masked, decoded]))
-    if scorer == ScorerKind.VISUAL:
-        return np.arange(n, dtype=np.int64)
-    if scorer == ScorerKind.PROMPT_MASKED:
-        return np.sort(np.concatenate([prompt, masked]))
-    raise ValueError(f"unknown scorer {scorer!r}")
+    visual, prompt, masked, decoded = _GUIDANCE[scorer]
+    rows = np.concatenate([np.full(state.num_visual, visual), np.full(state.prompt_len, prompt),
+                           np.where(state.masked, masked, decoded)])
+    return np.flatnonzero(rows)

@@ -3,8 +3,8 @@ import pytest
 
 from dlmprune.decoder import (PolicyKind, SchedulePolicy, decode_quota, init_state,
                               remask_prob, run_inference, step)
-from dlmprune.model import (ModelConfig, build_copy_model, copy_model_config, embed_prompt,
-                            embed_response, encode_image, forward, init_random_model)
+from dlmprune.model import (ModelConfig, build_copy_model, embed_prompt, embed_response,
+                            encode_image, forward, init_random_model)
 from dlmprune.numerics import SeededRng, softmax_rows
 from dlmprune.pruning import PrunePlan, ScorerKind, keep_schedule, plan_progressive, prune_to
 
@@ -31,7 +31,7 @@ class TestInitState:
         v, p = tiny_inputs(w)
         st = init_state(v, p, 4, 8, mask_token_id=cfg.mask_token_id)
         assert st.masked_positions().tolist() == [0, 1, 2, 3]
-        assert st.decoded_positions().size == 0
+        assert st.masked.all()
         assert st.step == 1
         np.testing.assert_array_equal(st.visual_index_map, [0, 1, 2, 3])
         assert np.all(st.response_ids == cfg.mask_token_id)
@@ -160,7 +160,7 @@ class TestStep:
         v, p = tiny_inputs(w)
         st = init_state(v, p, 3, 4, mask_token_id=cfg.mask_token_id)
         st, out = step(st, w, SchedulePolicy.confidence())
-        assert out.attention.seq_len == 4 + 2 + 3
+        assert out.attention.maps[0][0].shape == (4 + 2 + 3, 4 + 2 + 3)
         assert out.attention.step_index == 1
 
 
@@ -194,8 +194,7 @@ class TestRunInference:
 
     def test_copy_model_decodes_planted_symbol(self):
         symbols = ("a", "b", "c", "d")
-        ccfg = copy_model_config((2, 2), symbols)
-        w = build_copy_model(ccfg, symbols)
+        w = build_copy_model((2, 2), symbols)
         from dlmprune.model import CopyTaskVocab
         vocab = CopyTaskVocab(symbols, 4)
         visual = encode_image([["b", "a"], ["d", "c"]], w)
@@ -234,10 +233,10 @@ class TestRunInference:
         # the same prune by hand: the capture after it covers the pruned sequence
         st = init_state(v, p, 4, 4, mask_token_id=cfg.mask_token_id)
         st, out = step(st, w, SchedulePolicy.confidence())
-        assert out.attention.seq_len == 15
-        prune_to(st, plan, 4, out.attention, None)
+        assert out.attention.maps[0][0].shape == (15, 15)
+        prune_to(st, plan, 4, out.attention)
         _, out = step(st, w, SchedulePolicy.confidence())
-        assert out.attention.seq_len == 10
+        assert out.attention.maps[0][0].shape == (10, 10)
 
     def test_progressive_lengths_follow_counts(self):
         cfg, w = tiny_model(grid=(3, 3))

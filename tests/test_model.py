@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlmprune.decoder import SchedulePolicy, init_state, step
-from dlmprune.model import (CopyTaskVocab, ModelConfig, build_copy_model, copy_model_config,
-                            embed_prompt, embed_response, encode_image, forward, gelu,
-                            init_random_model)
+from dlmprune.model import (CopyTaskVocab, HashedPatchTable, ModelConfig, build_copy_model,
+                            copy_model_config, embed_prompt, embed_response, encode_image,
+                            forward, gelu, init_random_model)
 from dlmprune.numerics import SeededRng, layer_norm, softmax_rows
 from dlmprune.pruning import mean_attention
 from test_numerics import ref_gelu, ref_layer_norm, ref_softmax
@@ -57,17 +58,23 @@ class TestEncodeImage:
             encode_image([["a", "b", "c"]], w)
 
     def test_unknown_symbol_in_copy_table(self):
-        cfg = copy_model_config((2, 2), ("a", "b"))
-        w = build_copy_model(cfg, ("a", "b"))
+        w = build_copy_model((2, 2), ("a", "b"))
         with pytest.raises(ValueError, match="unknown patch symbol"):
             encode_image([["a", "z"], ["a", "b"]], w)
 
     def test_copy_patch_vectors_orthogonal(self):
-        cfg = copy_model_config((2, 2), ("a", "b", "c"))
-        w = build_copy_model(cfg, ("a", "b", "c"))
+        w = build_copy_model((2, 2), ("a", "b", "c"))
         va = w.patch_embed.vector("a")
         vb = w.patch_embed.vector("b")
         assert va @ vb == 0.0 and va @ va > 0.0
+
+    def test_hashed_vector_is_a_child_stream_of_the_seed(self):
+        table = HashedPatchTable(seed=123, dim=5)
+        for symbol in ("a", "b", "s17", "a"):
+            digest = hashlib.sha256(symbol.encode("utf-8")).digest()
+            key = int.from_bytes(digest[:8], "little")
+            want = SeededRng(123).split(key).normal(size=5)
+            np.testing.assert_array_equal(table.vector(symbol), want)
 
 
 class TestEmbedTokens:
@@ -78,12 +85,12 @@ class TestEmbedTokens:
     def test_single_token(self):
         w = init_random_model(small_config(), 1)
         e = embed_prompt([3], w)
-        np.testing.assert_allclose(e[0], w.token_embed[3] + w.positional[w.prompt_pos_base])
+        np.testing.assert_allclose(e[0], w.token_embed[3] + w.positional[w.config.num_patches])
 
     def test_repeated_token_differs_by_positional(self):
         w = init_random_model(small_config(), 1)
         e = embed_prompt([5, 5], w)
-        base = w.prompt_pos_base
+        base = w.config.num_patches
         np.testing.assert_allclose(e[0] - e[1],
                                    w.positional[base] - w.positional[base + 1], atol=1e-12)
 
@@ -181,7 +188,7 @@ def assert_capture_is_head_mean(w, x):
     np.testing.assert_array_equal(logits, forward(x, w)[0])
 
 
-COPY_2HEAD = build_copy_model(copy_model_config((2, 2), ("a", "b"), heads=2), ("a", "b"))
+COPY_2HEAD = build_copy_model((2, 2), ("a", "b"), heads=2)
 
 
 class TestCaptureIsHeadMean:
@@ -275,8 +282,7 @@ def decode_pointer(weights, vocab, image, target, tau=2, steps=2):
 class TestCopyModel:
     def test_exhaustive_2x2(self):
         symbols = ("a", "b", "c", "d")
-        cfg = copy_model_config((2, 2), symbols)
-        w = build_copy_model(cfg, symbols)
+        w = build_copy_model((2, 2), symbols)
         vocab = CopyTaskVocab(symbols, 4)
         image = [["c", "a"], ["d", "b"]]
         flat = [s for row in image for s in row]
@@ -286,8 +292,7 @@ class TestCopyModel:
 
     def test_attention_mass_on_target(self):
         symbols = ("a", "b", "c", "d")
-        cfg = copy_model_config((2, 2), symbols)
-        w = build_copy_model(cfg, symbols)
+        w = build_copy_model((2, 2), symbols)
         vocab = CopyTaskVocab(symbols, 4)
         target = 2
         _, trace = decode_pointer(w, vocab, [["a", "b"], ["c", "d"]], target)
@@ -298,8 +303,7 @@ class TestCopyModel:
 
     def test_prompt_index_controls_answer(self):
         symbols = ("p", "q", "r", "s", "t", "u")
-        cfg = copy_model_config((2, 3), symbols)
-        w = build_copy_model(cfg, symbols)
+        w = build_copy_model((2, 3), symbols)
         vocab = CopyTaskVocab(symbols, 6)
         image = [["p", "q", "r"], ["s", "t", "u"]]
         ids5, _ = decode_pointer(w, vocab, image, 5)
@@ -310,8 +314,7 @@ class TestCopyModel:
     @pytest.mark.parametrize("grid", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
     def test_soundness_up_to_3x3(self, grid):
         symbols = ("a", "b", "c", "d")
-        cfg = copy_model_config(grid, symbols)
-        w = build_copy_model(cfg, symbols)
+        w = build_copy_model(grid, symbols)
         n = grid[0] * grid[1]
         vocab = CopyTaskVocab(symbols, n)
         rng = SeededRng(10)
@@ -324,8 +327,8 @@ class TestCopyModel:
 
     def test_multi_head_construction(self):
         symbols = ("a", "b")
-        cfg = copy_model_config((2, 2), symbols, heads=2)
-        w = build_copy_model(cfg, symbols)
+        w = build_copy_model((2, 2), symbols, heads=2)
+        assert w.config == copy_model_config((2, 2), symbols, heads=2)
         vocab = CopyTaskVocab(symbols, 4)
         ids, trace = decode_pointer(w, vocab, [["a", "b"], ["b", "a"]], 3)
         assert ids[0] == vocab.symbol_id("a")
@@ -341,15 +344,3 @@ class TestCopyModel:
     def test_copy_config_needs_two_sides(self, grid):
         with pytest.raises(ValueError):
             copy_model_config(grid, ("a", "b"))
-
-    def test_too_small_config_rejected(self):
-        symbols = ("a", "b", "c", "d")
-        with pytest.raises(ValueError):
-            build_copy_model(small_config(layers=12), symbols)  # embed_dim too small
-        cfg = copy_model_config((2, 2), symbols)
-        too_shallow = ModelConfig(layers=2, heads=cfg.heads, embed_dim=cfg.embed_dim,
-                                  vision_dim=cfg.vision_dim, ffn_dim=cfg.ffn_dim,
-                                  vocab_size=cfg.vocab_size, patch_grid=cfg.patch_grid,
-                                  mask_token_id=cfg.mask_token_id)
-        with pytest.raises(ValueError):
-            build_copy_model(too_shallow, symbols)

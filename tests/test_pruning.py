@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dlmprune.decoder import SchedulePolicy, init_state, run_inference, step
-from dlmprune.model import (AttentionCapture, CopyTaskVocab, build_copy_model,
-                            copy_model_config, embed_prompt, encode_image)
+from dlmprune.model import (AttentionCapture, CopyTaskVocab, build_copy_model, embed_prompt,
+                            encode_image)
 from dlmprune.numerics import SeededRng, softmax_rows
-from dlmprune.pruning import (EmptyGuidanceSet, PrunePlan, ScorerKind, apply_prune,
+from dlmprune.pruning import (EmptyGuidanceSet, KeepSet, PrunePlan, ScorerKind, apply_prune,
                               guidance_rows, importance_scores, keep_count, keep_schedule,
                               mean_attention, plan_progressive, random_keep, select_top)
 from test_decoder import tiny_inputs, tiny_model
@@ -32,6 +34,17 @@ def brute_force_scores(capture, guidance, visual_cols):
                     acc += m[j, c]
         out.append(acc / (num_layers * num_heads * len(guidance)))
     return np.array(out)
+
+
+def visual_state(n):
+    """A state of n distinguishable visual rows, no prompt, one response slot."""
+    visual = np.arange(2.0 * n).reshape(n, 2)
+    return init_state(visual, np.zeros((0, 2)), 1, 1, mask_token_id=0)
+
+
+def sorted_subset(items, min_size=1):
+    return hst.lists(hst.sampled_from(list(items)), min_size=min_size,
+                     unique=True).map(sorted)
 
 
 class TestMeanAttention:
@@ -65,13 +78,13 @@ class TestImportanceScores:
         abar[3, 0:2] = [0.2, 0.1]
         abar[4, 0:2] = [0.4, 0.3]
         s = importance_scores(abar, [3, 4], [0, 1])
-        np.testing.assert_allclose(s.values, [0.3, 0.2])
+        np.testing.assert_allclose(s, [0.3, 0.2])
 
     def test_single_guidance_row(self):
         rng = SeededRng(3)
         abar = softmax_rows(rng.normal(size=(6, 6)))
         s = importance_scores(abar, [4], [0, 1, 2])
-        np.testing.assert_array_equal(s.values, abar[4, :3])
+        np.testing.assert_array_equal(s, abar[4, :3])
 
     def test_empty_guidance_set(self):
         with pytest.raises(EmptyGuidanceSet):
@@ -90,7 +103,7 @@ class TestImportanceScores:
             n_masked = int(rng.integers(1, tau + 1))
             guidance = (n_vis + m + rng.subset(tau, n_masked)).tolist()
             cols = list(range(n_vis))
-            got = importance_scores(mean_attention(cap), guidance, cols).values
+            got = importance_scores(mean_attention(cap), guidance, cols)
             np.testing.assert_allclose(got, brute_force_scores(cap, guidance, cols),
                                        atol=1e-9)
 
@@ -98,8 +111,8 @@ class TestImportanceScores:
         rng = SeededRng(5)
         cap = random_capture(rng, 2, 2, 8)
         s = importance_scores(mean_attention(cap), [5, 6, 7], list(range(4)))
-        assert np.all(s.values >= 0.0)
-        assert s.values.sum() <= 1.0 + 1e-9
+        assert np.all(s >= 0.0)
+        assert s.sum() <= 1.0 + 1e-9
 
 
 class TestSelectTop:
@@ -154,12 +167,17 @@ class TestApplyPrune:
         np.testing.assert_array_equal(st.visual, before)
         np.testing.assert_array_equal(st.visual_index_map, [0, 1, 2, 3])
 
-    def test_keep_subset_preserves_order(self):
-        st = self.make_state()
+    @settings(max_examples=50, deadline=None)
+    @given(n=hst.integers(1, 12), data=hst.data())
+    def test_keep_subset_preserves_order(self, n, data):
+        st = visual_state(n)
         rows = st.visual.copy()
-        apply_prune(st, select_top(st.visual_index_map, np.array([0.0, 5.0, 1.0, 9.0]), 0.5))
-        np.testing.assert_array_equal(st.visual_index_map, [1, 3])
-        np.testing.assert_array_equal(st.visual, rows[[1, 3]])
+        survivors = data.draw(sorted_subset(range(n)))
+        keep = data.draw(sorted_subset(survivors))
+        apply_prune(st, KeepSet(indices=np.array(survivors)))
+        apply_prune(st, KeepSet(indices=np.array(keep)))
+        assert st.visual_index_map.tolist() == keep
+        np.testing.assert_array_equal(st.visual, rows[keep])
 
     def test_idempotent(self):
         st = self.make_state()
@@ -169,13 +187,20 @@ class TestApplyPrune:
         apply_prune(st, keep)
         np.testing.assert_array_equal(st.visual, again)
 
-    def test_missing_index_rejected(self):
-        st = self.make_state()
-        keep = select_top(st.visual_index_map, np.array([0.0, 5.0, 1.0, 9.0]), 0.5)
-        apply_prune(st, keep)
-        from dlmprune.pruning import KeepSet
-        with pytest.raises(ValueError):
-            apply_prune(st, KeepSet(indices=np.array([0, 1])))
+    @settings(max_examples=50, deadline=None)
+    @given(n=hst.integers(1, 12), data=hst.data())
+    def test_missing_index_rejected(self, n, data):
+        st = visual_state(n)
+        survivors = data.draw(sorted_subset(range(n)))
+        apply_prune(st, KeepSet(indices=np.array(survivors)))
+        rows = st.visual.copy()
+        absent = data.draw(hst.integers(-3, n + 3).filter(lambda i: i not in survivors))
+        present = data.draw(sorted_subset(survivors, min_size=0))
+        keep = np.array(sorted(present + [absent]))
+        with pytest.raises(ValueError, match="not currently present"):
+            apply_prune(st, KeepSet(indices=keep))
+        assert st.visual_index_map.tolist() == survivors
+        np.testing.assert_array_equal(st.visual, rows)
 
 
 class TestRandomKeep:
@@ -206,15 +231,16 @@ class TestPlanProgressive:
     def test_full_ratio_all_zero(self):
         assert plan_progressive(64, 1.0, 4) == [0, 0, 0]
 
-    def test_conservation(self):
-        rng = SeededRng(13)
-        for _ in range(100):
-            n = int(rng.integers(2, 300))
-            r = float(rng.random()) or 0.5
-            steps = int(rng.integers(2, 20))
-            counts = plan_progressive(n, r, steps)
-            assert len(counts) == steps - 1
-            assert sum(counts) + keep_count(n, r) == n
+    @settings(max_examples=200, deadline=None)
+    @given(n=hst.integers(2, 300), r=hst.floats(0.0, 1.0, exclude_min=True),
+           steps=hst.integers(2, 20))
+    def test_conservation(self, n, r, steps):
+        counts = plan_progressive(n, r, steps)
+        assert len(counts) == steps - 1
+        assert sum(counts) + keep_count(n, r) == n
+        # non-increasing and within one of each other: the remainders come first
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        assert counts[0] - counts[-1] <= 1
 
     def test_too_few_steps(self):
         with pytest.raises(ValueError):
@@ -317,22 +343,52 @@ class TestGuidanceRows:
         with pytest.raises(ValueError):
             guidance_rows(st, ScorerKind.MASKED)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n_vis=hst.integers(1, 6), prompt_len=hst.integers(0, 4), data=hst.data())
+    def test_every_scorer_is_its_segment_union(self, n_vis, prompt_len, data):
+        masked = np.array(data.draw(hst.lists(hst.booleans(), min_size=1, max_size=6)))
+        st = init_state(np.zeros((n_vis, 2)), np.zeros((prompt_len, 2)), masked.size, 4,
+                        mask_token_id=0)
+        st.masked = masked
+        st.step = 2
+        base = n_vis + prompt_len
+        segments = {
+            "visual": range(n_vis),
+            "prompt": range(n_vis, base),
+            "masked": [base + j for j in np.flatnonzero(masked)],
+            "decoded": [base + j for j in np.flatnonzero(~masked)],
+        }
+        union = {
+            ScorerKind.MASKED: ["masked"],
+            ScorerKind.PROMPT: ["prompt"],
+            ScorerKind.DECODED: ["decoded"],
+            ScorerKind.ALL_RESPONSE: ["masked", "decoded"],
+            ScorerKind.PROMPT_RESPONSE: ["prompt", "masked", "decoded"],
+            ScorerKind.VISUAL: ["visual"],
+            ScorerKind.PROMPT_MASKED: ["prompt", "masked"],
+        }
+        assert set(union) == set(ScorerKind)
+        for scorer, names in union.items():
+            rows = guidance_rows(st, scorer)
+            want = sorted({int(i) for name in names for i in segments[name]})
+            assert rows.tolist() == want, scorer
+            assert np.all(np.diff(rows) > 0)
+
 
 class TestCopyModelScoring:
     def test_masked_scores_peak_at_target(self):
         symbols = ("a", "b", "c", "d")
-        ccfg = copy_model_config((2, 2), symbols)
-        w = build_copy_model(ccfg, symbols)
+        w = build_copy_model((2, 2), symbols)
         vocab = CopyTaskVocab(symbols, 4)
         for target in range(4):
             visual = encode_image([["b", "d"], ["a", "c"]], w)
             prompt = embed_prompt([vocab.index_id(target)], w)
-            st = init_state(visual, prompt, 3, 3, mask_token_id=ccfg.mask_token_id)
+            st = init_state(visual, prompt, 3, 3, mask_token_id=w.config.mask_token_id)
             st, out = step(st, w, SchedulePolicy.confidence())
             scores = importance_scores(mean_attention(out.attention),
                                        guidance_rows(st, ScorerKind.MASKED),
                                        np.arange(4))
-            assert int(np.argmax(scores.values)) == target
+            assert int(np.argmax(scores)) == target
 
     def test_keep_all_skips_empty_guidance(self):
         # r=1.0 removes nothing, so nothing is scored and the empty set never surfaces
