@@ -91,7 +91,7 @@ class StepOutcome:
 class RunStats:
     seconds_total: float = 0.0
     per_step_lengths: list = field(default_factory=list)
-    score_trace: Optional[list] = None  # per-step importance vectors when instrumented
+    score_trace: list = field(default_factory=list)  # score_with vectors, one per scored step
 
 
 def init_state(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
@@ -182,9 +182,9 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     smaller, and attention is captured only for a step whose prune is scored.
     That layer/head-mean map lives only long enough to score it; the returned
     trace holds none.
-    ``score_with`` records the per-step importance vector for that guidance set
-    without pruning anything (used for score-stability analysis); steps whose
-    guidance set is empty are skipped.
+    ``score_with`` records that guidance set's importance vector after every
+    step that leaves masked rows, without pruning anything (used for
+    score-stability analysis); an empty guidance set raises, as when pruning.
     """
     schedule = pruning.keep_schedule(prune_plan, np.asarray(visual).shape[0], total_steps)
     rng = SeededRng(policy.rng_seed) if policy.kind == PolicyKind.STOCHASTIC else None
@@ -192,7 +192,6 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     state = init_state(visual, prompt, tau, total_steps,
                        mask_token_id=weights.config.mask_token_id)
     trace: list[StepOutcome] = []
-    score_trace: list[np.ndarray] = [] if score_with is not None else None
 
     t_start = time.perf_counter()
     stats = RunStats()
@@ -207,15 +206,11 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
         # prunes would be dead work (and masked-row guidance is gone).
         if state.masked.any():
             if score_with is not None:
-                try:
-                    score_trace.append(pruning.step_scores(state, outcome.attention,
-                                                           score_with))
-                except pruning.EmptyGuidanceSet:
-                    pass
+                stats.score_trace.append(pruning.step_scores(state, outcome.attention,
+                                                             score_with))
             if prune_next:
                 pruning.prune_to(state, prune_plan, schedule[k], outcome.attention)
         outcome.attention = None
         trace.append(outcome)
     stats.seconds_total = time.perf_counter() - t_start
-    stats.score_trace = score_trace
     return state.response_ids.copy(), trace, stats

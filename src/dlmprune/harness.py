@@ -38,7 +38,6 @@ class TaskInstance:
     image: tuple[tuple[str, ...], ...]
     prompt: tuple[int, ...]
     expected: int
-    seed: int
 
 
 @dataclass
@@ -98,7 +97,6 @@ def gen_pointer_task(grid_dims: tuple[int, int], symbol_alphabet: Sequence[str],
         image=tuple(tuple(flat[r * cols : (r + 1) * cols]) for r in range(rows)),
         prompt=(vocab.index_id(target),),
         expected=vocab.symbol_id(flat[target]),
-        seed=seed,
     )
 
 
@@ -123,8 +121,8 @@ def decode(weights: ModelWeights, cfg: RunConfig, inputs: Sequence[tuple],
     The plans take turns on each input, so a drift in machine speed reaches
     all of them alike instead of whichever ran during it. Returns, per plan,
     the (ids, stats) of each input, or the EmptyGuidanceSet that stopped the
-    plan: a plan whose guidance set has no rows when it prunes is not run on
-    later inputs, and the other plans still run on every input.
+    plan: a plan whose guidance set (or ``score_with``'s) has no rows when it
+    prunes (or scores) is not run on later inputs; the other plans still run.
     """
     runs: list = [[] for _ in plans]
     for visual, prompt in inputs:
@@ -212,11 +210,13 @@ def run_ablation(cfg: RunConfig) -> list[BenchReport]:
 
 def run_similarity(cfg: RunConfig) -> analysis.SimilarityCurve:
     """Per-step masked-row importance scores from unpruned runs, compared to step 1."""
-    if cfg.steps < 3:
-        raise ConfigError("similarity analysis needs at least 3 steps")
     _, weights = copy_setup(cfg.tasks)
     inputs, _ = pointer_inputs(cfg.tasks, weights)
     [runs] = decode(weights, cfg, inputs, [None], score_with=ScorerKind.MASKED)
+    scored, dec = min(len(stats.score_trace) for _, stats in runs), cfg.raw["decode"]
+    if scored < 2:
+        raise ConfigError(f"similarity needs masked rows after at least two steps; K={dec['K']} "
+                          f"and tau={dec['tau']} leave them after {scored} step(s)")
     return analysis.similarity_curve([stats.score_trace for _, stats in runs])
 
 
@@ -385,12 +385,13 @@ def _merge(base: dict, override: Optional[dict]) -> dict:
     return out
 
 
-def _integer(raw: dict, section: str, key: str) -> int:
-    """A JSON integer; a bool, a fraction, a whole float or a string is an
-    error, never truncated or parsed."""
+def _typed(raw: dict, section: str, key: str, types=int, what="an integer"):
+    """A JSON value of ``types`` (an integer by default); a bool, a string, or
+    for an integer a fraction or a whole float, is an error, never truncated
+    or parsed."""
     value = raw[section][key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
     return value
 
 
@@ -400,14 +401,14 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
     try:
         m = raw["model"]
         grid = tuple(m["grid"])
-        layers, heads, d, d_v, mu, vocab = (_integer(raw, "model", k)
+        layers, heads, d, d_v, mu, vocab = (_typed(raw, "model", k)
                                             for k in ("L", "H", "d", "d_v", "mu", "vocab"))
         model = ModelConfig(
             layers=layers, heads=heads, embed_dim=d, vision_dim=d_v, ffn_dim=mu,
             vocab_size=vocab, patch_grid=grid, mask_token_id=vocab - 1,
         )
         dec = raw["decode"]
-        steps, tau, seed = (_integer(raw, "decode", k) for k in ("K", "tau", "seed"))
+        steps, tau, seed = (_typed(raw, "decode", k) for k in ("K", "tau", "seed"))
         if steps < 1 or not 1 <= tau <= DEFAULT_MAX_RESPONSE:
             raise ConfigError(f"decode needs K >= 1 and 1 <= tau <= {DEFAULT_MAX_RESPONSE}")
         policy_name = str(dec["policy"])
@@ -422,17 +423,18 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
             p = raw["prune"]
             prune = PrunePlan(
                 strategy=StrategyKind(str(p["strategy"])),
-                ratio=float(p["r"]),
+                ratio=float(_typed(raw, "prune", "r", (int, float), "a number")),
                 scorer=ScorerKind(str(p["scorer"])),
-                rng_seed=_integer(raw, "prune", "seed") if p["seed"] is not None else None,
+                rng_seed=_typed(raw, "prune", "seed") if p["seed"] is not None else None,
             )
         t = raw["tasks"]
         alphabet = t["alphabet"]
-        alphabet = (_default_alphabet(_integer(raw, "tasks", "alphabet"))
-                    if not isinstance(alphabet, (list, tuple))
-                    else tuple(str(s) for s in alphabet))
-        tasks = TaskParams(count=_integer(raw, "tasks", "count"), grid=tuple(t["grid"]),
-                           alphabet=alphabet, seed=_integer(raw, "tasks", "seed"))
+        if not isinstance(alphabet, (list, tuple)):
+            alphabet = _default_alphabet(_typed(raw, "tasks", "alphabet"))
+        elif not all(isinstance(s, str) for s in alphabet):
+            raise ConfigError(f"tasks.alphabet entries must be strings, got {alphabet!r}")
+        tasks = TaskParams(count=_typed(raw, "tasks", "count"), grid=tuple(t["grid"]),
+                           alphabet=tuple(alphabet), seed=_typed(raw, "tasks", "seed"))
         if tasks.count < 1:
             raise ConfigError("tasks needs count >= 1")
         # Tasks the copy model cannot host, or a plan that cannot serve the
@@ -440,7 +442,7 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
         copy_cfg = copy_model_config(tasks.grid, tasks.alphabet)
         for num_visual in (model.num_patches, copy_cfg.num_patches):
             keep_schedule(prune, num_visual, steps)
-        bench = BenchParams(*(_integer(raw, "bench", k) for k in ("warmup", "reps", "prompt_len")))
+        bench = BenchParams(*(_typed(raw, "bench", k) for k in ("warmup", "reps", "prompt_len")))
         if not 0 <= bench.prompt_len <= DEFAULT_MAX_PROMPT:
             raise ConfigError(f"bench needs 0 <= prompt_len <= {DEFAULT_MAX_PROMPT}")
         return RunConfig(

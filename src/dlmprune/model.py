@@ -91,9 +91,8 @@ class HashedPatchTable:
     """Per-symbol embedding derived from (seed, sha256(symbol)); no fixed alphabet."""
 
     def __init__(self, seed: int, dim: int):
-        self.seed = int(seed)
         self.dim = int(dim)
-        self._parent = SeededRng(self.seed)  # split() draws nothing, so one parent serves all
+        self._parent = SeededRng(int(seed))  # split() draws nothing, so one parent serves all
 
     def vector(self, symbol: str) -> np.ndarray:
         digest = hashlib.sha256(symbol.encode("utf-8")).digest()
@@ -333,24 +332,20 @@ _ABSTAIN = 4.0
 _RAMP_STEP = 0.1
 
 
-def copy_model_config(patch_grid: tuple[int, int], symbols: Sequence[str],
-                      heads: int = 1) -> ModelConfig:
+def copy_model_config(patch_grid: tuple[int, int], symbols: Sequence[str]) -> ModelConfig:
     """Smallest ModelConfig that hosts the copy construction for this task family."""
     rows, cols = patch_grid
     n = rows * cols
     a = len(symbols)
-    d_needed = max(2 * n + 4 + 2 * a, heads * max(n, a + 1))
-    d = ((d_needed + heads - 1) // heads) * heads
     vocab = CopyTaskVocab(tuple(symbols), n).required_vocab
     return ModelConfig(
-        layers=12, heads=heads, embed_dim=d, vision_dim=a, ffn_dim=1,
+        layers=12, heads=1, embed_dim=2 * n + 4 + 2 * a, vision_dim=a, ffn_dim=1,
         vocab_size=vocab, patch_grid=(rows, cols), mask_token_id=vocab - 1,
     )
 
 
-def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str],
-                     heads: int = 1) -> ModelWeights:
-    """Analytic weights for the pointer task, sized by ``copy_model_config``.
+def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) -> ModelWeights:
+    """Analytic one-head weights for the pointer task, sized by ``copy_model_config``.
 
     Channel plan (d channels): per-patch position codes, pointer codes carried
     by index tokens, a target flag, marker channels for index/mask tokens, a
@@ -366,10 +361,9 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str],
     per-position ramp on the abstain logit makes confidence-ordered decoding
     commit later response positions first, so position 0 resolves last.
     """
-    cfg = copy_model_config(patch_grid, patch_symbols, heads)
+    cfg = copy_model_config(patch_grid, patch_symbols)
     vocab = CopyTaskVocab(tuple(patch_symbols), cfg.num_patches)
-    n, a = cfg.num_patches, vocab.num_symbols
-    d, h, dh = cfg.embed_dim, cfg.heads, cfg.head_dim
+    n, a, d = cfg.num_patches, vocab.num_symbols, cfg.embed_dim
 
     # Channel offsets.
     a1 = 0          # [a1, a1+n): position code of each visual token
@@ -408,29 +402,23 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str],
         )
 
     def broadcast_layer() -> LayerWeights:
-        wq = np.zeros((h, d, dh))
-        wk = np.zeros((h, d, dh))
-        wv = np.zeros((h, d, dh))
+        wq, wk, wv = (np.zeros((1, d, d)) for _ in range(3))
         wo = np.zeros((d, d))
-        for hd in range(h):
-            for i in range(n):
-                wq[hd, a1 + i, i] = 1.0
-                wk[hd, a2 + i, i] = 1.0
-            wv[hd, idx_mark, 0] = _FLAG_GAIN
-            wo[hd * dh + 0, flag_ch] = 1.0 / h
+        for i in range(n):
+            wq[0, a1 + i, i] = 1.0
+            wk[0, a2 + i, i] = 1.0
+        wv[0, idx_mark, 0] = _FLAG_GAIN
+        wo[0, flag_ch] = 1.0
         return attention_only_layer(wq, wk, wv, wo)
 
     def fetch_layer() -> LayerWeights:
-        wq = np.zeros((h, d, dh))
-        wk = np.zeros((h, d, dh))
-        wv = np.zeros((h, d, dh))
+        wq, wk, wv = (np.zeros((1, d, d)) for _ in range(3))
         wo = np.zeros((d, d))
-        for hd in range(h):
-            wq[hd, mask_mark, 0] = _FETCH_GAIN
-            wk[hd, flag_ch, 0] = 1.0
-            for j in range(a):
-                wv[hd, pv + j, 1 + j] = 1.0
-                wo[hd * dh + 1 + j, pr + j] = 1.0 / h
+        wq[0, mask_mark, 0] = _FETCH_GAIN
+        wk[0, flag_ch, 0] = 1.0
+        for j in range(a):
+            wv[0, pv + j, 1 + j] = 1.0
+            wo[1 + j, pr + j] = 1.0
         return attention_only_layer(wq, wk, wv, wo)
 
     output_w = np.zeros((d, cfg.vocab_size))

@@ -152,12 +152,10 @@ def select_top(visual_indices: np.ndarray, scores: np.ndarray, r: float) -> Keep
     return keep_top_n(visual_indices, scores, keep_count(n, r))
 
 
-def random_keep(visual_indices: np.ndarray, r: float, rng: SeededRng) -> KeepSet:
-    """Uniformly random keep set of the same size the scored selection would use."""
+def random_keep(visual_indices: np.ndarray, n_keep: int, rng: SeededRng) -> KeepSet:
+    """Uniformly random keep set of n_keep tokens, in original order."""
     indices = np.asarray(visual_indices, dtype=np.int64)
-    k = keep_count(indices.size, r)
-    picked = rng.subset(indices.size, k)
-    return KeepSet(indices=indices[picked])
+    return KeepSet(indices=indices[rng.subset(indices.size, n_keep)])
 
 
 def plan_progressive(num_visual: int, r: float, total_steps: int) -> list[int]:
@@ -202,9 +200,8 @@ def prune_to(state: "SequenceState", plan: PrunePlan, n_keep: int,
         keep = keep_top_n(state.visual_index_map, step_scores(state, capture, plan.scorer),
                           n_keep)
     else:
-        # Random pruning happens once per run, from all N tokens, so its draw
-        # is the first of the plan's stream and keep_count(N, r) == n_keep.
-        keep = random_keep(state.visual_index_map, plan.ratio, SeededRng(plan.rng_seed))
+        # Random pruning happens once per run, so its draw is the first of the plan's stream.
+        keep = random_keep(state.visual_index_map, n_keep, SeededRng(plan.rng_seed))
     apply_prune(state, keep)
 
 

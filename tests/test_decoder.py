@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dlmprune.decoder import (PolicyKind, SchedulePolicy, decode_quota, init_state,
                               remask_prob, run_inference, step)
 from dlmprune.model import (ModelConfig, build_copy_model, embed_prompt, embed_response,
                             encode_image, forward, init_random_model)
 from dlmprune.numerics import SeededRng, softmax_rows
-from dlmprune.pruning import PrunePlan, ScorerKind, keep_schedule, plan_progressive, prune_to
+from dlmprune.pruning import (EmptyGuidanceSet, PrunePlan, ScorerKind, keep_schedule,
+                              plan_progressive, prune_to, step_scores)
 
 
 def tiny_model(seed=1, grid=(2, 2), vocab=12):
@@ -255,6 +258,43 @@ class TestRunInference:
         v, p = tiny_inputs(w)
         _, _, stats = run_inference(v, p, 6, 4, w, SchedulePolicy.confidence(), plan)
         assert stats.per_step_lengths == [n + 2 + 6 for n in keep_schedule(plan, 9, 4)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(tau=hst.integers(1, 8), steps=hst.integers(1, 8), stochastic=hst.booleans(),
+           seed=hst.integers(0, 2**32 - 1))
+    def test_score_trace_has_one_entry_per_step_leaving_masked_rows(self, tau, steps,
+                                                                     stochastic, seed):
+        cfg, w = tiny_model()
+        v, p = tiny_inputs(w)
+        policy = SchedulePolicy.stochastic(seed) if stochastic else SchedulePolicy.confidence()
+        _, _, stats = run_inference(v, p, tau, steps, w, policy, None,
+                                    score_with=ScorerKind.MASKED)
+        # the same steps by hand: entry i is the scores after the i-th such step
+        st = init_state(v, p, tau, steps, mask_token_id=cfg.mask_token_id)
+        rng = SeededRng(seed) if stochastic else None
+        want = []
+        while st.masked.any():
+            st, out = step(st, w, policy, rng)
+            if st.masked.any():
+                want.append(step_scores(st, out.attention, ScorerKind.MASKED))
+        assert len(stats.score_trace) == len(want)
+        for got, ref in zip(stats.score_trace, want):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_score_trace_is_empty_without_score_with(self):
+        cfg, w = tiny_model()
+        v, p = tiny_inputs(w)
+        _, _, stats = run_inference(v, p, 4, 4, w, SchedulePolicy.confidence(), None)
+        assert stats.score_trace == []
+
+    def test_score_with_empty_guidance_set_raises(self):
+        # tau 2 over K 8 commits nothing at step 1, so there are no decoded
+        # rows to score; the step is not dropped from the trace
+        cfg, w = tiny_model()
+        v, p = tiny_inputs(w)
+        with pytest.raises(EmptyGuidanceSet):
+            run_inference(v, p, 2, 8, w, SchedulePolicy.confidence(), None,
+                          score_with=ScorerKind.DECODED)
 
     def test_invalid_progressive_counts(self):
         # a single step leaves no step to spread the progressive removals over

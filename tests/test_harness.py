@@ -454,13 +454,17 @@ class TestCli:
         ("flops", {"decode": {"K": 8.9}, "model": {"L": True}}),
         *[("flops", {section: {key: value}}) for section, key in INTEGER_KEYS
           for value in (8.9, 2.0, True, "8")],
+        ("flops", {"prune": {"r": "0.5"}}),
+        ("flops", {"prune": {"r": True}}),
+        ("run", {"tasks": {"alphabet": [1, 2]}}),
     ])
     def test_unservable_tasks_or_lengths_exit_2(self, tmp_path, command, data):
         # tasks the copy model cannot host, no tasks at all, a prompt or
         # response the positional table cannot hold, a grid that is not two
         # positive integers, a vocabulary with no id beside the mask token,
-        # repeated symbols, unknown keys and an integer key set to anything but
-        # an integer are configuration errors
+        # repeated symbols or symbols that are not strings, unknown keys, an
+        # integer key set to anything but an integer and a ratio that is not a
+        # number are configuration errors
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(data))
         assert main([command, "--config", str(cfg)]) == 2
@@ -541,3 +545,25 @@ def test_config_combination_sweep(tmp_path, command, scorer, strategy, prompt_le
         for r in reports if isinstance(reports, list) else [reports]:
             if "skipped" in r:
                 assert r["skipped"].startswith(f"guidance set {scorer!r} is empty")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("policy", ["confidence", "stochastic"])
+@pytest.mark.parametrize("tau", [1, 2, 3, 8])
+@pytest.mark.parametrize("K", [2, 3, 4, 8])
+@pytest.mark.parametrize("command", ["similarity", "ablate"])
+def test_analysis_combination_sweep(tmp_path, capsys, command, K, tau, policy, seed):
+    # similarity needs masked rows after two steps, which K, tau and (for
+    # the stochastic policy) the seed decide: a config that leaves fewer is a
+    # configuration error naming K and tau; ablate serves every combination
+    data = {"decode": {"K": K, "tau": tau, "policy": policy},
+            "tasks": {"count": 2, "grid": [2, 2], "alphabet": 4}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data))
+    code = main([command, "--config", str(cfg), "--seed", str(seed)])
+    if command == "ablate":
+        assert code == 0
+    else:
+        assert code in (0, 2)
+        if code == 2:
+            assert f"K={K} and tau={tau}" in capsys.readouterr().err

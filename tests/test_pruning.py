@@ -11,7 +11,8 @@ from dlmprune.model import (AttentionCapture, CopyTaskVocab, build_copy_model, e
 from dlmprune.numerics import SeededRng, softmax_rows
 from dlmprune.pruning import (EmptyGuidanceSet, KeepSet, PrunePlan, ScorerKind, apply_prune,
                               guidance_rows, importance_scores, keep_count, keep_schedule,
-                              mean_attention, plan_progressive, random_keep, select_top)
+                              mean_attention, plan_progressive, prune_to, random_keep,
+                              select_top)
 from test_decoder import tiny_inputs, tiny_model
 
 
@@ -205,20 +206,29 @@ class TestApplyPrune:
 
 class TestRandomKeep:
     def test_full_ratio_keeps_all(self):
-        keep = random_keep(np.arange(6), 1.0, SeededRng(9))
+        keep = random_keep(np.arange(6), 6, SeededRng(9))
         assert keep.indices.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_seed_determinism(self):
-        a = random_keep(np.arange(20), 0.3, SeededRng(10))
-        b = random_keep(np.arange(20), 0.3, SeededRng(10))
+        a = random_keep(np.arange(20), 6, SeededRng(10))
+        b = random_keep(np.arange(20), 6, SeededRng(10))
         np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_floor_count(self):
-        assert random_keep(np.arange(10), 0.25, SeededRng(11)).n_kept == 2
+        # the keep schedule owns the count, and a random plan keeps keep_count(N, r)
+        for n, r in [(10, 0.25), (9, 0.5), (7, 0.1), (6, 1.0)]:
+            cfg, w = tiny_model(grid=(1, n))
+            v, p = tiny_inputs(w)
+            plan = PrunePlan.random_once(r, seed=11)
+            st = init_state(v, p, 2, 2, mask_token_id=cfg.mask_token_id)
+            step(st, w, SchedulePolicy.confidence())
+            prune_to(st, plan, keep_schedule(plan, n, 2)[1], None)
+            assert st.num_visual == keep_count(n, r)
+            assert st.visual_index_map.tolist() == sorted(set(st.visual_index_map.tolist()))
 
     def test_sorted_subset_of_survivors(self):
         survivors = np.array([2, 5, 7, 11, 13])
-        keep = random_keep(survivors, 0.5, SeededRng(12))
+        keep = random_keep(survivors, 2, SeededRng(12))
         assert keep.n_kept == 2
         assert set(keep.indices.tolist()) <= set(survivors.tolist())
         assert np.all(np.diff(keep.indices) > 0)

@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Digest of what the perfbench decodes produce, to compare two checkouts.
+
+    python3 tools/decode_digest.py <checkout>
+
+Imports ``src/dlmprune`` and ``perfbench/workloads.py`` from the given
+checkout without writing to it (no bytecode files), with one BLAS thread. For
+seeds 1 and 2 it decodes the first 64 inputs of copy8x8 and tiny16 and all 4
+of vit1024 under every variant in ``workloads.VARIANTS`` (1,320 decodes), as
+the benchmark does, and prints one SHA-256 per workload over the decoded ids,
+the positions committed at each step, the per-step sequence lengths, the
+score traces and the keep sets applied. Keep sets are captured by wrapping
+``pruning.apply_prune``, as the benchmark's tracer does. A change that must
+leave every decode bitwise the same prints the same digests as its parent.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+SEEDS = (1, 2)
+MAX_INPUTS = 64
+
+
+def _update(h, array) -> None:
+    import numpy as np
+    a = np.ascontiguousarray(array)
+    h.update(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: decode_digest.py <checkout>", file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    if not (root / "src" / "dlmprune" / "__init__.py").is_file():
+        print(f"error: no dlmprune sources under {root / 'src'}", file=sys.stderr)
+        return 2
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import numpy as np
+    from dlmprune import decoder, pruning
+    from workloads import VARIANTS, WORKLOADS, plan_for
+
+    keeps: list = []
+    apply_prune = pruning.apply_prune
+
+    def recording_apply_prune(state, keep):
+        keeps.append(keep.indices.copy())
+        return apply_prune(state, keep)
+
+    pruning.apply_prune = recording_apply_prune
+    total = 0
+    for name, wl in WORKLOADS.items():
+        h = hashlib.sha256()
+        weights = wl.build_model()
+        for seed in SEEDS:
+            inputs = wl.make_inputs(np.random.default_rng(seed), weights)[:MAX_INPUTS]
+            for inp in inputs:
+                for variant in VARIANTS:
+                    score_with = pruning.ScorerKind.MASKED if variant == "scored" else None
+                    keeps.clear()
+                    ids, steps, stats = decoder.run_inference(
+                        inp.visual, inp.prompt, wl.tau, wl.steps, weights, inp.policy,
+                        plan_for(variant, inp), score_with=score_with)
+                    total += 1
+                    h.update(variant.encode())
+                    _update(h, ids)
+                    for outcome in steps:
+                        _update(h, outcome.newly_decoded)
+                    _update(h, np.asarray(stats.per_step_lengths, dtype=np.int64))
+                    # checkouts before the trace became a list hold None without score_with
+                    for scores in stats.score_trace or []:
+                        _update(h, scores)
+                    h.update(f"keeps{len(keeps)}".encode())
+                    for keep in keeps:
+                        _update(h, keep)
+        print(f"{name:8s} {h.hexdigest()}")
+    print(f"decodes  {total}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
