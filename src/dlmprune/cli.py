@@ -70,7 +70,7 @@ def _printed(reports: list[harness.BenchReport]) -> list[harness.BenchReport]:
     return reports
 
 
-def _cmd_run(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
+def _cmd_run(cfg: harness.RunConfig, args) -> harness.BenchReport:
     model_cfg, weights = harness.copy_setup(cfg.tasks)
     inputs, expected = harness.pointer_inputs(replace(cfg.tasks, count=1), weights)
     [runs] = harness.decode(weights, cfg, inputs, [cfg.prune])
@@ -81,10 +81,10 @@ def _cmd_run(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
         print(f"expected    : {expected[0]} ({'ok' if ids[0] == expected[0] else 'MISS'})")
         print(f"wall time   : {stats.seconds_total:.6f}s over {len(stats.per_step_lengths)} steps")
         print(f"seq lengths : {stats.per_step_lengths}")
-    return _printed([report])
+    return _printed([report])[0]
 
 
-def _cmd_similarity(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
+def _cmd_similarity(cfg: harness.RunConfig, args) -> Optional[harness.BenchReport]:
     curve = harness.run_similarity(cfg)
     for i, sim in enumerate(curve.sims):
         print(f"step {curve.first_step + i:3d} vs 1: cosine {sim:.6f}")
@@ -92,11 +92,11 @@ def _cmd_similarity(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
     if args.out and args.format == "csv":
         harness.emit_similarity_csv(curve, args.out)
         print(f"curve written to {args.out}")
-        return []
-    return [harness.BenchReport(variant="similarity", similarity=curve, config=cfg.raw)]
+        return None
+    return harness.BenchReport(variant="similarity", similarity=curve, config=cfg.raw)
 
 
-def _cmd_flops(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
+def _cmd_flops(cfg: harness.RunConfig, args) -> harness.BenchReport:
     n_vis, rest = cfg.model.num_patches, cfg.bench.prompt_len + cfg.response_len
     base = [v + rest for v in keep_schedule(None, n_vis, cfg.steps)]
     pruned = [v + rest for v in keep_schedule(cfg.prune, n_vis, cfg.steps)]
@@ -105,8 +105,8 @@ def _cmd_flops(cfg: harness.RunConfig, args) -> list[harness.BenchReport]:
     print(f"baseline flops: {report.baseline}")
     print(f"pruned flops  : {report.pruned}")
     print(f"ratio         : {report.ratio:.6f}")
-    return [harness.BenchReport(variant=f"flops/{harness.variant_label(cfg.prune)}",
-                                flops=report, config=cfg.raw)]
+    return harness.BenchReport(variant=f"flops/{harness.variant_label(cfg.prune)}",
+                               flops=report, config=cfg.raw)
 
 
 _COMMANDS = {
@@ -122,10 +122,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(args)
+        # run, similarity and flops write a JSON object, ablate and bench an array
         reports = _COMMANDS[args.command](cfg, args)
-        if args.out and reports:
-            harness.emit_report(reports if len(reports) > 1 else reports[0],
-                                args.out, format=args.format)
+        if args.out and reports is not None:
+            harness.emit_report(reports, args.out, format=args.format)
             print(f"report written to {args.out}")
     except harness.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ import csv
 import json
 import string
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -119,19 +119,21 @@ def decode(weights: ModelWeights, cfg: RunConfig, inputs: Sequence[tuple],
     """Decode every (visual, prompt) input under every plan (None: unpruned).
 
     The plans take turns on each input, so a drift in machine speed reaches
-    all of them alike instead of whichever ran during it. Returns, per plan,
-    the (ids, stats) of each input, or the EmptyGuidanceSet that stopped the
-    plan: a plan whose guidance set (or ``score_with``'s) has no rows when it
-    prunes (or scores) is not run on later inputs; the other plans still run.
+    all of them alike instead of whichever ran during it. Input j unmasks under
+    its own stream, seeded ``cfg.policy.rng_seed + j``. Returns, per plan, the
+    (ids, stats) of each input, or the EmptyGuidanceSet that stopped the plan:
+    a plan whose guidance set (or ``score_with``'s) has no rows when it prunes
+    (or scores) is not run on later inputs; the other plans still run.
     """
     runs: list = [[] for _ in plans]
-    for visual, prompt in inputs:
+    for j, (visual, prompt) in enumerate(inputs):
+        policy = replace(cfg.policy, rng_seed=cfg.policy.rng_seed + j)
         for i, plan in enumerate(plans):
             if isinstance(runs[i], EmptyGuidanceSet):
                 continue
             try:
                 ids, _, stats = run_inference(visual, prompt, cfg.response_len, cfg.steps,
-                                              weights, cfg.policy, plan, score_with=score_with)
+                                              weights, policy, plan, score_with=score_with)
             except EmptyGuidanceSet as exc:
                 runs[i] = exc
             else:
@@ -199,25 +201,26 @@ def run_ablation(cfg: RunConfig) -> list[BenchReport]:
     """Baseline plus every scorer (one-shot pruning) and every strategy at one ratio."""
     if cfg.steps < 2:
         raise ConfigError("ablation needs at least 2 steps: pruning follows step 1")
-    ratio = cfg.prune.ratio if cfg.prune is not None else 0.5
-    seed = (cfg.prune.rng_seed if cfg.prune is not None and cfg.prune.rng_seed is not None
-            else cfg.tasks.seed + 1)
+    if cfg.prune is None:
+        raise ConfigError("ablation reads r and seed from the prune section, which is null")
+    ratio = cfg.prune.ratio
     plans = [PrunePlan.once(ratio, scorer) for scorer in ScorerKind]
-    plans.append(PrunePlan.random_once(ratio, seed))
+    plans.append(PrunePlan.random_once(ratio, cfg.prune.rng_seed))
     plans.append(PrunePlan.progressive(ratio))
     return run_accuracy(cfg, plans=plans)
 
 
 def run_similarity(cfg: RunConfig) -> analysis.SimilarityCurve:
-    """Per-step masked-row importance scores from unpruned runs, compared to step 1."""
+    """Per-step masked-row importance scores from unpruned runs, compared to step 1,
+    over the steps that every input scored (each input unmasks in its own order)."""
     _, weights = copy_setup(cfg.tasks)
     inputs, _ = pointer_inputs(cfg.tasks, weights)
     [runs] = decode(weights, cfg, inputs, [None], score_with=ScorerKind.MASKED)
-    scored, dec = min(len(stats.score_trace) for _, stats in runs), cfg.raw["decode"]
+    scored = min(len(stats.score_trace) for _, stats in runs)
     if scored < 2:
-        raise ConfigError(f"similarity needs masked rows after at least two steps; K={dec['K']} "
-                          f"and tau={dec['tau']} leave them after {scored} step(s)")
-    return analysis.similarity_curve([stats.score_trace for _, stats in runs])
+        raise ConfigError(f"similarity needs masked rows after at least two steps; K={cfg.steps} "
+                          f"and tau={cfg.response_len} leave them after {scored} step(s)")
+    return analysis.similarity_curve([stats.score_trace[:scored] for _, stats in runs])
 
 
 def _bench_inputs(cfg: RunConfig, weights: ModelWeights) -> list[tuple]:
@@ -407,17 +410,10 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
             layers=layers, heads=heads, embed_dim=d, vision_dim=d_v, ffn_dim=mu,
             vocab_size=vocab, patch_grid=grid, mask_token_id=vocab - 1,
         )
-        dec = raw["decode"]
         steps, tau, seed = (_typed(raw, "decode", k) for k in ("K", "tau", "seed"))
         if steps < 1 or not 1 <= tau <= DEFAULT_MAX_RESPONSE:
             raise ConfigError(f"decode needs K >= 1 and 1 <= tau <= {DEFAULT_MAX_RESPONSE}")
-        policy_name = str(dec["policy"])
-        if policy_name == PolicyKind.STOCHASTIC.value:
-            policy = SchedulePolicy.stochastic(seed)
-        elif policy_name == PolicyKind.CONFIDENCE.value:
-            policy = SchedulePolicy.confidence()
-        else:
-            raise ConfigError(f"unknown policy: {policy_name}")
+        policy = SchedulePolicy(PolicyKind(str(raw["decode"]["policy"])), rng_seed=seed)
         prune = None
         if raw["prune"] is not None:
             p = raw["prune"]
@@ -425,7 +421,7 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
                 strategy=StrategyKind(str(p["strategy"])),
                 ratio=float(_typed(raw, "prune", "r", (int, float), "a number")),
                 scorer=ScorerKind(str(p["scorer"])),
-                rng_seed=_typed(raw, "prune", "seed") if p["seed"] is not None else None,
+                rng_seed=_typed(raw, "prune", "seed"),
             )
         t = raw["tasks"]
         alphabet = t["alphabet"]

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from dlmprune import decoder
 from dlmprune.decoder import (PolicyKind, SchedulePolicy, decode_quota, init_state,
                               remask_prob, run_inference, step)
 from dlmprune.model import (ModelConfig, build_copy_model, embed_prompt, embed_response,
@@ -280,6 +283,38 @@ class TestRunInference:
         assert len(stats.score_trace) == len(want)
         for got, ref in zip(stats.score_trace, want):
             np.testing.assert_array_equal(got, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau=hst.integers(1, 8), steps=hst.integers(1, 8), stochastic=hst.booleans(),
+           strategy=hst.sampled_from([None, "once", "random", "progressive"]),
+           ratio=hst.sampled_from([0.25, 0.5, 1.0]), seed=hst.integers(0, 2**32 - 1))
+    def test_commits_partition_the_response_and_never_change(self, tau, steps, stochastic,
+                                                             strategy, ratio, seed):
+        assume(strategy != "progressive" or steps > 1)
+        cfg, w = tiny_model(grid=(3, 3))
+        v, p = tiny_inputs(w)
+        policy = SchedulePolicy.stochastic(seed) if stochastic else SchedulePolicy.confidence()
+        plan = {None: None, "once": PrunePlan.once(ratio),
+                "random": PrunePlan.random_once(ratio, seed=seed),
+                "progressive": PrunePlan.progressive(ratio)}[strategy]
+        snapshots = []
+
+        def recording_step(state, *args, **kwargs):
+            state, out = step(state, *args, **kwargs)
+            snapshots.append(state.response_ids.copy())
+            return state, out
+
+        with mock.patch.object(decoder, "step", recording_step):
+            ids, trace, _ = run_inference(v, p, tau, steps, w, policy, plan)
+        newly = [set(out.newly_decoded.tolist()) for out in trace]
+        assert sum(map(len, newly)) == tau and set().union(*newly) == set(range(tau))
+        committed: dict = {}
+        for ids_now, new in zip(snapshots, newly):
+            committed.update((pos, ids_now[pos]) for pos in new)
+            assert {pos: ids_now[pos] for pos in committed} == committed
+            masked = sorted(set(range(tau)) - set(committed))
+            assert np.all(ids_now[masked] == cfg.mask_token_id)
+        assert ids.tolist() == [committed[pos] for pos in range(tau)]
 
     def test_score_trace_is_empty_without_score_with(self):
         cfg, w = tiny_model()

@@ -121,7 +121,59 @@ class TestRunAccuracy:
         assert once.flops.ratio < prog.flops.ratio < 1.0
 
 
+def record_decodes(monkeypatch):
+    """Each run_inference call of the harness: its policy seed and per-step commits."""
+    calls = []
+
+    def recording_run_inference(visual, prompt, tau, steps, weights, policy, *args, **kwargs):
+        ids, trace, stats = run_inference(visual, prompt, tau, steps, weights, policy,
+                                          *args, **kwargs)
+        calls.append((policy.rng_seed, [out.newly_decoded.tolist() for out in trace]))
+        return ids, trace, stats
+
+    monkeypatch.setattr(harness, "run_inference", recording_run_inference)
+    return calls
+
+
+class TestDecode:
+    def test_stochastic_inputs_unmask_in_their_own_orders(self, monkeypatch):
+        # one stream shared by every input gave all five tasks the commits
+        # [[7], [], [1, 5, 6], [2], [], [0, 4], [3]]
+        calls = record_decodes(monkeypatch)
+        cfg = config_from_dict({"decode": {"policy": "stochastic"}, "tasks": {"count": 5}})
+        _, weights = harness.copy_setup(cfg.tasks)
+        inputs, _ = harness.pointer_inputs(cfg.tasks, weights)
+        harness.decode(weights, cfg, inputs, [None])
+        assert len(calls) == 5
+        assert len({json.dumps(commits) for _, commits in calls}) > 1
+
+    def test_input_j_decodes_under_seed_plus_j(self, monkeypatch):
+        # every plan sees the same stream on one input
+        calls = record_decodes(monkeypatch)
+        cfg = config_from_dict({"decode": {"policy": "stochastic", "seed": 40},
+                                "tasks": {"count": 3}})
+        _, weights = harness.copy_setup(cfg.tasks)
+        inputs, _ = harness.pointer_inputs(cfg.tasks, weights)
+        harness.decode(weights, cfg, inputs, [None, PrunePlan.random_once(0.5, seed=1)])
+        assert [seed for seed, _ in calls] == [40, 40, 41, 41, 42, 42]
+        assert calls[0][1] == calls[1][1] and calls[0][1] != calls[2][1]
+
+
 class TestRunSimilarity:
+    def test_stochastic_curve_covers_the_steps_every_input_scored(self, tmp_path):
+        data = {"decode": {"K": 8, "tau": 8, "policy": "stochastic"},
+                "tasks": {"count": 3, "grid": [2, 2], "alphabet": 4, "seed": 2}}
+        cfg = config_from_dict(data)
+        _, weights = harness.copy_setup(cfg.tasks)
+        inputs, _ = harness.pointer_inputs(cfg.tasks, weights)
+        [runs] = harness.decode(weights, cfg, inputs, [None], score_with=ScorerKind.MASKED)
+        scored = [len(stats.score_trace) for _, stats in runs]
+        assert len(set(scored)) > 1  # the inputs leave masked rows after unequal step counts
+        assert len(run_similarity(cfg).sims) == min(scored) - 1
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        assert main(["similarity", "--config", str(path)]) == 0
+
     def test_copy_model_curve_is_flat(self):
         cfg = config_from_dict({
             "decode": {"K": 4, "tau": 4},
@@ -410,6 +462,36 @@ class TestCli:
         assert all(r["accuracy"] is not None and "skipped" not in r for r in reports.values())
         assert "once/decoded/r=0.5" in capsys.readouterr().out
 
+    def test_stochastic_ablation_skips_decoded_when_a_task_commits_nothing_at_step_1(
+            self, tmp_path, capsys):
+        # each task unmasks in its own order, and with the default K and tau
+        # some task commits no position at step 1: one-shot decoded-row
+        # scoring has no rows there and is reported as skipped
+        out_path = tmp_path / "ablate.json"
+        assert main(["ablate", "--policy", "stochastic", "--out", str(out_path)]) == 0
+        reports = {r["variant"]: r for r in json.loads(out_path.read_text())}
+        assert reports["once/decoded/r=0.5"]["skipped"] == (
+            "guidance set 'decoded' is empty at step 1")
+        assert sum("skipped" in r for r in reports.values()) == 1
+
+    @pytest.mark.parametrize("command,prune,count", [
+        ("bench", None, 1), ("bench", ONCE_PRUNE, 2), ("ablate", ONCE_PRUNE, 10),
+        ("run", ONCE_PRUNE, None), ("similarity", ONCE_PRUNE, None), ("flops", None, None)])
+    def test_out_json_shape_is_fixed_per_command(self, tmp_path, command, prune, count):
+        # ablate and bench write an array whatever its length (bench with the
+        # prune section null has one report), the others one object
+        cfg, out_path = tmp_path / "c.json", tmp_path / "out.json"
+        cfg.write_text(json.dumps({
+            "decode": {"K": 4, "tau": 4}, "prune": prune, "model": {"L": 1},
+            "tasks": {"count": 2, "grid": [2, 2], "alphabet": 4},
+            "bench": {"warmup": 1, "reps": 1}}))
+        assert main([command, "--config", str(cfg), "--out", str(out_path)]) == 0
+        reports = json.loads(out_path.read_text())
+        if count is None:
+            assert isinstance(reports, dict)
+        else:
+            assert isinstance(reports, list) and len(reports) == count
+
     def test_invalid_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"prune": {"r": 9}}')
@@ -457,14 +539,17 @@ class TestCli:
         ("flops", {"prune": {"r": "0.5"}}),
         ("flops", {"prune": {"r": True}}),
         ("run", {"tasks": {"alphabet": [1, 2]}}),
+        ("ablate", {"prune": None}),
+        ("run", {"prune": {"seed": None}}),
     ])
     def test_unservable_tasks_or_lengths_exit_2(self, tmp_path, command, data):
         # tasks the copy model cannot host, no tasks at all, a prompt or
         # response the positional table cannot hold, a grid that is not two
         # positive integers, a vocabulary with no id beside the mask token,
         # repeated symbols or symbols that are not strings, unknown keys, an
-        # integer key set to anything but an integer and a ratio that is not a
-        # number are configuration errors
+        # integer key set to anything but an integer, a ratio that is not a
+        # number and an ablation with no prune section to read r and the
+        # random seed from are configuration errors
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(data))
         assert main([command, "--config", str(cfg)]) == 2
@@ -542,7 +627,7 @@ def test_config_combination_sweep(tmp_path, command, scorer, strategy, prompt_le
     assert code in (0, 2)
     if code == 0:
         reports = json.loads(out.read_text())
-        for r in reports if isinstance(reports, list) else [reports]:
+        for r in reports if command == "bench" else [reports]:
             if "skipped" in r:
                 assert r["skipped"].startswith(f"guidance set {scorer!r} is empty")
 
@@ -567,3 +652,21 @@ def test_analysis_combination_sweep(tmp_path, capsys, command, K, tau, policy, s
         assert code in (0, 2)
         if code == 2:
             assert f"K={K} and tau={tau}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vocab", [2, 40])
+@pytest.mark.parametrize("L,H,d", [(1, 1, 4), (2, 2, 8), (1, 3, 8)])
+@pytest.mark.parametrize("alphabet", [1, ["x", "y", "z"]])
+@pytest.mark.parametrize("tasks_grid", [[1, 1], [3, 2]])
+@pytest.mark.parametrize("model_grid", [[1, 1], [2, 3]])
+@pytest.mark.parametrize("command", ["run", "bench", "flops"])
+def test_model_and_tasks_combination_sweep(tmp_path, command, model_grid, tasks_grid,
+                                           alphabet, L, H, d, vocab):
+    # the model and tasks sections together: a shape whose heads do not
+    # divide d is a configuration error, every other combination is served
+    data = {"model": {"grid": model_grid, "L": L, "H": H, "d": d, "vocab": vocab},
+            "tasks": {"grid": tasks_grid, "alphabet": alphabet, "count": 2},
+            "bench": {"warmup": 1, "reps": 1}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data))
+    assert main([command, "--config", str(cfg)]) == (2 if d % H else 0)

@@ -12,17 +12,30 @@ the positions committed at each step, the per-step sequence lengths, the
 score traces and the keep sets applied. Keep sets are captured by wrapping
 ``pruning.apply_prune``, as the benchmark's tracer does. A change that must
 leave every decode bitwise the same prints the same digests as its parent.
+
+It then runs each command of ``REPORT_COMMANDS`` through the checkout's CLI
+under ``--policy confidence`` and ``--policy stochastic`` and prints one
+SHA-256 of the ``--out`` JSON with the timings (``TIMINGS``) removed, or the
+exit code of a command that fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2)
 MAX_INPUTS = 64
+REPORT_COMMANDS = (["run", "--seed", "9"], ["ablate", "--r", "0.25"], ["similarity"],
+                   ["flops", "--r", "0.25", "--strategy", "progressive"], ["bench", "--r", "0.25"])
+POLICIES = ("confidence", "stochastic")
+TIMINGS = ("latency_s_per_sample", "throughput_tok_per_s")
 
 
 def _update(h, array) -> None:
@@ -84,7 +97,31 @@ def main(argv=None) -> int:
                         _update(h, keep)
         print(f"{name:8s} {h.hexdigest()}")
     print(f"decodes  {total}")
+    pruning.apply_prune = apply_prune
+    _print_report_digests()
     return 0
+
+
+def _print_report_digests() -> None:
+    from dlmprune.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        for command in REPORT_COMMANDS:
+            for policy in POLICIES:
+                args = command + ["--policy", policy, "--out", str(out)]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli_main(args)
+                label = " ".join(command + ["--policy", policy])
+                if code != 0:
+                    print(f"{label:58s} exit {code}")
+                    continue
+                data = json.loads(out.read_text())
+                for report in data if isinstance(data, list) else [data]:
+                    for key in TIMINGS:
+                        report.pop(key, None)
+                digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+                print(f"{label:58s} {digest}")
 
 
 if __name__ == "__main__":
