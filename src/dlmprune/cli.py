@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import Optional
 
 from . import analysis, harness
+from .decoder import PolicyKind
 from .pruning import ScorerKind, StrategyKind, keep_schedule
 
 
@@ -33,10 +35,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=float, help="retaining ratio override")
         p.add_argument("--scorer", choices=[s.value for s in ScorerKind])
         p.add_argument("--strategy", choices=[s.value for s in StrategyKind])
-        p.add_argument("--policy", choices=["stochastic", "confidence"])
+        p.add_argument("--policy", choices=[s.value for s in PolicyKind])
         p.add_argument("--out", help="write the report here")
         p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
+
+
+def _check_out(path: Optional[str]) -> None:
+    """Reject an --out that no report could be written to, before any work."""
+    if path and Path(path).is_dir():
+        raise harness.ConfigError(f"--out {path} is a directory")
+    if path and not Path(path).parent.is_dir():
+        raise harness.ConfigError(f"--out {path} is in no existing directory")
 
 
 def _apply_overrides(args) -> harness.RunConfig:
@@ -121,6 +131,7 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         cfg = _apply_overrides(args)
         # run, similarity and flops write a JSON object, ablate and bench an array
         reports = _COMMANDS[args.command](cfg, args)

@@ -398,6 +398,14 @@ def _typed(raw: dict, section: str, key: str, types=int, what="an integer"):
     return value
 
 
+def _member(raw: dict, section: str, key: str, kind):
+    """The member of enum ``kind`` whose value the JSON value names exactly."""
+    value, allowed = raw[section][key], [m.value for m in kind]
+    if value not in allowed:
+        raise ConfigError(f"{section}.{key} must be one of {', '.join(allowed)}, got {value!r}")
+    return kind(value)
+
+
 def config_from_dict(data: Optional[dict]) -> RunConfig:
     """Build a validated RunConfig from (partial) JSON data merged over defaults."""
     raw = _merge(DEFAULT_CONFIG, data)
@@ -413,14 +421,13 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
         steps, tau, seed = (_typed(raw, "decode", k) for k in ("K", "tau", "seed"))
         if steps < 1 or not 1 <= tau <= DEFAULT_MAX_RESPONSE:
             raise ConfigError(f"decode needs K >= 1 and 1 <= tau <= {DEFAULT_MAX_RESPONSE}")
-        policy = SchedulePolicy(PolicyKind(str(raw["decode"]["policy"])), rng_seed=seed)
+        policy = SchedulePolicy(_member(raw, "decode", "policy", PolicyKind), rng_seed=seed)
         prune = None
         if raw["prune"] is not None:
-            p = raw["prune"]
             prune = PrunePlan(
-                strategy=StrategyKind(str(p["strategy"])),
+                strategy=_member(raw, "prune", "strategy", StrategyKind),
                 ratio=float(_typed(raw, "prune", "r", (int, float), "a number")),
-                scorer=ScorerKind(str(p["scorer"])),
+                scorer=_member(raw, "prune", "scorer", ScorerKind),
                 rng_seed=_typed(raw, "prune", "seed"),
             )
         t = raw["tasks"]

@@ -139,21 +139,17 @@ def sinusoidal_table(length: int, dim: int) -> np.ndarray:
 def encode_image(image: Sequence[Sequence[str]], weights: ModelWeights) -> Matrix:
     """Embed a patch-symbol grid into visual token rows (row-major patch order).
 
-    Each row is the projected patch embedding plus that patch's position
-    vector, so a visual token keeps its identity even after rows are sliced
-    out by pruning.
+    Each row is its symbol's projected embedding, computed once per distinct
+    symbol, plus that patch's position vector, so a visual token keeps its
+    identity even after rows are sliced out by pruning.
     """
     cfg = weights.config
     rows, cols = cfg.patch_grid
     if len(image) != rows or any(len(r) != cols for r in image):
         raise ValueError(f"image grid does not match patch_grid {cfg.patch_grid}")
-    out = np.zeros((cfg.num_patches, cfg.embed_dim))
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            out[i] = weights.patch_embed.vector(image[r][c]) @ weights.projector
-            out[i] += weights.positional[i]
-    return out
+    flat = [s for row in image for s in row]
+    projected = {s: weights.patch_embed.vector(s) @ weights.projector for s in dict.fromkeys(flat)}
+    return np.stack([projected[s] for s in flat]) + weights.positional[:cfg.num_patches]
 
 
 def _embed_tokens(ids: Sequence[int], weights: ModelWeights, base: int, what: str) -> Matrix:
@@ -162,8 +158,6 @@ def _embed_tokens(ids: Sequence[int], weights: ModelWeights, base: int, what: st
         raise ValueError(f"{what} token id outside vocab of {weights.config.vocab_size}")
     if base + ids.size > weights.positional.shape[0]:
         raise ValueError(f"{what} of length {ids.size} exceeds positional capacity")
-    if ids.size == 0:
-        return np.zeros((0, weights.config.embed_dim))
     return weights.token_embed[ids] + weights.positional[base : base + ids.size]
 
 
@@ -215,7 +209,7 @@ def forward(x: Matrix, weights: ModelWeights,
     if n < 1:
         raise ValueError("need at least one input row")
     scale = 1.0 / np.sqrt(cfg.head_dim)
-    h = x.copy()
+    h = x
     scores = np.empty((n, n))
     total = np.zeros((n, n)) if capture else None
     for lw in weights.layers:

@@ -5,7 +5,7 @@ import pytest
 
 from dlmprune import analysis, harness
 from dlmprune.cli import main
-from dlmprune.decoder import run_inference
+from dlmprune.decoder import PolicyKind, run_inference
 from dlmprune.harness import (BenchReport, ConfigError, config_from_dict, emit_report,
                               gen_pointer_task, run_accuracy, run_bench, run_similarity)
 from dlmprune.model import CopyTaskVocab, embed_prompt, encode_image
@@ -491,6 +491,30 @@ class TestCli:
             assert isinstance(reports, dict)
         else:
             assert isinstance(reports, list) and len(reports) == count
+
+    @pytest.mark.parametrize("value", ["sometimes", 3, []])
+    @pytest.mark.parametrize("section,key,kind", [
+        ("prune", "strategy", StrategyKind), ("prune", "scorer", ScorerKind),
+        ("decode", "policy", PolicyKind)])
+    def test_enum_value_error_names_key_and_choices(self, tmp_path, capsys, section, key,
+                                                    kind, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        assert main(["flops", "--config", str(cfg)]) == 2
+        allowed = ", ".join(m.value for m in kind)
+        assert capsys.readouterr().err == (
+            f"configuration error: {section}.{key} must be one of {allowed}, got {value!r}\n")
+
+    @pytest.mark.parametrize("args", [
+        ["flops", "--out", "{tmp}"],
+        ["ablate", "--out", "{tmp}/nonexistent/r.json"],
+        ["similarity", "--format", "csv", "--out", "{tmp}/nonexistent/x.csv"]])
+    def test_unwritable_out_exit_2_before_any_work(self, tmp_path, capsys, args):
+        args = [a.format(tmp=tmp_path) for a in args]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert args[-1] in captured.err
 
     def test_invalid_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -62,6 +62,39 @@ class TestEncodeImage:
         with pytest.raises(ValueError, match="unknown patch symbol"):
             encode_image([["a", "z"], ["a", "b"]], w)
 
+    def test_first_unknown_symbol_in_row_major_order_is_named(self):
+        w = build_copy_model((2, 2), ("a", "b"))
+        with pytest.raises(ValueError, match="unknown patch symbol: 'y'"):
+            encode_image([["a", "y"], ["z", "b"]], w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
+           num_symbols=st.integers(1, 4), copy=st.booleans())
+    def test_equals_per_patch_reference(self, data, rows, cols, num_symbols, copy):
+        symbols = ("a", "b", "s2", "s3")[:num_symbols]
+        image = data.draw(st.lists(st.lists(st.sampled_from(symbols), min_size=cols,
+                                            max_size=cols), min_size=rows, max_size=rows))
+        w = (build_copy_model((rows, cols), symbols) if copy
+             else init_random_model(small_config(patch_grid=(rows, cols)), rows * 7 + cols))
+        flat = [s for row in image for s in row]
+        want = [w.patch_embed.vector(s) @ w.projector + w.positional[i] for i, s in enumerate(flat)]
+        np.testing.assert_array_equal(encode_image(image, w), np.array(want))
+
+    def test_projects_each_distinct_symbol_once(self):
+        w = init_random_model(small_config(patch_grid=(32, 32)), 1)
+        table, calls = w.patch_embed, []
+
+        class CountingTable:
+            def vector(self, symbol):
+                calls.append(symbol)
+                return table.vector(symbol)
+
+        w.patch_embed = CountingTable()
+        symbols = [f"s{i}" for i in range(16)]
+        image = [[symbols[(r * 32 + c) * 7 % 16] for c in range(32)] for r in range(32)]
+        assert encode_image(image, w).shape == (1024, 16)
+        assert sorted(calls) == sorted(symbols)
+
     def test_copy_patch_vectors_orthogonal(self):
         w = build_copy_model((2, 2), ("a", "b", "c"))
         va = w.patch_embed.vector("a")
@@ -80,7 +113,8 @@ class TestEncodeImage:
 class TestEmbedTokens:
     def test_empty_prompt(self):
         w = init_random_model(small_config(), 1)
-        assert embed_prompt([], w).shape == (0, 16)
+        e = embed_prompt([], w)
+        assert e.shape == (0, 16) and e.dtype == np.float64
 
     def test_single_token(self):
         w = init_random_model(small_config(), 1)
@@ -142,6 +176,15 @@ class TestForward:
             for m in layer_maps:
                 np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-6)
                 assert np.all(m >= 0.0)
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_input_left_unchanged(self, copy, capture):
+        w = build_copy_model((2, 2), ("a", "b")) if copy else init_random_model(small_config(), 7)
+        x = SeededRng(8).normal(size=(6, w.config.embed_dim))
+        before = x.copy()
+        forward(x, w, capture=capture)
+        np.testing.assert_array_equal(x, before)
 
     def test_shape_mismatch(self):
         w = init_random_model(small_config(), 6)

@@ -12,6 +12,9 @@ the positions committed at each step, the per-step sequence lengths, the
 score traces and the keep sets applied. Keep sets are captured by wrapping
 ``pruning.apply_prune``, as the benchmark's tracer does. A change that must
 leave every decode bitwise the same prints the same digests as its parent.
+A second line per workload, ``<name> inputs``, is one SHA-256 over the
+embedded visual and prompt rows of every input decoded, so a change to the
+embedding path shows directly, not only through the decodes.
 
 It then runs each command of ``REPORT_COMMANDS`` through the checkout's CLI
 under ``--policy confidence`` and ``--policy stochastic`` and prints one
@@ -72,11 +75,13 @@ def main(argv=None) -> int:
     pruning.apply_prune = recording_apply_prune
     total = 0
     for name, wl in WORKLOADS.items():
-        h = hashlib.sha256()
+        h, h_inputs = hashlib.sha256(), hashlib.sha256()
         weights = wl.build_model()
         for seed in SEEDS:
             inputs = wl.make_inputs(np.random.default_rng(seed), weights)[:MAX_INPUTS]
             for inp in inputs:
+                _update(h_inputs, inp.visual)
+                _update(h_inputs, inp.prompt)
                 for variant in VARIANTS:
                     score_with = pruning.ScorerKind.MASKED if variant == "scored" else None
                     keeps.clear()
@@ -96,6 +101,7 @@ def main(argv=None) -> int:
                     for keep in keeps:
                         _update(h, keep)
         print(f"{name:8s} {h.hexdigest()}")
+        print(f"{name} inputs {h_inputs.hexdigest()}")
     print(f"decodes  {total}")
     pruning.apply_prune = apply_prune
     _print_report_digests()
