@@ -130,12 +130,13 @@ def decode_quota(k: int, tau: int, total_steps: int) -> int:
 
 
 def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
-         rng: Optional[SeededRng] = None, *, capture: bool = True
+         rng: Optional[SeededRng] = None, *, capture: bool = True, first_row: int = 0
          ) -> tuple[SequenceState, StepOutcome]:
     """Run one inference step in place and report what it committed.
 
     Already-decoded positions are never altered. The outcome's attention is
-    the layer/head mean of this step's maps, one (n, n) map; ``capture=False``
+    the layer/head mean of rows ``first_row..n-1`` of this step's maps, one
+    (n - first_row, n) map; by default the whole (n, n) map. ``capture=False``
     skips it (logits are unaffected).
     """
     k = state.step
@@ -143,7 +144,7 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
         raise ValueError(f"step {k} exceeds configured total {state.total_steps}")
     resp_embed = embed_response(state.response_ids, weights)
     x = np.vstack([state.visual, state.prompt, resp_embed])
-    logits, cap = forward(x, weights, capture=capture)
+    logits, cap = forward(x, weights, capture=capture, first_row=first_row)
     if cap is not None:
         cap.step_index = k
     resp_logits = logits[state.num_visual + state.prompt_len :]
@@ -180,8 +181,9 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     The plan's keep schedule alone decides the pruning: after step k the
     state is cut to the count scheduled for step k+1 when that count is
     smaller, and attention is captured only for a step whose prune is scored.
-    That layer/head-mean map lives only long enough to score it; the returned
-    trace holds none.
+    The capture holds only the rows from the first one a scorer in use reads
+    (``pruning.first_guidance_row``), and lives only long enough to score
+    that step; the returned trace holds none.
     ``score_with`` records that guidance set's importance vector after every
     step that leaves masked rows, without pruning anything (used for
     score-stability analysis); an empty guidance set raises, as when pruning.
@@ -199,9 +201,15 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
         if not state.masked.any():
             break
         prune_next = k < total_steps and schedule[k] < state.num_visual
-        need_capture = score_with is not None or (prune_next and prune_plan.scored)
-        stats.per_step_lengths.append(state.seq_len)
-        state, outcome = step(state, weights, policy, rng, capture=need_capture)
+        n = state.seq_len
+        first_row = n  # capture from this row on: none unless a scorer reads
+        if score_with is not None:
+            first_row = pruning.first_guidance_row(state, score_with)
+        if prune_next and prune_plan.scored:
+            first_row = min(first_row, pruning.first_guidance_row(state, prune_plan.scorer))
+        stats.per_step_lengths.append(n)
+        state, outcome = step(state, weights, policy, rng, capture=first_row < n,
+                              first_row=first_row)
         # No forward pass follows once decoding completes, so late scores and
         # prunes would be dead work (and masked-row guidance is gone).
         if state.masked.any():

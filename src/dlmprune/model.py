@@ -13,6 +13,7 @@ Two weight constructions share one forward path:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -66,11 +67,14 @@ class ModelConfig:
 
 @dataclass
 class AttentionCapture:
-    """Row-stochastic (n, n) attention maps, maps[layer][head]. ``forward``
-    captures only their layer/head mean, as the one map maps[0][0]."""
+    """Row-stochastic attention maps, maps[layer][head], each holding rows
+    ``first_row..n-1`` of an (n, n) map: map row i is sequence row
+    ``first_row + i``. ``forward`` captures only their layer/head mean, as the
+    one map maps[0][0]."""
 
     maps: list[list[np.ndarray]]
     step_index: int = 0
+    first_row: int = 0
 
 
 @dataclass
@@ -191,15 +195,27 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def forward(x: Matrix, weights: ModelWeights,
-            capture: bool = False) -> tuple[Matrix, Optional[AttentionCapture]]:
-    """Full bidirectional self-attention over all rows; optionally capture the
-    layer/head mean of the attention maps as one (n, n) map.
+# Budget of one head's score tile in bytes, sized to a 4 MiB L2 cache. A
+# forward whose (n, n) float64 scores would exceed it splits its rows evenly
+# into ceil(8·n² / _TILE_BYTES) tiles, so no (n, n) array is allocated.
+_TILE_BYTES = 1 << 20
 
-    Every head of every layer computes its scores and softmax in place in one
-    (n, n) buffer per call. The maps are summed in (layer, head) order as
-    ``pruning.mean_attention`` sums them, and are not kept. Capture is
-    observation-only: logits are identical with it on or off.
+
+def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
+            first_row: int = 0) -> tuple[Matrix, Optional[AttentionCapture]]:
+    """Full bidirectional self-attention over all rows; optionally capture the
+    layer/head mean of rows ``first_row..n-1`` of the attention maps as one
+    (n - first_row, n) map.
+
+    Each head works through its rows in tiles (``_TILE_BYTES``): the tile's
+    ``q·kᵀ`` rows are scaled and normalised in place in one reused score
+    buffer, and the tile's ``attn·v`` goes into that head's columns of one
+    (n, d) buffer. At n ≤ 362 there is one tile. Tiles differ in size by at
+    most one row. BLAS can round a product over a row slice differently from
+    the product over all rows, so a tiled forward agrees with a one-tile one
+    to about 1e-15, and bitwise only at some n. Captured rows are summed in
+    (layer, head) order as ``pruning.mean_attention`` sums maps, and are not
+    kept. Capture is observation-only: logits are identical with it on or off.
     """
     cfg = weights.config
     x = np.asarray(x, dtype=np.float64)
@@ -208,24 +224,35 @@ def forward(x: Matrix, weights: ModelWeights,
     n = x.shape[0]
     if n < 1:
         raise ValueError("need at least one input row")
-    scale = 1.0 / np.sqrt(cfg.head_dim)
+    if capture and not 0 <= first_row < n:
+        raise ValueError(f"first_row {first_row} outside 0..{n - 1}")
+    dh = cfg.head_dim
+    scale = 1.0 / math.sqrt(dh)
+    tiles = -(-8 * n * n // _TILE_BYTES)
     h = x
-    scores = np.empty((n, n))
-    total = np.zeros((n, n)) if capture else None
+    scores = np.empty((-(-n // tiles), n))
+    heads = np.empty((n, cfg.embed_dim))  # every head's attn·v, side by side
+    total = np.zeros((n - first_row, n)) if capture else None
     for lw in weights.layers:
         a_in = layer_norm(h, *lw.norm1) if lw.norm1 is not None else h
-        head_outs = []
         for hd in range(cfg.heads):
             q = a_in @ lw.wq[hd]
-            k = a_in @ lw.wk[hd]
+            kt = (a_in @ lw.wk[hd]).T
             v = a_in @ lw.wv[hd]
-            np.matmul(q, k.T, out=scores)
-            scores *= scale
-            attn = softmax_rows(scores, out=scores)
-            if capture:
-                total += attn
-            head_outs.append(attn @ v)
-        h = h + np.concatenate(head_outs, axis=1) @ lw.wo
+            c0 = hd * dh
+            r1 = 0
+            for t in range(1, tiles + 1):
+                r0, r1 = r1, t * n // tiles
+                tile = scores[:r1 - r0]
+                np.matmul(q[r0:r1], kt, out=tile)
+                tile *= scale
+                attn = softmax_rows(tile, out=tile)
+                if capture and r1 > first_row:
+                    lo = max(r0, first_row)
+                    rows = total[lo - first_row:r1 - first_row]
+                    rows += attn[lo - r0:]  # on a view: no copy back into total
+                np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dh])
+        h = h + heads @ lw.wo
         f_in = layer_norm(h, *lw.norm2) if lw.norm2 is not None else h
         h = h + gelu(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
     if weights.final_norm is not None:
@@ -234,7 +261,7 @@ def forward(x: Matrix, weights: ModelWeights,
     if not capture:
         return logits, None
     total /= len(weights.layers) * cfg.heads
-    return logits, AttentionCapture([[total]])
+    return logits, AttentionCapture([[total]], first_row=first_row)
 
 
 DEFAULT_MAX_PROMPT = 256

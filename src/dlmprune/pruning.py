@@ -108,11 +108,14 @@ def keep_count(n: int, r: float) -> int:
 
 def mean_attention(capture: AttentionCapture) -> Matrix:
     """Mean of all layer/head maps; rows stay stochastic. A capture from
-    ``forward`` holds only the mean, which comes back bitwise unchanged."""
+    ``forward`` holds only the mean, which comes back as is, not copied.
+    Row i of the mean is sequence row ``capture.first_row + i``."""
     maps = [m for layer_maps in capture.maps for m in layer_maps]
     if not maps:
         raise ValueError("capture holds no attention maps")
     total = maps[0]
+    if len(maps) == 1:
+        return total
     for m in maps[1:]:
         if m.shape != total.shape:
             raise ValueError(f"inconsistent map shape {m.shape} vs {total.shape}")
@@ -123,14 +126,18 @@ def mean_attention(capture: AttentionCapture) -> Matrix:
 def importance_scores(abar: Matrix, guidance_rows: Sequence[int], visual_cols: Sequence[int],
                       *, step: int = 0, scorer: ScorerKind = ScorerKind.MASKED
                       ) -> np.ndarray:
-    """Per-visual-column mean of the guidance rows of an averaged attention map."""
+    """Per-visual-column mean of the guidance rows of an averaged attention map.
+
+    Rows and columns index ``abar`` itself; a negative one is an error, not a
+    count from the end."""
     rows = np.asarray(guidance_rows, dtype=np.int64).reshape(-1)
     cols = np.asarray(visual_cols, dtype=np.int64).reshape(-1)
     if rows.size == 0:
         raise EmptyGuidanceSet(scorer, step)
-    n = abar.shape[0]
-    if rows.max() >= n or cols.size and cols.max() >= abar.shape[1]:
-        raise ValueError("guidance rows / visual cols exceed map dimensions")
+    # Viewed as uint64 a negative index exceeds any size, so one max checks both ends.
+    if rows.view(np.uint64).max() >= abar.shape[0] \
+            or cols.size and cols.view(np.uint64).max() >= abar.shape[1]:
+        raise ValueError("guidance rows / visual cols outside map dimensions")
     return abar[np.ix_(rows, cols)].mean(axis=0)
 
 
@@ -188,7 +195,7 @@ def keep_schedule(plan: Optional[PrunePlan], num_visual: int, total_steps: int) 
 def step_scores(state: "SequenceState", capture: AttentionCapture,
                 scorer: ScorerKind) -> np.ndarray:
     """Importance of the surviving visual tokens from the step just run."""
-    rows = guidance_rows(state, scorer)
+    rows = guidance_rows(state, scorer) - capture.first_row  # the map starts at first_row
     return importance_scores(mean_attention(capture), rows, np.arange(state.num_visual),
                              step=state.step - 1, scorer=scorer)
 
@@ -216,6 +223,13 @@ def apply_prune(state: "SequenceState", keep: KeepSet) -> "SequenceState":
     state.visual = state.visual[local]
     state.visual_index_map = keep.indices.copy()
     return state
+
+
+def first_guidance_row(state: "SequenceState", scorer: ScorerKind) -> int:
+    """First sequence row the scorer reads: the start of the first segment it
+    reads (visual 0, prompt N_vis, response N_vis + m)."""
+    visual, prompt, _, _ = _GUIDANCE[scorer]
+    return 0 if visual else state.num_visual + (0 if prompt else state.prompt_len)
 
 
 def guidance_rows(state: "SequenceState", scorer: ScorerKind) -> np.ndarray:

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from dlmprune import decoder
+from dlmprune import decoder, pruning
 from dlmprune.decoder import (PolicyKind, SchedulePolicy, decode_quota, init_state,
                               remask_prob, run_inference, step)
 from dlmprune.model import (ModelConfig, build_copy_model, embed_prompt, embed_response,
                             encode_image, forward, init_random_model)
 from dlmprune.numerics import SeededRng, softmax_rows
-from dlmprune.pruning import (EmptyGuidanceSet, PrunePlan, ScorerKind, keep_schedule,
-                              plan_progressive, prune_to, step_scores)
+from dlmprune.pruning import (EmptyGuidanceSet, PrunePlan, ScorerKind, apply_prune,
+                              keep_schedule, plan_progressive, prune_to, step_scores)
 
 
 def tiny_model(seed=1, grid=(2, 2), vocab=12):
@@ -262,27 +262,85 @@ class TestRunInference:
         _, _, stats = run_inference(v, p, 6, 4, w, SchedulePolicy.confidence(), plan)
         assert stats.per_step_lengths == [n + 2 + 6 for n in keep_schedule(plan, 9, 4)]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(tau=hst.integers(1, 8), steps=hst.integers(1, 8), stochastic=hst.booleans(),
+           scorer=hst.sampled_from(list(ScorerKind)),
+           strategy=hst.sampled_from([None, "once", "progressive"]),
            seed=hst.integers(0, 2**32 - 1))
     def test_score_trace_has_one_entry_per_step_leaving_masked_rows(self, tau, steps,
-                                                                     stochastic, seed):
-        cfg, w = tiny_model()
+                                                                     stochastic, scorer,
+                                                                     strategy, seed):
+        assume(strategy != "progressive" or steps > 1)
+        cfg, w = tiny_model(grid=(3, 3))
         v, p = tiny_inputs(w)
         policy = SchedulePolicy.stochastic(seed) if stochastic else SchedulePolicy.confidence()
-        _, _, stats = run_inference(v, p, tau, steps, w, policy, None,
-                                    score_with=ScorerKind.MASKED)
-        # the same steps by hand: entry i is the scores after the i-th such step
-        st = init_state(v, p, tau, steps, mask_token_id=cfg.mask_token_id)
-        rng = SeededRng(seed) if stochastic else None
-        want = []
-        while st.masked.any():
-            st, out = step(st, w, policy, rng)
-            if st.masked.any():
-                want.append(step_scores(st, out.attention, ScorerKind.MASKED))
-        assert len(stats.score_trace) == len(want)
-        for got, ref in zip(stats.score_trace, want):
-            np.testing.assert_array_equal(got, ref)
+        plan = {None: None, "once": PrunePlan.once(0.5, scorer),
+                "progressive": PrunePlan.progressive(0.25, scorer)}[strategy]
+        keeps = []
+
+        def recording_apply_prune(state, keep):
+            keeps.append(keep.indices)
+            return apply_prune(state, keep)
+
+        with mock.patch.object(pruning, "apply_prune", recording_apply_prune):
+            try:
+                _, _, stats = run_inference(v, p, tau, steps, w, policy, plan,
+                                            score_with=scorer)
+                got = stats.score_trace
+            except EmptyGuidanceSet:
+                got = None
+            got_keeps, keeps[:] = keeps[:], []
+            # the same steps by hand, scored on full maps: entry i is the
+            # scores after the i-th step that leaves masked rows
+            schedule = keep_schedule(plan, 9, steps)
+            st = init_state(v, p, tau, steps, mask_token_id=cfg.mask_token_id)
+            rng = SeededRng(seed) if stochastic else None
+            want = []
+            try:
+                while st.masked.any():
+                    k = st.step
+                    st, out = step(st, w, policy, rng)
+                    assert out.attention.first_row == 0
+                    if st.masked.any():
+                        want.append(step_scores(st, out.attention, scorer))
+                        if k < steps and schedule[k] < st.num_visual:
+                            prune_to(st, plan, schedule[k], out.attention)
+            except EmptyGuidanceSet:
+                want = None
+        if want is None:
+            assert got is None
+            return
+        assert len(got) == len(want)
+        for g, ref in zip(got, want):
+            np.testing.assert_array_equal(g, ref)
+        assert len(got_keeps) == len(keeps)
+        for g, ref in zip(got_keeps, keeps):
+            np.testing.assert_array_equal(g, ref)
+
+    @pytest.mark.parametrize("scorer,first_row", [
+        (ScorerKind.VISUAL, 0), (ScorerKind.PROMPT, 9), (ScorerKind.PROMPT_MASKED, 9),
+        (ScorerKind.PROMPT_RESPONSE, 9), (ScorerKind.MASKED, 11), (ScorerKind.DECODED, 11),
+        (ScorerKind.ALL_RESPONSE, 11)])
+    def test_capture_starts_at_the_first_row_a_scorer_reads(self, scorer, first_row):
+        cfg, w = tiny_model(grid=(3, 3))
+        v, p = tiny_inputs(w)
+        seen = []
+
+        def recording_forward(x, weights, capture=False, first_row=0):
+            seen.append((capture, first_row))
+            return forward(x, weights, capture=capture, first_row=first_row)
+
+        with mock.patch.object(decoder, "forward", recording_forward):
+            run_inference(v, p, 6, 3, w, SchedulePolicy.confidence(), None, score_with=scorer)
+        assert seen == [(True, first_row)] * 3
+        # the capture spans from the earlier of two scorers' first rows; after
+        # the prune to 4 of 9 visual tokens every later segment starts 5 rows up
+        seen.clear()
+        with mock.patch.object(decoder, "forward", recording_forward):
+            run_inference(v, p, 6, 3, w, SchedulePolicy.confidence(),
+                          PrunePlan.once(0.5, ScorerKind.MASKED), score_with=scorer)
+        pruned_first_row = first_row and first_row - 5
+        assert seen == [(True, min(first_row, 11))] + [(True, pruned_first_row)] * 2
 
     @settings(max_examples=60, deadline=None)
     @given(tau=hst.integers(1, 8), steps=hst.integers(1, 8), stochastic=hst.booleans(),

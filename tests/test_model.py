@@ -1,11 +1,13 @@
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlmprune import model
 from dlmprune.decoder import SchedulePolicy, init_state, step
 from dlmprune.model import (CopyTaskVocab, HashedPatchTable, ModelConfig, build_copy_model,
                             copy_model_config, embed_prompt, embed_response, encode_image,
@@ -261,24 +263,97 @@ class TestForwardMatchesTextbookKernels:
         np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
 
 
+def tile_bytes_for(n, rows):
+    """A ``_TILE_BYTES`` under which ``forward`` splits n rows into tiles of at most ``rows``."""
+    return 8 * n * rows
+
+
+class TestTiledForward:
+    """Tiles change only which rows one BLAS call covers, so a tiled forward
+    agrees with a one-tile forward to rounding, not always bitwise."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8, 13, 20, 39, 40])
+    def test_tiles_of_1_to_n_rows_agree_with_one_tile(self, rows):
+        n = 40
+        cfg = small_config(layers=2, heads=2, embed_dim=16)
+        w = init_random_model(cfg, 11)
+        x = SeededRng(12).normal(size=(n, cfg.embed_dim))
+        with mock.patch.object(model, "_TILE_BYTES", tile_bytes_for(n, n)):
+            want, want_cap = forward(x, w, capture=True)
+        with mock.patch.object(model, "_TILE_BYTES", tile_bytes_for(n, rows)):
+            got, cap = forward(x, w, capture=True)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cap.maps[0][0], want_cap.maps[0][0], rtol=0, atol=1e-12)
+        assert cap.first_row == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), layers=st.integers(1, 3), heads=st.integers(1, 3),
+           n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_first_row_capture_is_the_tail_of_the_full_capture(self, data, layers, heads, n,
+                                                               seed):
+        first_row = data.draw(st.integers(0, n - 1), label="first_row")
+        rows = data.draw(st.integers(1, n), label="rows per tile")
+        cfg = small_config(layers=layers, heads=heads, embed_dim=4 * heads)
+        w = init_random_model(cfg, seed)
+        x = SeededRng(seed).normal(size=(n, cfg.embed_dim))
+        with mock.patch.object(model, "_TILE_BYTES", tile_bytes_for(n, rows)):
+            full_logits, full = forward(x, w, capture=True)
+            logits, cap = forward(x, w, capture=True, first_row=first_row)
+        assert cap.first_row == first_row and cap.maps[0][0].shape == (n - first_row, n)
+        np.testing.assert_array_equal(cap.maps[0][0], full.maps[0][0][first_row:])
+        np.testing.assert_array_equal(logits, full_logits)
+
+    @pytest.mark.parametrize("first_row", [-1, 6])
+    def test_first_row_outside_the_rows_rejected(self, first_row):
+        w = init_random_model(small_config(), 3)
+        with pytest.raises(ValueError, match="first_row"):
+            forward(SeededRng(2).normal(size=(6, 16)), w, capture=True, first_row=first_row)
+
+    @pytest.mark.parametrize("n,sizes", [(362, [362]), (363, [181, 182]),
+                                         (1072, [119] * 8 + [120])])
+    def test_tiles_split_the_rows_evenly_within_the_byte_budget(self, n, sizes):
+        # ceil(8·n² / 2²⁰) tiles: one up to n = 362, nine at vit1024's n = 1072
+        cfg = small_config(layers=1, heads=1, embed_dim=4)
+        w = init_random_model(cfg, 0)
+        seen = []
+
+        def recording_softmax(m, out=None):
+            seen.append(m.shape[0])
+            return softmax_rows(m, out=out)
+
+        with mock.patch.object(model, "softmax_rows", recording_softmax):
+            forward(SeededRng(0).normal(size=(n, 4)), w)
+        assert sorted(seen) == sizes
+
+
 class TestForwardAllocations:
-    @pytest.mark.parametrize("capture,maps", [(False, 2), (True, 3)])
-    def test_peak_is_a_few_score_maps(self, capture, maps):
-        # one reused (n, n) score buffer, plus the capture's running sum; a
-        # fresh array for each stage of each head's softmax peaks above 5 maps
-        n = 512
-        cfg = small_config(embed_dim=32, ffn_dim=64, vocab_size=64, mask_token_id=63,
-                           patch_grid=(16, 32))
+    @staticmethod
+    def forward_peak(n, width=32, vocab=64, **kwargs):
+        cfg = small_config(embed_dim=width, ffn_dim=2 * width, vocab_size=vocab,
+                           mask_token_id=vocab - 1, patch_grid=(16, 32))
         w = init_random_model(cfg, 0)
         x = SeededRng(0).normal(size=(n, cfg.embed_dim))
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            forward(x, w, capture=capture)
+            forward(x, w, **kwargs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= maps * 8 * n * n
+        return peak
+
+    @pytest.mark.parametrize("capture,maps", [(False, 2), (True, 3)])
+    def test_peak_is_a_few_score_maps(self, capture, maps):
+        # a fresh array for each stage of each head's softmax peaks above 5 maps
+        n = 512
+        assert self.forward_peak(n, capture=capture) <= maps * 8 * n * n
+
+    @pytest.mark.parametrize("kwargs", [{}, {"capture": True, "first_row": 512 - 32}])
+    def test_peak_stays_below_one_map(self, kwargs):
+        # a half-map score tile and a 32-row capture; the model is narrow, so its
+        # (n, width) activations and (n, vocab) logits stay small next to a map
+        n = 512
+        assert self.forward_peak(n, width=16, vocab=16, **kwargs) < 8 * n * n
 
 
 class TestInitRandomModel:

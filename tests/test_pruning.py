@@ -91,6 +91,13 @@ class TestImportanceScores:
         with pytest.raises(EmptyGuidanceSet):
             importance_scores(np.eye(4), [], [0, 1])
 
+    @pytest.mark.parametrize("rows,cols", [([-1], [0, 1]), ([3], [-1, 0]), ([2, -4], [0]),
+                                           ([0], [1, -4])])
+    def test_negative_index_rejected(self, rows, cols):
+        # numpy counts a negative index from the end: row -1 would score the last row
+        with pytest.raises(ValueError, match="map dimensions"):
+            importance_scores(np.arange(16.0).reshape(4, 4), rows, cols)
+
     def test_matches_brute_force(self):
         rng = SeededRng(4)
         for trial in range(25):
