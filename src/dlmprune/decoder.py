@@ -134,20 +134,25 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
          ) -> tuple[SequenceState, StepOutcome]:
     """Run one inference step in place and report what it committed.
 
-    Already-decoded positions are never altered. The outcome's attention is
-    the layer/head mean of rows ``first_row..n-1`` of this step's maps, one
-    (n - first_row, n) map; by default the whole (n, n) map. ``capture=False``
-    skips it (logits are unaffected).
+    Already-decoded positions are never altered. ``first_row`` is the first
+    sequence row whose forward outputs the caller reads; it must be at most
+    the response start, since the step reads the response rows' logits. The
+    outcome's attention is the layer/head mean of rows ``first_row..n-1`` of
+    this step's maps, one (n - first_row, n) map; by default the whole (n, n)
+    map. ``capture=False`` skips it (logits are unaffected).
     """
     k = state.step
     if k > state.total_steps:
         raise ValueError(f"step {k} exceeds configured total {state.total_steps}")
+    resp_start = state.num_visual + state.prompt_len
+    if first_row > resp_start:
+        raise ValueError(f"first_row {first_row} is past the response start {resp_start}")
     resp_embed = embed_response(state.response_ids, weights)
     x = np.vstack([state.visual, state.prompt, resp_embed])
     logits, cap = forward(x, weights, capture=capture, first_row=first_row)
     if cap is not None:
         cap.step_index = k
-    resp_logits = logits[state.num_visual + state.prompt_len :]
+    resp_logits = logits[resp_start - first_row:]
 
     entry_masked = state.masked_positions()
     if policy.kind == PolicyKind.STOCHASTIC:
@@ -181,9 +186,10 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     The plan's keep schedule alone decides the pruning: after step k the
     state is cut to the count scheduled for step k+1 when that count is
     smaller, and attention is captured only for a step whose prune is scored.
-    The capture holds only the rows from the first one a scorer in use reads
-    (``pruning.first_guidance_row``), and lives only long enough to score
-    that step; the returned trace holds none.
+    Each step's forward computes outputs only for the rows it reads: the
+    response rows' logits and, at a scored step, the attention rows of every
+    scorer in use (``pruning.first_guidance_row``). That capture lives only
+    long enough to score that step; the returned trace holds none.
     ``score_with`` records that guidance set's importance vector after every
     step that leaves masked rows, without pruning anything (used for
     score-stability analysis); an empty guidance set raises, as when pruning.
@@ -201,15 +207,16 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
         if not state.masked.any():
             break
         prune_next = k < total_steps and schedule[k] < state.num_visual
-        n = state.seq_len
-        first_row = n  # capture from this row on: none unless a scorer reads
+        scored = prune_next and prune_plan.scored
+        # the first row this step reads: the response logits' or a scorer's
+        first_row = state.num_visual + state.prompt_len
         if score_with is not None:
-            first_row = pruning.first_guidance_row(state, score_with)
-        if prune_next and prune_plan.scored:
+            first_row = min(first_row, pruning.first_guidance_row(state, score_with))
+        if scored:
             first_row = min(first_row, pruning.first_guidance_row(state, prune_plan.scorer))
-        stats.per_step_lengths.append(n)
-        state, outcome = step(state, weights, policy, rng, capture=first_row < n,
-                              first_row=first_row)
+        stats.per_step_lengths.append(state.seq_len)
+        state, outcome = step(state, weights, policy, rng,
+                              capture=scored or score_with is not None, first_row=first_row)
         # No forward pass follows once decoding completes, so late scores and
         # prunes would be dead work (and masked-row guidance is gone).
         if state.masked.any():

@@ -203,19 +203,28 @@ _TILE_BYTES = 1 << 20
 
 def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
             first_row: int = 0) -> tuple[Matrix, Optional[AttentionCapture]]:
-    """Full bidirectional self-attention over all rows; optionally capture the
-    layer/head mean of rows ``first_row..n-1`` of the attention maps as one
-    (n - first_row, n) map.
+    """Bidirectional self-attention over all n rows, returning the outputs of
+    rows ``first_row..n-1``, the rows the caller reads: their logits as an
+    (n - first_row, vocab) array and, with ``capture``, the layer/head mean
+    of their attention maps as one (n - first_row, n) map.
+
+    Layers 1..L-1 run over every row, and so do the last layer's keys and
+    values. The last layer's queries, attention, out-projection, FFN, final
+    norm and output head run over rows ``first_row..n-1`` only; with
+    ``first_row = 0`` that is the full forward.
 
     Each head works through its rows in tiles (``_TILE_BYTES``): the tile's
     ``q·kᵀ`` rows are scaled and normalised in place in one reused score
     buffer, and the tile's ``attn·v`` goes into that head's columns of one
-    (n, d) buffer. At n ≤ 362 there is one tile. Tiles differ in size by at
-    most one row. BLAS can round a product over a row slice differently from
-    the product over all rows, so a tiled forward agrees with a one-tile one
-    to about 1e-15, and bitwise only at some n. Captured rows are summed in
-    (layer, head) order as ``pruning.mean_attention`` sums maps, and are not
-    kept. Capture is observation-only: logits are identical with it on or off.
+    (n, d) buffer. At n ≤ 362 there is one tile; the last layer's rows are
+    cut into proportionally fewer tiles of the same bound. Tiles differ in
+    size by at most one row. BLAS can round a product over a row slice
+    differently from the product over all rows, so a tiled forward agrees
+    with a one-tile one, and a ``first_row`` forward with the tail of a full
+    one, to about 1e-15, and bitwise only at some shapes. Captured rows are
+    summed in (layer, head) order as ``pruning.mean_attention`` sums maps,
+    and are not kept. Capture is observation-only: logits are identical with
+    it on or off.
     """
     cfg = weights.config
     x = np.asarray(x, dtype=np.float64)
@@ -224,7 +233,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     n = x.shape[0]
     if n < 1:
         raise ValueError("need at least one input row")
-    if capture and not 0 <= first_row < n:
+    if not 0 <= first_row < n:
         raise ValueError(f"first_row {first_row} outside 0..{n - 1}")
     dh = cfg.head_dim
     scale = 1.0 / math.sqrt(dh)
@@ -233,26 +242,29 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     scores = np.empty((-(-n // tiles), n))
     heads = np.empty((n, cfg.embed_dim))  # every head's attn·v, side by side
     total = np.zeros((n - first_row, n)) if capture else None
-    for lw in weights.layers:
+    last = len(weights.layers) - 1
+    for li, lw in enumerate(weights.layers):
+        lo = first_row if li == last else 0  # first row whose output this layer computes
+        layer_tiles = -(-(n - lo) * tiles // n)
         a_in = layer_norm(h, *lw.norm1) if lw.norm1 is not None else h
         for hd in range(cfg.heads):
-            q = a_in @ lw.wq[hd]
+            q = a_in[lo:] @ lw.wq[hd]
             kt = (a_in @ lw.wk[hd]).T
             v = a_in @ lw.wv[hd]
             c0 = hd * dh
-            r1 = 0
-            for t in range(1, tiles + 1):
-                r0, r1 = r1, t * n // tiles
+            r1 = lo
+            for t in range(1, layer_tiles + 1):
+                r0, r1 = r1, lo + t * (n - lo) // layer_tiles
                 tile = scores[:r1 - r0]
-                np.matmul(q[r0:r1], kt, out=tile)
+                np.matmul(q[r0 - lo:r1 - lo], kt, out=tile)
                 tile *= scale
                 attn = softmax_rows(tile, out=tile)
                 if capture and r1 > first_row:
-                    lo = max(r0, first_row)
-                    rows = total[lo - first_row:r1 - first_row]
-                    rows += attn[lo - r0:]  # on a view: no copy back into total
+                    c = max(r0, first_row)
+                    rows = total[c - first_row:r1 - first_row]
+                    rows += attn[c - r0:]  # on a view: no copy back into total
                 np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dh])
-        h = h + heads @ lw.wo
+        h = h[lo:] + heads[lo:] @ lw.wo
         f_in = layer_norm(h, *lw.norm2) if lw.norm2 is not None else h
         h = h + gelu(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
     if weights.final_norm is not None:

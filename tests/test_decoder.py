@@ -12,7 +12,8 @@ from dlmprune.model import (ModelConfig, build_copy_model, embed_prompt, embed_r
                             encode_image, forward, init_random_model)
 from dlmprune.numerics import SeededRng, softmax_rows
 from dlmprune.pruning import (EmptyGuidanceSet, PrunePlan, ScorerKind, apply_prune,
-                              keep_schedule, plan_progressive, prune_to, step_scores)
+                              first_guidance_row, keep_schedule, plan_progressive, prune_to,
+                              step_scores)
 
 
 def tiny_model(seed=1, grid=(2, 2), vocab=12):
@@ -114,13 +115,14 @@ def reference_step(state, weights, policy, rng):
 class TestStep:
     @pytest.mark.parametrize("policy", [SchedulePolicy.confidence(),
                                         SchedulePolicy.stochastic(8)])
-    def test_matches_per_position_reference(self, policy):
+    @pytest.mark.parametrize("first_row", [0, 3, 6])  # 6: the response start
+    def test_matches_per_position_reference(self, policy, first_row):
         cfg, w = tiny_model()
         v, p = tiny_inputs(w)
         st, ref = (init_state(v, p, 7, 5, mask_token_id=cfg.mask_token_id) for _ in range(2))
         rng, ref_rng = SeededRng(8), SeededRng(8)
         for _ in range(5):
-            st, out = step(st, w, policy, rng, capture=False)
+            st, out = step(st, w, policy, rng, capture=False, first_row=first_row)
             assert out.newly_decoded.tolist() == reference_step(ref, w, policy, ref_rng)
             np.testing.assert_array_equal(st.response_ids, ref.response_ids)
             np.testing.assert_array_equal(st.masked, ref.masked)
@@ -160,6 +162,14 @@ class TestStep:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             SchedulePolicy(PolicyKind.STOCHASTIC)
+
+    def test_first_row_past_the_response_start_rejected(self):
+        cfg, w = tiny_model()
+        v, p = tiny_inputs(w)
+        st = init_state(v, p, 3, 3, mask_token_id=cfg.mask_token_id)
+        with pytest.raises(ValueError, match="response start 6"):
+            step(st, w, SchedulePolicy.confidence(), first_row=7)
+        assert st.step == 1 and st.masked.all()
 
     def test_attention_capture_dims(self):
         cfg, w = tiny_model()
@@ -290,8 +300,8 @@ class TestRunInference:
             except EmptyGuidanceSet:
                 got = None
             got_keeps, keeps[:] = keeps[:], []
-            # the same steps by hand, scored on full maps: entry i is the
-            # scores after the i-th step that leaves masked rows
+            # the same steps by hand: entry i is the scores after the i-th
+            # step that leaves masked rows
             schedule = keep_schedule(plan, 9, steps)
             st = init_state(v, p, tau, steps, mask_token_id=cfg.mask_token_id)
             rng = SeededRng(seed) if stochastic else None
@@ -299,8 +309,10 @@ class TestRunInference:
             try:
                 while st.masked.any():
                     k = st.step
-                    st, out = step(st, w, policy, rng)
-                    assert out.attention.first_row == 0
+                    # run_inference's rows: the plan and score_with share the scorer
+                    first_row = first_guidance_row(st, scorer)
+                    st, out = step(st, w, policy, rng, first_row=first_row)
+                    assert out.attention.first_row == first_row
                     if st.masked.any():
                         want.append(step_scores(st, out.attention, scorer))
                         if k < steps and schedule[k] < st.num_visual:
@@ -341,6 +353,11 @@ class TestRunInference:
                           PrunePlan.once(0.5, ScorerKind.MASKED), score_with=scorer)
         pruned_first_row = first_row and first_row - 5
         assert seen == [(True, min(first_row, 11))] + [(True, pruned_first_row)] * 2
+        # without a scorer every step reads only the response logits, from row 11
+        seen.clear()
+        with mock.patch.object(decoder, "forward", recording_forward):
+            run_inference(v, p, 6, 3, w, SchedulePolicy.confidence(), None)
+        assert seen == [(False, 11)] * 3
 
     @settings(max_examples=60, deadline=None)
     @given(tau=hst.integers(1, 8), steps=hst.integers(1, 8), stochastic=hst.booleans(),

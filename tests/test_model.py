@@ -194,20 +194,23 @@ class TestForward:
             forward(np.zeros((3, 7)), w)
 
 
-def reference_forward(x, w, softmax=softmax_rows, norm=layer_norm, act=gelu):
-    """Forward pass that keeps every per-head map, in (layer, head) order."""
+def reference_forward(x, w, softmax=softmax_rows, norm=layer_norm, act=gelu, first_row=0):
+    """Forward pass that keeps every per-head map, in (layer, head) order. Its
+    last layer runs on rows ``first_row:`` only, so its maps and the logits
+    hold just those rows."""
     cfg = w.config
     scale = 1.0 / np.sqrt(cfg.head_dim)
     h = x.copy()
     maps = []
-    for lw in w.layers:
+    for li, lw in enumerate(w.layers):
+        lo = first_row if li == len(w.layers) - 1 else 0
         a_in = norm(h, *lw.norm1) if lw.norm1 is not None else h
         outs = []
         for hd in range(cfg.heads):
-            attn = softmax(((a_in @ lw.wq[hd]) @ (a_in @ lw.wk[hd]).T) * scale)
+            attn = softmax(((a_in[lo:] @ lw.wq[hd]) @ (a_in @ lw.wk[hd]).T) * scale)
             maps.append(attn)
             outs.append(attn @ (a_in @ lw.wv[hd]))
-        h = h + np.concatenate(outs, axis=1) @ lw.wo
+        h = h[lo:] + np.concatenate(outs, axis=1) @ lw.wo
         f_in = norm(h, *lw.norm2) if lw.norm2 is not None else h
         h = h + act(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
     if w.final_norm is not None:
@@ -296,34 +299,71 @@ class TestTiledForward:
         cfg = small_config(layers=layers, heads=heads, embed_dim=4 * heads)
         w = init_random_model(cfg, seed)
         x = SeededRng(seed).normal(size=(n, cfg.embed_dim))
+        # bitwise against a reference whose last layer runs on the same rows
+        logits, cap = forward(x, w, capture=True, first_row=first_row)
+        ref_logits, maps = reference_forward(x, w, first_row=first_row)
+        assert cap.first_row == first_row and cap.maps[0][0].shape == (n - first_row, n)
+        np.testing.assert_array_equal(cap.maps[0][0],
+                                      head_mean([m[len(m) - (n - first_row):] for m in maps]))
+        np.testing.assert_array_equal(logits, ref_logits)
+        # tiled, against the tail of the full forward: the last layer's
+        # products cover fewer rows, and BLAS may round those differently
         with mock.patch.object(model, "_TILE_BYTES", tile_bytes_for(n, rows)):
             full_logits, full = forward(x, w, capture=True)
             logits, cap = forward(x, w, capture=True, first_row=first_row)
-        assert cap.first_row == first_row and cap.maps[0][0].shape == (n - first_row, n)
-        np.testing.assert_array_equal(cap.maps[0][0], full.maps[0][0][first_row:])
-        np.testing.assert_array_equal(logits, full_logits)
+        assert cap.first_row == first_row and logits.shape == (n - first_row, cfg.vocab_size)
+        np.testing.assert_allclose(cap.maps[0][0], full.maps[0][0][first_row:], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(logits, full_logits[first_row:], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("capture", [False, True])
     @pytest.mark.parametrize("first_row", [-1, 6])
-    def test_first_row_outside_the_rows_rejected(self, first_row):
+    def test_first_row_outside_the_rows_rejected(self, first_row, capture):
         w = init_random_model(small_config(), 3)
         with pytest.raises(ValueError, match="first_row"):
-            forward(SeededRng(2).normal(size=(6, 16)), w, capture=True, first_row=first_row)
+            forward(SeededRng(2).normal(size=(6, 16)), w, capture=capture, first_row=first_row)
+
+    @staticmethod
+    def recorded_work(n, first_row=0, **config):
+        """(softmax_rows row counts, gelu shapes) of one forward, in call order."""
+        cfg = small_config(embed_dim=4 * config.get("heads", 2), **config)
+        w = init_random_model(cfg, 0)
+        softmax_rows_seen, gelu_seen = [], []
+
+        def recording_softmax(m, out=None):
+            softmax_rows_seen.append(m.shape[0])
+            return softmax_rows(m, out=out)
+
+        def recording_gelu(z):
+            gelu_seen.append(z.shape)
+            return gelu(z)
+
+        with mock.patch.object(model, "softmax_rows", recording_softmax), \
+                mock.patch.object(model, "gelu", recording_gelu):
+            forward(SeededRng(0).normal(size=(n, cfg.embed_dim)), w, first_row=first_row)
+        return softmax_rows_seen, gelu_seen
 
     @pytest.mark.parametrize("n,sizes", [(362, [362]), (363, [181, 182]),
                                          (1072, [119] * 8 + [120])])
     def test_tiles_split_the_rows_evenly_within_the_byte_budget(self, n, sizes):
         # ceil(8·n² / 2²⁰) tiles: one up to n = 362, nine at vit1024's n = 1072
-        cfg = small_config(layers=1, heads=1, embed_dim=4)
-        w = init_random_model(cfg, 0)
-        seen = []
-
-        def recording_softmax(m, out=None):
-            seen.append(m.shape[0])
-            return softmax_rows(m, out=out)
-
-        with mock.patch.object(model, "softmax_rows", recording_softmax):
-            forward(SeededRng(0).normal(size=(n, 4)), w)
+        seen, _ = self.recorded_work(n, layers=1, heads=1)
         assert sorted(seen) == sizes
+
+    @pytest.mark.parametrize("n,first_row,first_tiles,last_tiles", [
+        (1072, 1040, [119] * 8 + [120], [32]), (1072, 1024, [119] * 8 + [120], [48]),
+        (1072, 500, [119] * 8 + [120], [114, 114, 115, 114, 115]),
+        (1072, 0, [119] * 8 + [120], [119] * 8 + [120]), (363, 300, [181, 182], [63]),
+        (24, 23, [24], [1]), (24, 0, [24], [24])])
+    def test_last_layer_runs_only_the_rows_the_caller_reads(self, n, first_row, first_tiles,
+                                                            last_tiles):
+        # layer 1 tiles all n rows; the last layer tiles rows first_row..n-1
+        # only, in proportionally fewer tiles of the same bound, and its FFN
+        # runs on those rows alone
+        mu = 8
+        seen, gelu_shapes = self.recorded_work(n, first_row, layers=2, heads=2, ffn_dim=mu)
+        assert seen == first_tiles * 2 + last_tiles * 2
+        assert gelu_shapes == [(n, mu), (n - first_row, mu)]
 
 
 class TestForwardAllocations:
