@@ -88,7 +88,7 @@ def _cmd_run(cfg: harness.RunConfig, args) -> harness.BenchReport:
     if report.skipped is None:
         [(ids, stats)] = runs
         print(f"decoded ids : {ids.tolist()}")
-        print(f"expected    : {expected[0]} ({'ok' if ids[0] == expected[0] else 'MISS'})")
+        print(f"expected    : {expected[0]} ({'ok' if report.accuracy == 1 else 'MISS'})")
         print(f"wall time   : {stats.seconds_total:.6f}s over {len(stats.per_step_lengths)} steps")
         print(f"seq lengths : {stats.per_step_lengths}")
     return _printed([report])[0]

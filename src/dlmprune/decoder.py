@@ -150,8 +150,6 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
     resp_embed = embed_response(state.response_ids, weights)
     x = np.vstack([state.visual, state.prompt, resp_embed])
     logits, cap = forward(x, weights, capture=capture, first_row=first_row)
-    if cap is not None:
-        cap.step_index = k
     resp_logits = logits[resp_start - first_row:]
 
     entry_masked = state.masked_positions()

@@ -40,12 +40,30 @@ class TaskInstance:
     expected: int
 
 
+DEFAULT_CONFIG: dict = {
+    "model": {"L": 2, "H": 2, "d": 32, "d_v": 8, "mu": 64, "vocab": 64, "grid": [4, 4]},
+    "decode": {"K": 8, "tau": 8, "policy": "confidence", "seed": 7},
+    "prune": {"strategy": "once", "scorer": "masked", "r": 0.5, "seed": 11},
+    "tasks": {"count": 20, "grid": [4, 4], "alphabet": 8, "seed": 3},
+    "bench": {"warmup": 3, "reps": 5, "prompt_len": 16},
+}
+
+
+def _default_alphabet(n: int) -> tuple[str, ...]:
+    if n < 1:
+        raise ConfigError("alphabet size must be >= 1")
+    letters = string.ascii_lowercase
+    if n <= len(letters):
+        return tuple(letters[:n])
+    return tuple(f"s{i}" for i in range(n))
+
+
 @dataclass
 class TaskParams:
-    count: int = 20
-    grid: tuple[int, int] = (4, 4)
-    alphabet: tuple[str, ...] = tuple(string.ascii_lowercase[:8])
-    seed: int = 3
+    count: int = DEFAULT_CONFIG["tasks"]["count"]
+    grid: tuple[int, int] = tuple(DEFAULT_CONFIG["tasks"]["grid"])
+    alphabet: tuple[str, ...] = _default_alphabet(DEFAULT_CONFIG["tasks"]["alphabet"])
+    seed: int = DEFAULT_CONFIG["tasks"]["seed"]
 
 
 @dataclass
@@ -88,16 +106,20 @@ def gen_pointer_task(grid_dims: tuple[int, int], symbol_alphabet: Sequence[str],
     if not symbol_alphabet:
         raise ValueError("symbol alphabet is empty")
     alphabet = tuple(symbol_alphabet)
-    n = rows * cols
     rng = SeededRng(seed)
-    flat = [alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=n)]
-    target = int(rng.integers(0, n))
-    vocab = CopyTaskVocab(alphabet, n)
-    return TaskInstance(
-        image=tuple(tuple(flat[r * cols : (r + 1) * cols]) for r in range(rows)),
-        prompt=(vocab.index_id(target),),
-        expected=vocab.symbol_id(flat[target]),
-    )
+    image = _symbol_grid(rng, grid_dims, alphabet)
+    vocab = CopyTaskVocab(alphabet, rows * cols)
+    target = int(rng.integers(0, vocab.num_patches))
+    return TaskInstance(image=image, prompt=(vocab.index_id(target),),
+                        expected=vocab.symbol_id(image[target // cols][target % cols]))
+
+
+def _symbol_grid(rng: SeededRng, grid_dims: tuple[int, int], alphabet: Sequence[str]
+                 ) -> tuple[tuple[str, ...], ...]:
+    """Rows of symbols drawn uniformly from the alphabet, one draw in row-major order."""
+    rows, cols = grid_dims
+    flat = [alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=rows * cols)]
+    return tuple(tuple(flat[r * cols : (r + 1) * cols]) for r in range(rows))
 
 
 def copy_setup(tasks: TaskParams) -> tuple[ModelConfig, ModelWeights]:
@@ -225,12 +247,9 @@ def run_similarity(cfg: RunConfig) -> analysis.SimilarityCurve:
 
 def _bench_inputs(cfg: RunConfig, weights: ModelWeights) -> list[tuple]:
     rng = SeededRng(cfg.tasks.seed)
-    rows, cols = cfg.model.patch_grid
-    alphabet = tuple(cfg.tasks.alphabet)
     inputs = []
     for _ in range(cfg.bench.reps):
-        flat = [alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=rows * cols)]
-        image = tuple(tuple(flat[r * cols : (r + 1) * cols]) for r in range(rows))
+        image = _symbol_grid(rng, cfg.model.patch_grid, cfg.tasks.alphabet)
         ids = rng.integers(0, cfg.model.vocab_size - 1, size=cfg.bench.prompt_len)
         inputs.append((encode_image(image, weights), embed_prompt(ids, weights)))
     return inputs
@@ -347,24 +366,6 @@ def emit_similarity_csv(curve: analysis.SimilarityCurve, path) -> Path:
 
 
 # --- configuration -----------------------------------------------------------
-
-DEFAULT_CONFIG: dict = {
-    "model": {"L": 2, "H": 2, "d": 32, "d_v": 8, "mu": 64, "vocab": 64, "grid": [4, 4]},
-    "decode": {"K": 8, "tau": 8, "policy": "confidence", "seed": 7},
-    "prune": {"strategy": "once", "scorer": "masked", "r": 0.5, "seed": 11},
-    "tasks": {"count": 20, "grid": [4, 4], "alphabet": 8, "seed": 3},
-    "bench": {"warmup": 3, "reps": 5, "prompt_len": 16},
-}
-
-
-def _default_alphabet(n: int) -> tuple[str, ...]:
-    if n < 1:
-        raise ConfigError("alphabet size must be >= 1")
-    letters = string.ascii_lowercase
-    if n <= len(letters):
-        return tuple(letters[:n])
-    return tuple(f"s{i}" for i in range(n))
-
 
 def _merge(base: dict, override: Optional[dict]) -> dict:
     if not isinstance(override, (dict, type(None))):

@@ -73,7 +73,6 @@ class AttentionCapture:
     one map maps[0][0]."""
 
     maps: list[list[np.ndarray]]
-    step_index: int = 0
     first_row: int = 0
 
 

@@ -123,17 +123,16 @@ def mean_attention(capture: AttentionCapture) -> Matrix:
     return total / len(maps)
 
 
-def importance_scores(abar: Matrix, guidance_rows: Sequence[int], visual_cols: Sequence[int],
-                      *, step: int = 0, scorer: ScorerKind = ScorerKind.MASKED
+def importance_scores(abar: Matrix, guidance_rows: Sequence[int], visual_cols: Sequence[int]
                       ) -> np.ndarray:
     """Per-visual-column mean of the guidance rows of an averaged attention map.
 
     Rows and columns index ``abar`` itself; a negative one is an error, not a
-    count from the end."""
+    count from the end, and so is an empty set of rows."""
     rows = np.asarray(guidance_rows, dtype=np.int64).reshape(-1)
     cols = np.asarray(visual_cols, dtype=np.int64).reshape(-1)
     if rows.size == 0:
-        raise EmptyGuidanceSet(scorer, step)
+        raise ValueError("no guidance rows to score with")
     # Viewed as uint64 a negative index exceeds any size, so one max checks both ends.
     if rows.view(np.uint64).max() >= abar.shape[0] \
             or cols.size and cols.view(np.uint64).max() >= abar.shape[1]:
@@ -195,9 +194,11 @@ def keep_schedule(plan: Optional[PrunePlan], num_visual: int, total_steps: int) 
 def step_scores(state: "SequenceState", capture: AttentionCapture,
                 scorer: ScorerKind) -> np.ndarray:
     """Importance of the surviving visual tokens from the step just run."""
-    rows = guidance_rows(state, scorer) - capture.first_row  # the map starts at first_row
-    return importance_scores(mean_attention(capture), rows, np.arange(state.num_visual),
-                             step=state.step - 1, scorer=scorer)
+    rows = guidance_rows(state, scorer)
+    if rows.size == 0:
+        raise EmptyGuidanceSet(scorer, state.step - 1)
+    abar = mean_attention(capture)  # row i is sequence row capture.first_row + i
+    return importance_scores(abar, rows - capture.first_row, np.arange(state.num_visual))
 
 
 def prune_to(state: "SequenceState", plan: PrunePlan, n_keep: int,

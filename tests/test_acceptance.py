@@ -106,7 +106,7 @@ def test_criterion_4_scoring_oracle():
         n = n_vis + m + tau
         maps = [[softmax_rows(rng.normal(size=(n, n), scale=2.0)) for _ in range(heads)]
                 for _ in range(layers)]
-        capture = AttentionCapture(maps=maps, step_index=1)
+        capture = AttentionCapture(maps=maps)
         masked = (n_vis + m + rng.subset(tau, int(rng.integers(1, tau + 1)))).tolist()
         cols = list(range(n_vis))
 

@@ -177,7 +177,6 @@ class TestStep:
         st = init_state(v, p, 3, 4, mask_token_id=cfg.mask_token_id)
         st, out = step(st, w, SchedulePolicy.confidence())
         assert out.attention.maps[0][0].shape == (4 + 2 + 3, 4 + 2 + 3)
-        assert out.attention.step_index == 1
 
 
 class TestStochasticMarginal:

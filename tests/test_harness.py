@@ -327,6 +327,10 @@ class TestConfig:
         assert cfg.steps == 8 and cfg.response_len == 8
         assert cfg.prune is not None and cfg.prune.ratio == 0.5
 
+    def test_task_defaults_are_the_config_defaults(self):
+        # DEFAULT_CONFIG["tasks"] is the one copy; TaskParams reads its defaults from it
+        assert harness.TaskParams() == config_from_dict(None).tasks
+
     def test_alphabet_from_int_and_list(self):
         cfg = config_from_dict({"tasks": {"alphabet": 3}})
         assert cfg.tasks.alphabet == ("a", "b", "c")

@@ -19,7 +19,7 @@ from test_decoder import tiny_inputs, tiny_model
 def random_capture(rng, layers, heads, n):
     maps = [[softmax_rows(rng.normal(size=(n, n), scale=2.0)) for _ in range(heads)]
             for _ in range(layers)]
-    return AttentionCapture(maps=maps, step_index=1)
+    return AttentionCapture(maps=maps)
 
 
 def brute_force_scores(capture, guidance, visual_cols):
@@ -88,8 +88,12 @@ class TestImportanceScores:
         np.testing.assert_array_equal(s, abar[4, :3])
 
     def test_empty_guidance_set(self):
-        with pytest.raises(EmptyGuidanceSet):
+        # Only step_scores knows the step and scorer: a direct call with no
+        # rows must not report a scorer it was never given.
+        with pytest.raises(ValueError) as info:
             importance_scores(np.eye(4), [], [0, 1])
+        assert not isinstance(info.value, EmptyGuidanceSet)
+        assert not any(kind.value in str(info.value) for kind in ScorerKind)
 
     @pytest.mark.parametrize("rows,cols", [([-1], [0, 1]), ([3], [-1, 0]), ([2, -4], [0]),
                                            ([0], [1, -4])])
