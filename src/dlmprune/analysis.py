@@ -2,7 +2,8 @@
 
 Per layer and step, a forward pass over n tokens of width d with FFN width mu
 costs 4*n*d^2 + 2*n^2*d + 2*n*d*mu floating-point operations (QKV/output
-projections, attention products, FFN). Counts are exact integers.
+projections, attention products, FFN). Counts are exact integers. The copy
+model is priced at its full width d too, though its heads are narrower.
 """
 
 from __future__ import annotations

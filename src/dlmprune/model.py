@@ -78,16 +78,40 @@ class AttentionCapture:
 
 @dataclass
 class LayerWeights:
-    wq: np.ndarray  # (heads, d, head_dim)
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray  # (d, d), applied to the concatenated head outputs
+    """One layer's weights. Its head widths are those of its arrays: q/k width
+    ``w = wq.shape[2]`` and v width ``w_v = wv.shape[2]``, which need not equal
+    ``config.head_dim`` (the copy model stores only the columns it routes);
+    ``forward`` scales scores by ``1/sqrt(config.head_dim)`` whatever they
+    are. Shapes are checked once, here."""
+
+    wq: np.ndarray  # (heads, d, w)
+    wk: np.ndarray  # (heads, d, w)
+    wv: np.ndarray  # (heads, d, w_v)
+    wo: np.ndarray  # (heads·w_v, d), applied to the concatenated head outputs
     w1: np.ndarray  # (d, ffn_dim)
-    b1: np.ndarray
+    b1: np.ndarray  # (ffn_dim,)
     w2: np.ndarray  # (ffn_dim, d)
-    b2: np.ndarray
+    b2: np.ndarray  # (d,)
     norm1: Optional[tuple[np.ndarray, np.ndarray]] = None  # (gain, bias) or identity skip
     norm2: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.wq.ndim != 3:
+            raise ValueError(f"wq must be (heads, d, w), got {self.wq.shape}")
+        heads, d, _ = self.wq.shape
+        mu = self.w1.shape[-1]
+        wanted = {
+            "wk": self.wq.shape,
+            "wv": (heads, d, self.wv.shape[-1]),
+            "wo": (heads * self.wv.shape[-1], d),
+            "w1": (d, mu),
+            "b1": (mu,),
+            "w2": (mu, d),
+            "b2": (d,),
+        }
+        for name, shape in wanted.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must be {shape}, got {getattr(self, name).shape}")
 
 
 class HashedPatchTable:
@@ -155,24 +179,27 @@ def encode_image(image: Sequence[Sequence[str]], weights: ModelWeights) -> Matri
     return np.stack([projected[s] for s in flat]) + weights.positional[:cfg.num_patches]
 
 
-def _embed_tokens(ids: Sequence[int], weights: ModelWeights, base: int, what: str) -> Matrix:
+def _embed_tokens(ids: Sequence[int], weights: ModelWeights, base: int, capacity: int,
+                  what: str) -> Matrix:
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     if ids.size and (ids.min() < 0 or ids.max() >= weights.config.vocab_size):
         raise ValueError(f"{what} token id outside vocab of {weights.config.vocab_size}")
-    if base + ids.size > weights.positional.shape[0]:
-        raise ValueError(f"{what} of length {ids.size} exceeds positional capacity")
+    if ids.size > capacity:
+        raise ValueError(f"{what} of length {ids.size} exceeds the {what} segment's "
+                         f"{capacity} positions")
     return weights.token_embed[ids] + weights.positional[base : base + ids.size]
 
 
 def embed_prompt(tokens: Sequence[int], weights: ModelWeights) -> Matrix:
     """Token embeddings plus prompt-segment position offsets; empty prompts are legal."""
-    return _embed_tokens(tokens, weights, weights.config.num_patches, "prompt")
+    return _embed_tokens(tokens, weights, weights.config.num_patches, DEFAULT_MAX_PROMPT,
+                         "prompt")
 
 
 def embed_response(ids: Sequence[int], weights: ModelWeights) -> Matrix:
     """Response-row embeddings; masked positions carry the mask token id."""
     return _embed_tokens(ids, weights, weights.config.num_patches + DEFAULT_MAX_PROMPT,
-                         "response")
+                         DEFAULT_MAX_RESPONSE, "response")
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -212,10 +239,12 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     norm and output head run over rows ``first_row..n-1`` only; with
     ``first_row = 0`` that is the full forward.
 
-    Each head works through its rows in tiles (``_TILE_BYTES``): the tile's
-    ``q·kᵀ`` rows are scaled and normalised in place in one reused score
-    buffer, and the tile's ``attn·v`` goes into that head's columns of one
-    (n, d) buffer. At n ≤ 362 there is one tile; the last layer's rows are
+    Each layer's head widths are its arrays' (``LayerWeights``); scores are
+    scaled by ``1/sqrt(cfg.head_dim)`` at any width. Each head works through
+    its rows in tiles (``_TILE_BYTES``): the tile's ``q·kᵀ`` rows are scaled
+    and normalised in place in one reused score buffer, and the tile's
+    ``attn·v`` goes into that head's columns of the layer's (n, heads·w_v)
+    buffer. At n ≤ 362 there is one tile; the last layer's rows are
     cut into proportionally fewer tiles of the same bound. Tiles differ in
     size by at most one row. BLAS can round a product over a row slice
     differently from the product over all rows, so a tiled forward agrees
@@ -234,23 +263,23 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
         raise ValueError("need at least one input row")
     if not 0 <= first_row < n:
         raise ValueError(f"first_row {first_row} outside 0..{n - 1}")
-    dh = cfg.head_dim
-    scale = 1.0 / math.sqrt(dh)
+    scale = 1.0 / math.sqrt(cfg.head_dim)
     tiles = -(-8 * n * n // _TILE_BYTES)
     h = x
     scores = np.empty((-(-n // tiles), n))
-    heads = np.empty((n, cfg.embed_dim))  # every head's attn·v, side by side
     total = np.zeros((n - first_row, n)) if capture else None
     last = len(weights.layers) - 1
     for li, lw in enumerate(weights.layers):
         lo = first_row if li == last else 0  # first row whose output this layer computes
         layer_tiles = -(-(n - lo) * tiles // n)
         a_in = layer_norm(h, *lw.norm1) if lw.norm1 is not None else h
+        dv = lw.wv.shape[2]
+        heads = np.empty((n, cfg.heads * dv))  # every head's attn·v, side by side
         for hd in range(cfg.heads):
             q = a_in[lo:] @ lw.wq[hd]
             kt = (a_in @ lw.wk[hd]).T
             v = a_in @ lw.wv[hd]
-            c0 = hd * dh
+            c0 = hd * dv
             r1 = lo
             for t in range(1, layer_tiles + 1):
                 r0, r1 = r1, lo + t * (n - lo) // layer_tiles
@@ -262,7 +291,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                     c = max(r0, first_row)
                     rows = total[c - first_row:r1 - first_row]
                     rows += attn[c - r0:]  # on a view: no copy back into total
-                np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dh])
+                np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
         h = h[lo:] + heads[lo:] @ lw.wo
         f_in = layer_norm(h, *lw.norm2) if lw.norm2 is not None else h
         h = h + gelu(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
@@ -383,6 +412,12 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
     by index tokens, a target flag, marker channels for index/mask tokens, a
     response-position ramp, and two payload blocks (visual-side and fetched).
 
+    Each layer stores only the head columns it routes through: layer 1 has
+    q/k width n and v width 1, the others q/k width 1 and v width a. Scores
+    are still scaled by ``1/sqrt(d)``, the config's head width. Every
+    projection column holds at most one nonzero weight, so the logits are
+    bitwise those of the same weights zero-padded to width d.
+
     Layer 1 routes each visual token's position code against the prompt's
     pointer code and writes the flag onto the matching visual token. Layers
     2..L route every still-masked row onto the flagged token and accumulate its
@@ -434,8 +469,8 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
         )
 
     def broadcast_layer() -> LayerWeights:
-        wq, wk, wv = (np.zeros((1, d, d)) for _ in range(3))
-        wo = np.zeros((d, d))
+        wq, wk = np.zeros((1, d, n)), np.zeros((1, d, n))
+        wv, wo = np.zeros((1, d, 1)), np.zeros((1, d))
         for i in range(n):
             wq[0, a1 + i, i] = 1.0
             wk[0, a2 + i, i] = 1.0
@@ -444,13 +479,13 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
         return attention_only_layer(wq, wk, wv, wo)
 
     def fetch_layer() -> LayerWeights:
-        wq, wk, wv = (np.zeros((1, d, d)) for _ in range(3))
-        wo = np.zeros((d, d))
+        wq, wk = np.zeros((1, d, 1)), np.zeros((1, d, 1))
+        wv, wo = np.zeros((1, d, a)), np.zeros((a, d))
         wq[0, mask_mark, 0] = _FETCH_GAIN
         wk[0, flag_ch, 0] = 1.0
         for j in range(a):
-            wv[0, pv + j, 1 + j] = 1.0
-            wo[1 + j, pr + j] = 1.0
+            wv[0, pv + j, j] = 1.0
+            wo[j, pr + j] = 1.0
         return attention_only_layer(wq, wk, wv, wo)
 
     output_w = np.zeros((d, cfg.vocab_size))

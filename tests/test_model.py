@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from unittest import mock
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from dlmprune import model
 from dlmprune.decoder import SchedulePolicy, init_state, step
-from dlmprune.model import (CopyTaskVocab, HashedPatchTable, ModelConfig, build_copy_model,
+from dlmprune.model import (DEFAULT_MAX_PROMPT, DEFAULT_MAX_RESPONSE, CopyTaskVocab,
+                            HashedPatchTable, LayerWeights, ModelConfig, build_copy_model,
                             copy_model_config, embed_prompt, embed_response, encode_image,
                             forward, gelu, init_random_model)
 from dlmprune.numerics import SeededRng, layer_norm, softmax_rows
@@ -137,6 +139,40 @@ class TestEmbedTokens:
         with pytest.raises(ValueError):
             embed_response([-1, 2], w)
 
+    @pytest.mark.parametrize("embed,capacity,what", [
+        (embed_prompt, DEFAULT_MAX_PROMPT, "prompt"),
+        (embed_response, DEFAULT_MAX_RESPONSE, "response"),
+    ])
+    def test_a_segment_holds_its_own_positions_and_no_more(self, embed, capacity, what):
+        # a prompt past its 256 positions used to take the response's: with a
+        # zeroed token table, rows 256..259 of a 300-token prompt were bitwise
+        # the rows of a 4-token response
+        w = init_random_model(small_config(), 1)
+        assert embed([0] * capacity, w).shape == (capacity, 16)
+        with pytest.raises(ValueError, match=f"^{what} of length {capacity + 1} exceeds the "
+                                             f"{what} segment's {capacity} positions"):
+            embed([0] * (capacity + 1), w)
+
+
+def layer_arrays(heads=2, d=8, w=3, w_v=5, mu=4):
+    """Zero arrays of one well-shaped layer whose head widths differ from d / heads."""
+    return dict(wq=np.zeros((heads, d, w)), wk=np.zeros((heads, d, w)),
+                wv=np.zeros((heads, d, w_v)), wo=np.zeros((heads * w_v, d)),
+                w1=np.zeros((d, mu)), b1=np.zeros(mu), w2=np.zeros((mu, d)), b2=np.zeros(d))
+
+
+class TestLayerWeights:
+    @pytest.mark.parametrize("name,shape", [
+        ("wq", (2, 8)), ("wk", (2, 8, 4)), ("wk", (1, 8, 3)), ("wv", (2, 7, 5)),
+        ("wv", (3, 8, 5)), ("wv", (2, 8)), ("wo", (10, 7)), ("wo", (5, 8)), ("w1", (7, 4)),
+        ("b1", (3,)), ("w2", (4, 7)), ("w2", (3, 8)), ("b2", (7,)), ("b2", (1, 8)),
+    ])
+    def test_mismatch_names_the_field(self, name, shape):
+        arrays = layer_arrays()
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            LayerWeights(**arrays)
+
 
 class TestForward:
     def test_single_row_attention(self):
@@ -244,6 +280,28 @@ class TestCaptureIsHeadMean:
         cfg = small_config(layers=layers, heads=heads, embed_dim=4 * heads)
         w = init_random_model(cfg, seed)
         assert_capture_is_head_mean(w, SeededRng(seed).normal(size=(n, cfg.embed_dim)))
+
+
+class TestHeadWidthsComeFromTheWeights:
+    @settings(max_examples=25, deadline=None)
+    @given(heads=st.integers(1, 3), width=st.integers(1, 7), v_width=st.integers(1, 7),
+           n=st.integers(1, 12), first_row=st.integers(0, 11), seed=st.integers(0, 2**32 - 1))
+    def test_narrow_and_wide_heads(self, heads, width, v_width, n, first_row, seed):
+        # every layer gets heads of its own widths; the scale stays 1/sqrt(head_dim)
+        cfg = small_config(heads=heads, embed_dim=4 * heads)
+        w = init_random_model(cfg, seed)
+        rng, d = SeededRng(seed), cfg.embed_dim
+        w.layers = [dataclasses.replace(
+            lw, wq=rng.normal(size=(heads, d, width)), wk=rng.normal(size=(heads, d, width)),
+            wv=rng.normal(size=(heads, d, v_width)),
+            wo=rng.normal(size=(heads * v_width, d))) for lw in w.layers]
+        x = rng.normal(size=(n, d))
+        first_row = min(first_row, n - 1)
+        logits, cap = forward(x, w, capture=True, first_row=first_row)
+        ref_logits, maps = reference_forward(x, w, first_row=first_row)
+        np.testing.assert_array_equal(logits, ref_logits)
+        np.testing.assert_array_equal(cap.maps[0][0],
+                                      head_mean([m[len(m) - (n - first_row):] for m in maps]))
 
 
 class TestForwardMatchesTextbookKernels:
@@ -428,6 +486,26 @@ def decode_pointer(weights, vocab, image, target, tau=2, steps=2):
     return state.response_ids, trace
 
 
+def zero_padded_to_width_d(w):
+    """The one-head copy model with each head's q, k and v zero-padded to width
+    d and ``wo`` to (d, d): the dense weights that compact heads replace."""
+    d = w.config.embed_dim
+    assert w.config.heads == 1
+
+    def pad(m):
+        out = np.zeros((m.shape[0], m.shape[1], d))
+        out[:, :, :m.shape[2]] = m
+        return out
+
+    layers = []
+    for lw in w.layers:
+        wo = np.zeros((d, d))
+        wo[:lw.wo.shape[0]] = lw.wo
+        layers.append(dataclasses.replace(lw, wq=pad(lw.wq), wk=pad(lw.wk), wv=pad(lw.wv),
+                                          wo=wo))
+    return dataclasses.replace(w, layers=layers)
+
+
 class TestCopyModel:
     def test_exhaustive_2x2(self):
         symbols = ("a", "b", "c", "d")
@@ -479,6 +557,39 @@ class TestCopyModel:
         w = build_copy_model((2, 3), symbols)
         assert w.config == copy_model_config((2, 3), symbols)
         assert (w.config.heads, w.config.embed_dim) == (1, 2 * 6 + 4 + 2 * 3)
+
+    def test_each_layer_stores_only_the_head_columns_it_routes(self):
+        n, a = 6, 3
+        w = build_copy_model((2, 3), ("a", "b", "c"))
+        d = w.config.embed_dim
+        broadcast, *fetch = w.layers
+        assert ([x.shape for x in (broadcast.wq, broadcast.wk, broadcast.wv, broadcast.wo)]
+                == [(1, d, n), (1, d, n), (1, d, 1), (1, d)])
+        assert len(fetch) == w.config.layers - 1
+        for lw in fetch:
+            assert [x.shape for x in (lw.wq, lw.wk, lw.wv, lw.wo)] == [
+                (1, d, 1), (1, d, 1), (1, d, a), (a, d)]
+
+    @pytest.mark.parametrize("grid,num_symbols", [((2, 2), 4), ((2, 3), 6), ((8, 8), 16)])
+    def test_compact_heads_are_bitwise_the_zero_padded_heads(self, grid, num_symbols):
+        symbols = tuple(f"s{j}" for j in range(num_symbols))
+        w = build_copy_model(grid, symbols)
+        dense = zero_padded_to_width_d(w)
+        n = w.config.num_patches
+        vocab = CopyTaskVocab(symbols, n)
+        rng = SeededRng(n)
+        flat = [symbols[int(i)] for i in rng.integers(0, num_symbols, size=n)]
+        image = [flat[r * grid[1]:(r + 1) * grid[1]] for r in range(grid[0])]
+        # a response with masked, decoded and abstaining rows
+        response = [vocab.mask_id, vocab.symbol_id(flat[1 % n]), vocab.mask_id, vocab.null_id]
+        x = np.concatenate([encode_image(image, w), embed_prompt([vocab.index_id(n - 1)], w),
+                            embed_response(response, w)])
+        for first_row in (0, n + 1):
+            logits, cap = forward(x, w, capture=True, first_row=first_row)
+            want_logits, want = forward(x, dense, capture=True, first_row=first_row)
+            np.testing.assert_array_equal(logits, want_logits)
+            np.testing.assert_array_equal(cap.maps[0][0], want.maps[0][0])
+            assert np.argmax(logits[n + 1 - first_row]) == vocab.symbol_id(flat[n - 1])
 
     def test_repeated_symbols_rejected(self):
         # with a repeated symbol the copy model and the task answers disagree on its id
