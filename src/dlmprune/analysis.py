@@ -2,8 +2,10 @@
 
 Per layer and step, a forward pass over n tokens of width d with FFN width mu
 costs 4*n*d^2 + 2*n^2*d + 2*n*d*mu floating-point operations (QKV/output
-projections, attention products, FFN). Counts are exact integers. The copy
-model is priced at its full width d too, though its heads are narrower.
+projections, attention products, FFN), one per multiply-add. Counts are exact
+integers. The copy model is priced at its full width d and FFN width 1 too,
+though its heads are narrower and its layers have no FFN; ``executed_macs``
+counts the multiply-adds ``model.forward`` actually runs, from the weights.
 """
 
 from __future__ import annotations
@@ -71,6 +73,31 @@ def flops_pruned(layers: int, steps: int, n: int, n_r: int, d: int, mu: int) -> 
             raise ValueError(f"{name} must be nonnegative")
     return flops_report(layers, d, mu, [n] * steps, [n] + [n_r] * (steps - 1),
                         steps=steps, n=n, n_r=n_r)
+
+
+def executed_macs(weights, n: int, first_row: int = 0) -> tuple[int, int, int]:
+    """(proj, attn, ffn) multiply-adds of one ``model.forward`` over n rows.
+
+    Widths are read from each layer's weights: q/k width ``wq.shape[2]``, v
+    width ``wv.shape[2]`` and FFN width ``w1.shape[1]``, 0 for a layer with
+    no FFN. Every layer computes all n rows except the last, which computes
+    rows ``first_row..n-1``; K and V always run over all n rows. For a random
+    model at ``first_row`` 0 the sum is ``layers * flops_per_pass(n, d, mu)``.
+    """
+    if not 0 <= first_row < n:
+        raise ValueError(f"first_row {first_row} outside 0..{n - 1}")
+    proj = attn = ffn = 0
+    last = len(weights.layers) - 1
+    for li, lw in enumerate(weights.layers):
+        heads, d, w = lw.wq.shape
+        w_v = lw.wv.shape[2]
+        rows = n - (first_row if li == last else 0)
+        # Q and the out-projection over the rows computed, K and V over all n
+        proj += heads * (rows * d * w + n * d * w + n * d * w_v) + rows * heads * w_v * d
+        attn += heads * rows * n * (w + w_v)
+        if lw.w1 is not None:
+            ffn += 2 * rows * d * lw.w1.shape[1]
+    return proj, attn, ffn
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

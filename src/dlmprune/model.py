@@ -82,16 +82,18 @@ class LayerWeights:
     ``w = wq.shape[2]`` and v width ``w_v = wv.shape[2]``, which need not equal
     ``config.head_dim`` (the copy model stores only the columns it routes);
     ``forward`` scales scores by ``1/sqrt(config.head_dim)`` whatever they
-    are. Shapes are checked once, here."""
+    are. An attention-only layer has no FFN: ``w1``, ``b1``, ``w2`` and ``b2``
+    are all None, and ``forward`` skips its ``norm2`` + FFN sublayer. A norm
+    of None is an identity skip. Shapes are checked once, here."""
 
     wq: np.ndarray  # (heads, d, w)
     wk: np.ndarray  # (heads, d, w)
     wv: np.ndarray  # (heads, d, w_v)
     wo: np.ndarray  # (heads·w_v, d), applied to the concatenated head outputs
-    w1: np.ndarray  # (d, ffn_dim)
-    b1: np.ndarray  # (ffn_dim,)
-    w2: np.ndarray  # (ffn_dim, d)
-    b2: np.ndarray  # (d,)
+    w1: Optional[np.ndarray] = None  # (d, mu), or None with b1, w2 and b2: no FFN
+    b1: Optional[np.ndarray] = None  # (mu,)
+    w2: Optional[np.ndarray] = None  # (mu, d)
+    b2: Optional[np.ndarray] = None  # (d,)
     norm1: Optional[tuple[np.ndarray, np.ndarray]] = None  # (gain, bias) or identity skip
     norm2: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -99,19 +101,29 @@ class LayerWeights:
         if self.wq.ndim != 3:
             raise ValueError(f"wq must be (heads, d, w), got {self.wq.shape}")
         heads, d, _ = self.wq.shape
-        mu = self.w1.shape[-1]
+        w_v = self.wv.shape[-1]
         wanted = {
-            "wk": self.wq.shape,
-            "wv": (heads, d, self.wv.shape[-1]),
-            "wo": (heads * self.wv.shape[-1], d),
-            "w1": (d, mu),
-            "b1": (mu,),
-            "w2": (mu, d),
-            "b2": (d,),
+            "wk": (self.wk, self.wq.shape),
+            "wv": (self.wv, (heads, d, w_v)),
+            "wo": (self.wo, (heads * w_v, d)),
         }
-        for name, shape in wanted.items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must be {shape}, got {getattr(self, name).shape}")
+        ffn = {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        given = [name for name, array in ffn.items() if array is not None]
+        if given and len(given) < len(ffn):
+            raise ValueError(f"an FFN needs all of w1, b1, w2 and b2 or none of them, "
+                             f"got only {', '.join(given)}")
+        if given:
+            mu = self.w1.shape[-1]
+            wanted.update(w1=(self.w1, (d, mu)), b1=(self.b1, (mu,)), w2=(self.w2, (mu, d)),
+                          b2=(self.b2, (d,)))
+        for norm in ("norm1", "norm2"):
+            if getattr(self, norm) is not None:
+                gain, bias = getattr(self, norm)
+                wanted[f"{norm} gain"] = (gain, (d,))
+                wanted[f"{norm} bias"] = (bias, (d,))
+        for name, (array, shape) in wanted.items():
+            if np.shape(array) != shape:
+                raise ValueError(f"{name} must be {shape}, got {np.shape(array)}")
 
 
 class HashedPatchTable:
@@ -240,8 +252,10 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     ``first_row = 0`` that is the full forward.
 
     Each layer's head widths are its arrays' (``LayerWeights``); scores are
-    scaled by ``1/sqrt(cfg.head_dim)`` at any width. Each head works through
-    its rows in tiles (``_TILE_BYTES``): the tile's ``q·kᵀ`` rows are scaled
+    scaled by ``1/sqrt(cfg.head_dim)`` at any width. A layer with no FFN
+    (``w1`` None) runs attention only: its ``norm2`` and FFN are skipped,
+    not run on zero weights. Each head works through its rows in tiles
+    (``_TILE_BYTES``): the tile's ``q·kᵀ`` rows are scaled
     and normalised in place in one reused score buffer, and the tile's
     ``attn·v`` goes into that head's columns of the layer's (n, heads·w_v)
     buffer. At n ≤ 362 there is one tile; the last layer's rows are
@@ -293,8 +307,9 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                     rows += attn[c - r0:]  # on a view: no copy back into total
                 np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
         h = h[lo:] + heads[lo:] @ lw.wo
-        f_in = layer_norm(h, *lw.norm2) if lw.norm2 is not None else h
-        h = h + gelu(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
+        if lw.w1 is not None:
+            f_in = layer_norm(h, *lw.norm2) if lw.norm2 is not None else h
+            h = h + gelu(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
     if weights.final_norm is not None:
         h = layer_norm(h, *weights.final_norm)
     logits = h @ weights.output_w + weights.output_b
@@ -412,11 +427,14 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
     by index tokens, a target flag, marker channels for index/mask tokens, a
     response-position ramp, and two payload blocks (visual-side and fetched).
 
-    Each layer stores only the head columns it routes through: layer 1 has
-    q/k width n and v width 1, the others q/k width 1 and v width a. Scores
+    Each layer is attention-only and stores only the head columns it routes
+    through: layer 1 has q/k width n and v width 1, the others q/k width 1
+    and v width a, and no layer has an FFN or a norm. The config keeps
+    ``ffn_dim = 1``, which ``analysis`` prices; the weights carry none. Scores
     are still scaled by ``1/sqrt(d)``, the config's head width. Every
     projection column holds at most one nonzero weight, so the logits are
-    bitwise those of the same weights zero-padded to width d.
+    bitwise those of the same weights zero-padded to width d with an all-zero
+    FFN in every layer.
 
     Layer 1 routes each visual token's position code against the prompt's
     pointer code and writes the flag onto the matching visual token. Layers
@@ -460,14 +478,6 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
     for p in range(DEFAULT_MAX_RESPONSE):
         positional[resp_base + p, ramp_ch] = _RAMP_STEP * p
 
-    def attention_only_layer(wq, wk, wv, wo) -> LayerWeights:
-        return LayerWeights(
-            wq=wq, wk=wk, wv=wv, wo=wo,
-            w1=np.zeros((d, cfg.ffn_dim)), b1=np.zeros(cfg.ffn_dim),
-            w2=np.zeros((cfg.ffn_dim, d)), b2=np.zeros(d),
-            norm1=None, norm2=None,
-        )
-
     def broadcast_layer() -> LayerWeights:
         wq, wk = np.zeros((1, d, n)), np.zeros((1, d, n))
         wv, wo = np.zeros((1, d, 1)), np.zeros((1, d))
@@ -476,7 +486,7 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
             wk[0, a2 + i, i] = 1.0
         wv[0, idx_mark, 0] = _FLAG_GAIN
         wo[0, flag_ch] = 1.0
-        return attention_only_layer(wq, wk, wv, wo)
+        return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo)
 
     def fetch_layer() -> LayerWeights:
         wq, wk = np.zeros((1, d, 1)), np.zeros((1, d, 1))
@@ -486,7 +496,7 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
         for j in range(a):
             wv[0, pv + j, j] = 1.0
             wo[j, pr + j] = 1.0
-        return attention_only_layer(wq, wk, wv, wo)
+        return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo)
 
     output_w = np.zeros((d, cfg.vocab_size))
     for j in range(a):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dlmprune.analysis import (cosine, flops_baseline, flops_for_lengths, flops_pruned,
-                               similarity_curve)
+from dlmprune.analysis import (cosine, executed_macs, flops_baseline, flops_for_lengths,
+                               flops_per_pass, flops_pruned, similarity_curve)
+from dlmprune.model import ModelConfig, build_copy_model, init_random_model
 from dlmprune.numerics import SeededRng
 
 
@@ -59,6 +60,48 @@ class TestFlopsPruned:
     def test_matches_length_sum(self):
         rep = flops_pruned(2, 5, 12, 7, 8, 16)
         assert rep.pruned == flops_for_lengths(2, 8, 16, [12, 7, 7, 7, 7])
+
+
+def random_model(layers=2, heads=2, d=16, mu=8):
+    return init_random_model(ModelConfig(layers=layers, heads=heads, embed_dim=d, vision_dim=4,
+                                         ffn_dim=mu, vocab_size=12, patch_grid=(2, 2),
+                                         mask_token_id=11), 0)
+
+
+class TestExecutedMacs:
+    @pytest.mark.parametrize("layers,heads,d,mu,n", [
+        (1, 1, 4, 4, 1), (2, 2, 16, 8, 10), (4, 4, 128, 256, 1072), (3, 2, 6, 1, 7)])
+    def test_random_model_at_first_row_0_is_the_paper_count(self, layers, heads, d, mu, n):
+        proj, attn, ffn = executed_macs(random_model(layers, heads, d, mu), n)
+        assert (proj, attn, ffn) == (layers * 4 * n * d * d, layers * 2 * n * n * d,
+                                     layers * 2 * n * d * mu)
+        assert proj + attn + ffn == layers * flops_per_pass(n, d, mu)
+
+    def test_random_model_past_first_row_0(self):
+        # layer 1 runs all 10 rows; layer 2 runs rows 7..9 (3 rows) for Q,
+        # attention, out-projection and FFN, and all 10 for K and V
+        proj, attn, ffn = executed_macs(random_model(layers=2, heads=2, d=16, mu=8), 10, 7)
+        assert proj == 4 * 10 * 16 * 16 + (3 + 10 + 10 + 3) * 16 * 16
+        assert attn == 2 * 10 * 10 * 16 + 2 * 3 * 10 * 16
+        assert ffn == 2 * 10 * 16 * 8 + 2 * 3 * 16 * 8
+
+    @pytest.mark.parametrize("first_row,last_rows", [(0, 73), (65, 8)])
+    def test_copy8x8(self, first_row, last_rows):
+        # n = 64 patches + 1 prompt + 8 response rows, d = 2·64 + 4 + 2·16 =
+        # 164; the broadcast layer has q/k width 64 and v width 1, the 11
+        # fetch layers q/k width 1 and v width 16, and no layer has an FFN
+        w = build_copy_model((8, 8), tuple(f"s{j}" for j in range(16)))
+        n, d, r = 73, 164, last_rows
+        broadcast = (n * d * 64 + n * d * 64 + n * d * 1 + n * 1 * d, n * n * (64 + 1))
+        fetch = (n * d * 1 + n * d * 1 + n * d * 16 + n * 16 * d, n * n * (1 + 16))
+        last = (r * d * 1 + n * d * 1 + n * d * 16 + r * 16 * d, r * n * (1 + 16))
+        assert executed_macs(w, n, first_row) == (
+            broadcast[0] + 10 * fetch[0] + last[0], broadcast[1] + 10 * fetch[1] + last[1], 0)
+
+    @pytest.mark.parametrize("first_row", [-1, 10])
+    def test_first_row_outside_the_rows_rejected(self, first_row):
+        with pytest.raises(ValueError, match="first_row"):
+            executed_macs(random_model(), 10, first_row)
 
 
 class TestCosine:

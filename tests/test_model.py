@@ -173,6 +173,31 @@ class TestLayerWeights:
         with pytest.raises(ValueError, match=rf"^{name} must be "):
             LayerWeights(**arrays)
 
+    @pytest.mark.parametrize("norm", ["norm1", "norm2"])
+    @pytest.mark.parametrize("part,shape", [("gain", (3,)), ("bias", (3,)), ("gain", (1, 8)),
+                                            ("bias", (9,))])
+    def test_norm_of_the_wrong_width_names_the_field(self, norm, part, shape):
+        # a (3,) gain on a d = 8 layer fails here, not at its first forward
+        pair = {"gain": np.ones(8), "bias": np.zeros(8)}
+        pair[part] = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"^{norm} {part} must be \(8,\), got "):
+            LayerWeights(**layer_arrays(), **{norm: (pair["gain"], pair["bias"])})
+
+    def test_attention_only_layer_has_no_ffn(self):
+        arrays = layer_arrays()
+        for name in ("w1", "b1", "w2", "b2"):
+            arrays[name] = None
+        lw = LayerWeights(**arrays, norm1=(np.ones(8), np.zeros(8)))
+        assert lw.w1 is None and lw.w2 is None
+
+    @pytest.mark.parametrize("missing", [("w2",), ("b1",), ("w1", "b1"), ("w1", "b1", "w2")])
+    def test_ffn_given_in_part_rejected(self, missing):
+        arrays = layer_arrays()
+        for name in missing:
+            arrays[name] = None
+        with pytest.raises(ValueError, match="^an FFN needs all of w1, b1, w2 and b2"):
+            LayerWeights(**arrays)
+
 
 class TestForward:
     def test_single_row_attention(self):
@@ -247,8 +272,9 @@ def reference_forward(x, w, softmax=softmax_rows, norm=layer_norm, act=gelu, fir
             maps.append(attn)
             outs.append(attn @ (a_in @ lw.wv[hd]))
         h = h[lo:] + np.concatenate(outs, axis=1) @ lw.wo
-        f_in = norm(h, *lw.norm2) if lw.norm2 is not None else h
-        h = h + act(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
+        if lw.w1 is not None:
+            f_in = norm(h, *lw.norm2) if lw.norm2 is not None else h
+            h = h + act(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
     if w.final_norm is not None:
         h = norm(h, *w.final_norm)
     return h @ w.output_w + w.output_b, maps
@@ -488,8 +514,9 @@ def decode_pointer(weights, vocab, image, target, tau=2, steps=2):
 
 def zero_padded_to_width_d(w):
     """The one-head copy model with each head's q, k and v zero-padded to width
-    d and ``wo`` to (d, d): the dense weights that compact heads replace."""
-    d = w.config.embed_dim
+    d, ``wo`` to (d, d), and an all-zero FFN of width ``config.ffn_dim`` in
+    every layer: the dense weights that compact, FFN-free layers replace."""
+    d, mu = w.config.embed_dim, w.config.ffn_dim
     assert w.config.heads == 1
 
     def pad(m):
@@ -502,7 +529,8 @@ def zero_padded_to_width_d(w):
         wo = np.zeros((d, d))
         wo[:lw.wo.shape[0]] = lw.wo
         layers.append(dataclasses.replace(lw, wq=pad(lw.wq), wk=pad(lw.wk), wv=pad(lw.wv),
-                                          wo=wo))
+                                          wo=wo, w1=np.zeros((d, mu)), b1=np.zeros(mu),
+                                          w2=np.zeros((mu, d)), b2=np.zeros(d)))
     return dataclasses.replace(w, layers=layers)
 
 
@@ -557,6 +585,8 @@ class TestCopyModel:
         w = build_copy_model((2, 3), symbols)
         assert w.config == copy_model_config((2, 3), symbols)
         assert (w.config.heads, w.config.embed_dim) == (1, 2 * 6 + 4 + 2 * 3)
+        # the layers carry no FFN, but the config keeps ffn_dim = 1 for the cost model
+        assert w.config.ffn_dim == 1
 
     def test_each_layer_stores_only_the_head_columns_it_routes(self):
         n, a = 6, 3
@@ -590,6 +620,17 @@ class TestCopyModel:
             np.testing.assert_array_equal(logits, want_logits)
             np.testing.assert_array_equal(cap.maps[0][0], want.maps[0][0])
             assert np.argmax(logits[n + 1 - first_row]) == vocab.symbol_id(flat[n - 1])
+
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_gelu_runs_once_per_layer_with_an_ffn(self, copy):
+        # copy layers are attention-only, so their forward runs no FFN at all
+        w = (build_copy_model((2, 3), ("a", "b", "c")) if copy
+             else init_random_model(small_config(layers=3), 0))
+        x = SeededRng(1).normal(size=(9, w.config.embed_dim))
+        with mock.patch.object(model, "gelu", wraps=gelu) as spy:
+            forward(x, w, capture=True, first_row=7)
+        assert spy.call_count == (0 if copy else w.config.layers)
+        assert all(lw.w1 is None for lw in w.layers) == copy
 
     def test_repeated_symbols_rejected(self):
         # with a repeated symbol the copy model and the task answers disagree on its id
