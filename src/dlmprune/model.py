@@ -2,8 +2,8 @@
 
 Two weight constructions share one forward path:
 
-* ``init_random_model`` — seeded random weights with pre-norm residual layers,
-  used for schedule, bookkeeping, and wall-clock experiments.
+* ``init_random_model`` — seeded random weights with pre-norm residual layers
+  and bias-free FFNs, for schedule, bookkeeping, and wall-clock experiments.
 * ``build_copy_model`` — analytic weights realizing a pointer task: the prompt
   names a patch index, and masked response positions concentrate their
   attention on that visual token and decode the symbol stored there. This
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,20 +82,16 @@ class LayerWeights:
     ``w = wq.shape[2]`` and v width ``w_v = wv.shape[2]``, which need not equal
     ``config.head_dim`` (the copy model stores only the columns it routes);
     ``forward`` scales scores by ``1/sqrt(config.head_dim)`` whatever they
-    are. An attention-only layer has no FFN: ``w1``, ``b1``, ``w2`` and ``b2``
-    are all None, and ``forward`` skips its ``norm2`` + FFN sublayer. A norm
-    of None is an identity skip. Shapes are checked once, here."""
+    are. An FFN is ``w1`` and ``w2`` together; an attention-only layer has
+    neither, and ``forward`` skips its FFN sublayer. Shapes are checked once,
+    here."""
 
     wq: np.ndarray  # (heads, d, w)
     wk: np.ndarray  # (heads, d, w)
     wv: np.ndarray  # (heads, d, w_v)
     wo: np.ndarray  # (heads·w_v, d), applied to the concatenated head outputs
-    w1: Optional[np.ndarray] = None  # (d, mu), or None with b1, w2 and b2: no FFN
-    b1: Optional[np.ndarray] = None  # (mu,)
+    w1: Optional[np.ndarray] = None  # (d, mu), or None with w2: no FFN
     w2: Optional[np.ndarray] = None  # (mu, d)
-    b2: Optional[np.ndarray] = None  # (d,)
-    norm1: Optional[tuple[np.ndarray, np.ndarray]] = None  # (gain, bias) or identity skip
-    norm2: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
         if self.wq.ndim != 3:
@@ -107,20 +103,12 @@ class LayerWeights:
             "wv": (self.wv, (heads, d, w_v)),
             "wo": (self.wo, (heads * w_v, d)),
         }
-        ffn = {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-        given = [name for name, array in ffn.items() if array is not None]
-        if given and len(given) < len(ffn):
-            raise ValueError(f"an FFN needs all of w1, b1, w2 and b2 or none of them, "
-                             f"got only {', '.join(given)}")
-        if given:
+        if (self.w1 is None) != (self.w2 is None):
+            given = "w1" if self.w2 is None else "w2"
+            raise ValueError(f"an FFN needs both w1 and w2 or neither, got only {given}")
+        if self.w1 is not None:
             mu = self.w1.shape[-1]
-            wanted.update(w1=(self.w1, (d, mu)), b1=(self.b1, (mu,)), w2=(self.w2, (mu, d)),
-                          b2=(self.b2, (d,)))
-        for norm in ("norm1", "norm2"):
-            if getattr(self, norm) is not None:
-                gain, bias = getattr(self, norm)
-                wanted[f"{norm} gain"] = (gain, (d,))
-                wanted[f"{norm} bias"] = (bias, (d,))
+            wanted.update(w1=(self.w1, (d, mu)), w2=(self.w2, (mu, d)))
         for name, (array, shape) in wanted.items():
             if np.shape(array) != shape:
                 raise ValueError(f"{name} must be {shape}, got {np.shape(array)}")
@@ -153,15 +141,18 @@ class FixedPatchTable:
 
 @dataclass
 class ModelWeights:
+    """A whole model. With ``norm``, ``forward`` applies ``layer_norm`` (no
+    gain or bias) before each sublayer and before the output head."""
+
     config: ModelConfig
     patch_embed: object  # anything with .vector(symbol) -> (vision_dim,)
     projector: np.ndarray  # (vision_dim, d)
     token_embed: np.ndarray  # (vocab, d)
     positional: np.ndarray  # (positions, d); segments use disjoint base offsets
-    layers: list[LayerWeights] = field(default_factory=list)
-    final_norm: Optional[tuple[np.ndarray, np.ndarray]] = None
-    output_w: np.ndarray = None
-    output_b: np.ndarray = None
+    layers: list[LayerWeights]
+    output_w: np.ndarray  # (d, vocab)
+    output_b: np.ndarray  # (vocab,)
+    norm: bool = False
 
 
 def sinusoidal_table(length: int, dim: int) -> np.ndarray:
@@ -253,8 +244,8 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
 
     Each layer's head widths are its arrays' (``LayerWeights``); scores are
     scaled by ``1/sqrt(cfg.head_dim)`` at any width. A layer with no FFN
-    (``w1`` None) runs attention only: its ``norm2`` and FFN are skipped,
-    not run on zero weights. Each head works through its rows in tiles
+    (``w1`` None) runs attention only: its FFN sublayer, norm included, is
+    skipped, not run on zero weights. Each head works through its rows in tiles
     (``_TILE_BYTES``): the tile's ``q·kᵀ`` rows are scaled
     and normalised in place in one reused score buffer, and the tile's
     ``attn·v`` goes into that head's columns of the layer's (n, heads·w_v)
@@ -286,7 +277,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     for li, lw in enumerate(weights.layers):
         lo = first_row if li == last else 0  # first row whose output this layer computes
         layer_tiles = -(-(n - lo) * tiles // n)
-        a_in = layer_norm(h, *lw.norm1) if lw.norm1 is not None else h
+        a_in = layer_norm(h) if weights.norm else h
         dv = lw.wv.shape[2]
         heads = np.empty((n, cfg.heads * dv))  # every head's attn·v, side by side
         for hd in range(cfg.heads):
@@ -308,10 +299,10 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                 np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
         h = h[lo:] + heads[lo:] @ lw.wo
         if lw.w1 is not None:
-            f_in = layer_norm(h, *lw.norm2) if lw.norm2 is not None else h
-            h = h + gelu(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
-    if weights.final_norm is not None:
-        h = layer_norm(h, *weights.final_norm)
+            f_in = layer_norm(h) if weights.norm else h
+            h = h + gelu(f_in @ lw.w1) @ lw.w2
+    if weights.norm:
+        h = layer_norm(h)
     logits = h @ weights.output_w + weights.output_b
     if not capture:
         return logits, None
@@ -324,7 +315,8 @@ DEFAULT_MAX_RESPONSE = 512
 
 
 def init_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
-    """Seeded random weights, scaled so pre-norm residual activations stay O(1)."""
+    """Seeded random weights with ``norm`` set and bias-free FFNs, scaled so
+    pre-norm residual activations stay O(1)."""
     rng = SeededRng(seed)
     d, dv, mu, h, dh = cfg.embed_dim, cfg.vision_dim, cfg.ffn_dim, cfg.heads, cfg.head_dim
     n_pos = cfg.num_patches + DEFAULT_MAX_PROMPT + DEFAULT_MAX_RESPONSE
@@ -337,11 +329,7 @@ def init_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
             wv=rng.normal(size=(h, d, dh), scale=1.0 / np.sqrt(d)),
             wo=rng.normal(size=(d, d), scale=resid_scale / np.sqrt(d)),
             w1=rng.normal(size=(d, mu), scale=1.0 / np.sqrt(d)),
-            b1=np.zeros(mu),
             w2=rng.normal(size=(mu, d), scale=resid_scale / np.sqrt(mu)),
-            b2=np.zeros(d),
-            norm1=(np.ones(d), np.zeros(d)),
-            norm2=(np.ones(d), np.zeros(d)),
         ))
     return ModelWeights(
         config=cfg,
@@ -350,9 +338,9 @@ def init_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
         token_embed=rng.normal(size=(cfg.vocab_size, d)),
         positional=sinusoidal_table(n_pos, d),
         layers=layers,
-        final_norm=(np.ones(d), np.zeros(d)),
         output_w=rng.normal(size=(d, cfg.vocab_size), scale=1.0 / np.sqrt(d)),
         output_b=np.zeros(cfg.vocab_size),
+        norm=True,
     )
 
 
@@ -429,7 +417,7 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
 
     Each layer is attention-only and stores only the head columns it routes
     through: layer 1 has q/k width n and v width 1, the others q/k width 1
-    and v width a, and no layer has an FFN or a norm. The config keeps
+    and v width a, no layer has an FFN, and ``norm`` is unset. The config keeps
     ``ffn_dim = 1``, which ``analysis`` prices; the weights carry none. Scores
     are still scaled by ``1/sqrt(d)``, the config's head width. Every
     projection column holds at most one nonzero weight, so the logits are
@@ -512,7 +500,6 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
         token_embed=token_embed,
         positional=positional,
         layers=[broadcast_layer()] + [fetch_layer() for _ in range(cfg.layers - 1)],
-        final_norm=None,
         output_w=output_w,
         output_b=output_b,
     )

@@ -29,27 +29,19 @@ def softmax_rows(m: Matrix, out: Optional[Matrix] = None) -> Matrix:
     return e
 
 
-def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit variance, then apply gain and bias.
+def layer_norm(v: np.ndarray) -> np.ndarray:
+    """Standardise the last axis to zero mean / unit variance, with eps 1e-5.
 
     Accepts a single vector or a stack of row vectors. Bitwise equal to
-    ``(v - v.mean(-1)) / sqrt(v.var(-1) + eps) * gain + bias`` (keepdims),
-    without the Python-level wrappers of ``np.mean`` and ``np.var``.
+    ``(v - v.mean(-1)) / sqrt(v.var(-1) + 1e-5)`` (keepdims), without the
+    Python-level wrappers of ``np.mean`` and ``np.var``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     v = np.asarray(v, dtype=np.float64)
-    gain = np.asarray(gain, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
     n = v.shape[-1]
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise ValueError("gain/bias length must match the normalized axis")
     c = v - v.sum(axis=-1, keepdims=True) / n
     var = (c * c).sum(axis=-1, keepdims=True) / n
-    var += eps
+    var += 1e-5
     c /= np.sqrt(var, out=var)
-    c *= gain
-    c += bias
     return c
 
 

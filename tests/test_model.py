@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from dlmprune import model
 from dlmprune.decoder import SchedulePolicy, init_state, step
 from dlmprune.model import (DEFAULT_MAX_PROMPT, DEFAULT_MAX_RESPONSE, CopyTaskVocab,
-                            HashedPatchTable, LayerWeights, ModelConfig, build_copy_model,
-                            copy_model_config, embed_prompt, embed_response, encode_image,
-                            forward, gelu, init_random_model)
+                            HashedPatchTable, LayerWeights, ModelConfig, ModelWeights,
+                            build_copy_model, copy_model_config, embed_prompt, embed_response,
+                            encode_image, forward, gelu, init_random_model)
 from dlmprune.numerics import SeededRng, layer_norm, softmax_rows
 from dlmprune.pruning import mean_attention
 from test_numerics import ref_gelu, ref_layer_norm, ref_softmax
@@ -158,14 +158,14 @@ def layer_arrays(heads=2, d=8, w=3, w_v=5, mu=4):
     """Zero arrays of one well-shaped layer whose head widths differ from d / heads."""
     return dict(wq=np.zeros((heads, d, w)), wk=np.zeros((heads, d, w)),
                 wv=np.zeros((heads, d, w_v)), wo=np.zeros((heads * w_v, d)),
-                w1=np.zeros((d, mu)), b1=np.zeros(mu), w2=np.zeros((mu, d)), b2=np.zeros(d))
+                w1=np.zeros((d, mu)), w2=np.zeros((mu, d)))
 
 
 class TestLayerWeights:
     @pytest.mark.parametrize("name,shape", [
         ("wq", (2, 8)), ("wk", (2, 8, 4)), ("wk", (1, 8, 3)), ("wv", (2, 7, 5)),
         ("wv", (3, 8, 5)), ("wv", (2, 8)), ("wo", (10, 7)), ("wo", (5, 8)), ("w1", (7, 4)),
-        ("b1", (3,)), ("w2", (4, 7)), ("w2", (3, 8)), ("b2", (7,)), ("b2", (1, 8)),
+        ("w2", (4, 7)), ("w2", (3, 8)),
     ])
     def test_mismatch_names_the_field(self, name, shape):
         arrays = layer_arrays()
@@ -173,30 +173,44 @@ class TestLayerWeights:
         with pytest.raises(ValueError, match=rf"^{name} must be "):
             LayerWeights(**arrays)
 
-    @pytest.mark.parametrize("norm", ["norm1", "norm2"])
-    @pytest.mark.parametrize("part,shape", [("gain", (3,)), ("bias", (3,)), ("gain", (1, 8)),
-                                            ("bias", (9,))])
-    def test_norm_of_the_wrong_width_names_the_field(self, norm, part, shape):
-        # a (3,) gain on a d = 8 layer fails here, not at its first forward
-        pair = {"gain": np.ones(8), "bias": np.zeros(8)}
-        pair[part] = np.zeros(shape)
-        with pytest.raises(ValueError, match=rf"^{norm} {part} must be \(8,\), got "):
-            LayerWeights(**layer_arrays(), **{norm: (pair["gain"], pair["bias"])})
-
     def test_attention_only_layer_has_no_ffn(self):
         arrays = layer_arrays()
-        for name in ("w1", "b1", "w2", "b2"):
+        for name in ("w1", "w2"):
             arrays[name] = None
-        lw = LayerWeights(**arrays, norm1=(np.ones(8), np.zeros(8)))
+        lw = LayerWeights(**arrays)
         assert lw.w1 is None and lw.w2 is None
 
-    @pytest.mark.parametrize("missing", [("w2",), ("b1",), ("w1", "b1"), ("w1", "b1", "w2")])
-    def test_ffn_given_in_part_rejected(self, missing):
+    @pytest.mark.parametrize("missing,given", [("w1", "w2"), ("w2", "w1")])
+    def test_ffn_given_in_part_rejected(self, missing, given):
         arrays = layer_arrays()
-        for name in missing:
-            arrays[name] = None
-        with pytest.raises(ValueError, match="^an FFN needs all of w1, b1, w2 and b2"):
+        arrays[missing] = None
+        with pytest.raises(ValueError,
+                           match=f"^an FFN needs both w1 and w2 or neither, got only {given}$"):
             LayerWeights(**arrays)
+
+
+class TestModelWeights:
+    def test_output_head_is_required(self):
+        # a model without its output head fails when built, not at its first forward
+        w = init_random_model(small_config(), 1)
+        fields = {f.name: getattr(w, f.name) for f in dataclasses.fields(w)}
+        del fields["output_w"]
+        with pytest.raises(TypeError, match="output_w"):
+            ModelWeights(**fields)
+
+    @pytest.mark.parametrize("name", ["layers", "output_b"])
+    def test_layers_and_output_bias_are_required(self, name):
+        w = init_random_model(small_config(), 1)
+        fields = {f.name: getattr(w, f.name) for f in dataclasses.fields(w)}
+        del fields[name]
+        with pytest.raises(TypeError, match=name):
+            ModelWeights(**fields)
+
+    def test_norm_is_off_unless_set(self):
+        w = init_random_model(small_config(), 1)
+        fields = {f.name: getattr(w, f.name) for f in dataclasses.fields(w)}
+        del fields["norm"]
+        assert w.norm and not ModelWeights(**fields).norm
 
 
 class TestForward:
@@ -265,7 +279,7 @@ def reference_forward(x, w, softmax=softmax_rows, norm=layer_norm, act=gelu, fir
     maps = []
     for li, lw in enumerate(w.layers):
         lo = first_row if li == len(w.layers) - 1 else 0
-        a_in = norm(h, *lw.norm1) if lw.norm1 is not None else h
+        a_in = norm(h) if w.norm else h
         outs = []
         for hd in range(cfg.heads):
             attn = softmax(((a_in[lo:] @ lw.wq[hd]) @ (a_in @ lw.wk[hd]).T) * scale)
@@ -273,10 +287,10 @@ def reference_forward(x, w, softmax=softmax_rows, norm=layer_norm, act=gelu, fir
             outs.append(attn @ (a_in @ lw.wv[hd]))
         h = h[lo:] + np.concatenate(outs, axis=1) @ lw.wo
         if lw.w1 is not None:
-            f_in = norm(h, *lw.norm2) if lw.norm2 is not None else h
-            h = h + act(f_in @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
-    if w.final_norm is not None:
-        h = norm(h, *w.final_norm)
+            f_in = norm(h) if w.norm else h
+            h = h + act(f_in @ lw.w1) @ lw.w2
+    if w.norm:
+        h = norm(h)
     return h @ w.output_w + w.output_b, maps
 
 
@@ -296,6 +310,20 @@ def assert_capture_is_head_mean(w, x):
     np.testing.assert_array_equal(cap.maps[0][0], head_mean(maps))
     np.testing.assert_array_equal(logits, ref_logits)
     np.testing.assert_array_equal(logits, forward(x, w)[0])
+
+
+class TestForwardIsTheUnitGainZeroBiasForm:
+    @pytest.mark.parametrize("layers,heads,n,first_row", [(1, 1, 1, 0), (1, 2, 5, 3),
+                                                          (2, 2, 9, 0), (3, 1, 6, 5)])
+    def test_random_model(self, layers, heads, n, first_row):
+        # norm gains of ones, norm biases of zeros and a zero FFN input bias change no bit
+        cfg = small_config(layers=layers, heads=heads, embed_dim=4 * heads)
+        w = init_random_model(cfg, 3)
+        d, mu = cfg.embed_dim, cfg.ffn_dim
+        x = SeededRng(4).normal(size=(n, d))
+        want, _ = reference_forward(x, w, norm=lambda v: layer_norm(v) * np.ones(d) + np.zeros(d),
+                                    act=lambda z: gelu(z + np.zeros(mu)), first_row=first_row)
+        np.testing.assert_array_equal(forward(x, w, first_row=first_row)[0], want)
 
 
 class TestCaptureIsHeadMean:
@@ -529,8 +557,7 @@ def zero_padded_to_width_d(w):
         wo = np.zeros((d, d))
         wo[:lw.wo.shape[0]] = lw.wo
         layers.append(dataclasses.replace(lw, wq=pad(lw.wq), wk=pad(lw.wk), wv=pad(lw.wv),
-                                          wo=wo, w1=np.zeros((d, mu)), b1=np.zeros(mu),
-                                          w2=np.zeros((mu, d)), b2=np.zeros(d)))
+                                          wo=wo, w1=np.zeros((d, mu)), w2=np.zeros((mu, d))))
     return dataclasses.replace(w, layers=layers)
 
 
@@ -631,6 +658,17 @@ class TestCopyModel:
             forward(x, w, capture=True, first_row=7)
         assert spy.call_count == (0 if copy else w.config.layers)
         assert all(lw.w1 is None for lw in w.layers) == copy
+
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_layer_norm_runs_before_each_sublayer_and_the_head(self, copy):
+        # a random model norms before attention, before the FFN and before the head
+        w = (build_copy_model((2, 3), ("a", "b", "c")) if copy
+             else init_random_model(small_config(layers=3), 0))
+        x = SeededRng(1).normal(size=(9, w.config.embed_dim))
+        with mock.patch.object(model, "layer_norm", wraps=layer_norm) as spy:
+            forward(x, w, capture=True, first_row=7)
+        assert spy.call_count == (0 if copy else 2 * w.config.layers + 1)
+        assert w.norm != copy
 
     def test_repeated_symbols_rejected(self):
         # with a repeated symbol the copy model and the task answers disagree on its id

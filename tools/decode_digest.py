@@ -14,7 +14,11 @@ score traces and the keep sets applied. Keep sets are captured by wrapping
 leave every decode bitwise the same prints the same digests as its parent.
 A second line per workload, ``<name> inputs``, is one SHA-256 over the
 embedded visual and prompt rows of every input decoded, so a change to the
-embedding path shows directly, not only through the decodes.
+embedding path shows directly, not only through the decodes. A third,
+``<name> logits``, is one SHA-256 over the logits of every forward those
+decodes run, and the attention map it captured whenever there is one
+(``decoder.forward`` is wrapped as ``pruning.apply_prune`` is), so a change
+to the forward's arithmetic shows even where it flips no decoded id.
 
 It then runs each command of ``REPORT_COMMANDS`` through the checkout's CLI
 under ``--policy confidence`` and ``--policy stochastic`` and prints one
@@ -72,10 +76,22 @@ def main(argv=None) -> int:
         keeps.append(keep.indices.copy())
         return apply_prune(state, keep)
 
+    forward = decoder.forward
+
+    def hashing_forward(*args, **kwargs):
+        logits, capture = result = forward(*args, **kwargs)
+        _update(h_logits, logits)
+        if capture is not None:
+            for maps in capture.maps:
+                for m in maps:
+                    _update(h_logits, m)
+        return result
+
     pruning.apply_prune = recording_apply_prune
+    decoder.forward = hashing_forward
     total = 0
     for name, wl in WORKLOADS.items():
-        h, h_inputs = hashlib.sha256(), hashlib.sha256()
+        h, h_inputs, h_logits = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
         weights = wl.build_model()
         for seed in SEEDS:
             inputs = wl.make_inputs(np.random.default_rng(seed), weights)[:MAX_INPUTS]
@@ -102,8 +118,10 @@ def main(argv=None) -> int:
                         _update(h, keep)
         print(f"{name:8s} {h.hexdigest()}")
         print(f"{name} inputs {h_inputs.hexdigest()}")
+        print(f"{name} logits {h_logits.hexdigest()}")
     print(f"decodes  {total}")
     pruning.apply_prune = apply_prune
+    decoder.forward = forward
     _print_report_digests()
     return 0
 
