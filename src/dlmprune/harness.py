@@ -12,7 +12,7 @@ import csv
 import json
 import string
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -87,13 +87,15 @@ class RunConfig:
 
 @dataclass
 class BenchReport:
+    """One variant's figures; field order is JSON key order, and config is not rounded."""
+
     variant: str
     latency_s_per_sample: Optional[float] = None
     throughput_tok_per_s: Optional[float] = None
     accuracy: Optional[float] = None
     flops: Optional[analysis.FlopsReport] = None
-    similarity: Optional[analysis.SimilarityCurve] = None
     skipped: Optional[str] = None  # why the variant could not run; no figures then
+    similarity: Optional[analysis.SimilarityCurve] = None
     config: dict = field(default_factory=dict)
 
 
@@ -142,14 +144,16 @@ def decode(weights: ModelWeights, cfg: RunConfig, inputs: Sequence[tuple],
 
     The plans take turns on each input, so a drift in machine speed reaches
     all of them alike instead of whichever ran during it. Input j unmasks under
-    its own stream, seeded ``cfg.policy.rng_seed + j``. Returns, per plan, the
-    (ids, stats) of each input, or the EmptyGuidanceSet that stopped the plan:
-    a plan whose guidance set (or ``score_with``'s) has no rows when it prunes
-    (or scores) is not run on later inputs; the other plans still run.
+    its own stream, seeded ``cfg.policy.rng_seed + j`` when the policy has a seed.
+    Returns, per plan, the (ids, stats) of each input, or the EmptyGuidanceSet
+    that stopped the plan: a plan whose guidance set (or ``score_with``'s) has no
+    rows when it prunes (or scores) is not run on later inputs; the other plans
+    still run.
     """
     runs: list = [[] for _ in plans]
+    seed = cfg.policy.rng_seed
     for j, (visual, prompt) in enumerate(inputs):
-        policy = replace(cfg.policy, rng_seed=cfg.policy.rng_seed + j)
+        policy = replace(cfg.policy, rng_seed=None if seed is None else seed + j)
         for i, plan in enumerate(plans):
             if isinstance(runs[i], EmptyGuidanceSet):
                 continue
@@ -287,33 +291,24 @@ def run_bench(cfg: RunConfig, *, plans: Optional[list[PrunePlan]] = None) -> lis
 
 # --- serialization -----------------------------------------------------------
 
-def _round6(x: Optional[float]) -> Optional[float]:
-    return None if x is None else round(float(x), 6)
+_SET_ONLY = ("flops", "skipped", "similarity", "config")  # omitted when None or {}
+
+
+def _round6(value):
+    """``value`` with every float in it, at any depth, rounded to six decimals."""
+    if isinstance(value, dict):
+        return {k: _round6(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_round6(v) for v in value]
+    return round(float(value), 6) if isinstance(value, float) else value
 
 
 def report_to_dict(report: BenchReport) -> dict:
-    out: dict = {"variant": report.variant}
-    out["latency_s_per_sample"] = _round6(report.latency_s_per_sample)
-    out["throughput_tok_per_s"] = _round6(report.throughput_tok_per_s)
-    out["accuracy"] = _round6(report.accuracy)
-    if report.flops is not None:
-        out["flops"] = {
-            "baseline": report.flops.baseline,
-            "pruned": report.flops.pruned,
-            "ratio": _round6(report.flops.ratio),
-            "params": report.flops.params,
-        }
-    if report.skipped is not None:
-        out["skipped"] = report.skipped
-    if report.similarity is not None:
-        out["similarity"] = {
-            "sims": [_round6(s) for s in report.similarity.sims],
-            "first_step": report.similarity.first_step,
-            "sample_count": report.similarity.sample_count,
-        }
-    if report.config:
-        out["config"] = report.config
-    return out
+    """The report's fields in their order, the figures null when unset and the rest only
+    when set; floats rounded to six decimals at any depth, except under ``config``."""
+    return {name: value if name == "config" else _round6(value)
+            for name, value in asdict(report).items()
+            if name not in _SET_ONLY or value not in (None, {})}
 
 
 _CSV_COLUMNS = ["variant", "latency_s_per_sample", "throughput_tok_per_s", "accuracy",

@@ -1,11 +1,19 @@
 import json
+import os
 import statistics
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+from typing import Optional
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from dlmprune import analysis, harness
 from dlmprune.cli import main
-from dlmprune.decoder import PolicyKind, run_inference
+from dlmprune.decoder import PolicyKind, SchedulePolicy, run_inference
 from dlmprune.harness import (BenchReport, ConfigError, config_from_dict, emit_report,
                               gen_pointer_task, run_accuracy, run_bench, run_similarity)
 from dlmprune.model import CopyTaskVocab, embed_prompt, encode_image
@@ -158,6 +166,24 @@ class TestDecode:
         assert [seed for seed, _ in calls] == [40, 40, 41, 41, 42, 42]
         assert calls[0][1] == calls[1][1] and calls[0][1] != calls[2][1]
 
+    def test_a_policy_without_a_seed_decodes_as_the_seeded_one(self, monkeypatch):
+        # the seed was shifted for every policy, so an unseeded one raised
+        # TypeError; the confidence policy never reads it
+        cfg = config_from_dict({"tasks": {"count": 2}})
+        _, weights = harness.copy_setup(cfg.tasks)
+        inputs, _ = harness.pointer_inputs(cfg.tasks, weights)
+        plans = [None, PrunePlan.once(0.5)]
+        want = harness.decode(weights, cfg, inputs, plans)
+        calls = record_decodes(monkeypatch)
+        got = harness.decode(weights, replace(cfg, policy=SchedulePolicy.confidence()), inputs,
+                             plans)
+        assert [seed for seed, _ in calls] == [None] * 4
+
+        def decoded(runs):
+            return [[(ids.tolist(), stats.per_step_lengths) for ids, stats in r] for r in runs]
+
+        assert decoded(got) == decoded(want)
+
 
 class TestRunSimilarity:
     def test_stochastic_curve_covers_the_steps_every_input_scored(self, tmp_path):
@@ -267,6 +293,27 @@ class TestRunBench:
         assert 0.9 <= statistics.median(ratios) <= 1.1
 
 
+# floats with more than six decimals, so that rounding them shows
+long_floats = hst.floats(-1e6, 1e6, allow_nan=False).filter(lambda x: round(x, 6) != x)
+bench_reports = hst.builds(
+    BenchReport,
+    variant=hst.text(max_size=12),
+    latency_s_per_sample=hst.none() | long_floats,
+    throughput_tok_per_s=hst.none() | long_floats,
+    accuracy=hst.none() | long_floats,
+    flops=hst.none() | hst.builds(
+        analysis.FlopsReport, baseline=hst.integers(0, 10**15), pruned=hst.integers(0, 10**15),
+        ratio=long_floats, params=hst.dictionaries(hst.text(max_size=6), hst.integers())),
+    skipped=hst.none() | hst.text(max_size=20),
+    similarity=hst.none() | hst.builds(
+        analysis.SimilarityCurve, sims=hst.lists(long_floats, min_size=1, max_size=6),
+        first_step=hst.integers(2, 9), sample_count=hst.integers(1, 9)),
+    config=hst.dictionaries(hst.sampled_from(["decode", "prune", "tasks"]),
+                            hst.dictionaries(hst.sampled_from(["K", "r", "seed"]),
+                                             hst.integers() | long_floats), max_size=3),
+)
+
+
 class TestReports:
     def sample_report(self):
         return BenchReport(
@@ -319,6 +366,48 @@ class TestReports:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_report(self.sample_report(), tmp_path / "r.xml", format="xml")
+
+    @settings(max_examples=300, deadline=None)
+    @given(report=bench_reports)
+    @example(report=BenchReport(variant="once/masked/r=0.1234567", latency_s_per_sample=0.1234567,
+                                config={"prune": {"r": 0.1234567}}))
+    def test_serialiser_matches_the_hand_written_one(self, report):
+        got = harness.report_to_dict(report)
+        want = reference_report_to_dict(report)
+        assert got == want
+        assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+        if report.config:
+            assert got["config"] == report.config  # echoed as given, not rounded
+
+
+def _round6(x: Optional[float]) -> Optional[float]:
+    return None if x is None else round(float(x), 6)
+
+
+def reference_report_to_dict(report: BenchReport) -> dict:
+    """The serialiser as it listed every field by hand, kept as a reference."""
+    out: dict = {"variant": report.variant}
+    out["latency_s_per_sample"] = _round6(report.latency_s_per_sample)
+    out["throughput_tok_per_s"] = _round6(report.throughput_tok_per_s)
+    out["accuracy"] = _round6(report.accuracy)
+    if report.flops is not None:
+        out["flops"] = {
+            "baseline": report.flops.baseline,
+            "pruned": report.flops.pruned,
+            "ratio": _round6(report.flops.ratio),
+            "params": report.flops.params,
+        }
+    if report.skipped is not None:
+        out["skipped"] = report.skipped
+    if report.similarity is not None:
+        out["similarity"] = {
+            "sims": [_round6(s) for s in report.similarity.sims],
+            "first_step": report.similarity.first_step,
+            "sample_count": report.similarity.sample_count,
+        }
+    if report.config:
+        out["config"] = report.config
+    return out
 
 
 class TestConfig:
@@ -620,6 +709,26 @@ class TestCli:
             "prune": prune,
         }))
         return str(path)
+
+
+class TestEntryPoints:
+    """``python -m dlmprune`` as a separate process, importing the package from src/."""
+
+    @staticmethod
+    def run_module(*args):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return subprocess.run([sys.executable, "-m", "dlmprune", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_flops_exits_0(self):
+        done = self.run_module("flops", "--r", "0.25")
+        assert done.returncode == 0, done.stderr
+        assert "ratio" in done.stdout
+
+    def test_missing_config_exits_2(self, tmp_path):
+        done = self.run_module("flops", "--config", str(tmp_path / "missing.json"))
+        assert done.returncode == 2
+        assert "cannot read config" in done.stderr
 
 
 @pytest.mark.parametrize("section,key,value", [
