@@ -3,9 +3,11 @@
 Per layer and step, a forward pass over n tokens of width d with FFN width mu
 costs 4*n*d^2 + 2*n^2*d + 2*n*d*mu floating-point operations (QKV/output
 projections, attention products, FFN), one per multiply-add. Counts are exact
-integers. The copy model is priced at its full width d and FFN width 1 too,
-though its heads are narrower and its layers have no FFN; ``executed_macs``
-counts the multiply-adds ``model.forward`` actually runs, from the weights.
+integers. The copy model is priced at its full width d, FFN width 1 and 12
+layers too, though its heads are narrower, its layers have no FFN and a
+forward runs its 11 tied fetch layers as one or two (``model.layer_runs``);
+``executed_macs`` counts the multiply-adds ``model.forward`` actually runs,
+from the weights.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from .model import layer_runs
 
 
 @dataclass
@@ -80,18 +84,21 @@ def executed_macs(weights, n: int, first_row: int = 0) -> tuple[int, int, int]:
 
     Widths are read from each layer's weights: q/k width ``wq.shape[2]``, v
     width ``wv.shape[2]`` and FFN width ``w1.shape[1]``, 0 for a layer with
-    no FFN. Every layer computes all n rows except the last, which computes
-    rows ``first_row..n-1``; K and V always run over all n rows. For a random
+    no FFN. A run of tied layers (``model.layer_runs``) counts once. Every
+    run computes all n rows except the one ending at the last layer, which
+    computes rows ``first_row..n-1`` (past ``first_row`` 0 that run is the
+    last layer alone); K and V always run over all n rows. For a random
     model at ``first_row`` 0 the sum is ``layers * flops_per_pass(n, d, mu)``.
     """
     if not 0 <= first_row < n:
         raise ValueError(f"first_row {first_row} outside 0..{n - 1}")
     proj = attn = ffn = 0
-    last = len(weights.layers) - 1
-    for li, lw in enumerate(weights.layers):
+    end = 0
+    for lw, k in layer_runs(weights, first_row):
+        end += k
         heads, d, w = lw.wq.shape
         w_v = lw.wv.shape[2]
-        rows = n - (first_row if li == last else 0)
+        rows = n - (first_row if end == len(weights.layers) else 0)
         # Q and the out-projection over the rows computed, K and V over all n
         proj += heads * (rows * d * w + n * d * w + n * d * w_v) + rows * heads * w_v * d
         attn += heads * rows * n * (w + w_v)

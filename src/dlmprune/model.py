@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,7 +84,10 @@ class LayerWeights:
     ``forward`` scales scores by ``1/sqrt(config.head_dim)`` whatever they
     are. An FFN is ``w1`` and ``w2`` together; an attention-only layer has
     neither, and ``forward`` skips its FFN sublayer. Shapes are checked once,
-    here."""
+    here, and so is ``reads_own_writes``: whether the out-projection writes
+    (a nonzero column of ``wo``) a channel that q, k or v read (a nonzero
+    row of ``wq``, ``wk`` or ``wv``). Weights are not to be changed in place
+    after that."""
 
     wq: np.ndarray  # (heads, d, w)
     wk: np.ndarray  # (heads, d, w)
@@ -92,6 +95,7 @@ class LayerWeights:
     wo: np.ndarray  # (heads·w_v, d), applied to the concatenated head outputs
     w1: Optional[np.ndarray] = None  # (d, mu), or None with w2: no FFN
     w2: Optional[np.ndarray] = None  # (mu, d)
+    reads_own_writes: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.wq.ndim != 3:
@@ -112,6 +116,10 @@ class LayerWeights:
         for name, (array, shape) in wanted.items():
             if np.shape(array) != shape:
                 raise ValueError(f"{name} must be {shape}, got {np.shape(array)}")
+        reads = np.zeros(d, dtype=bool)
+        for m in (self.wq, self.wk, self.wv):
+            reads |= (m != 0).any(axis=(0, 2))
+        self.reads_own_writes = bool((reads & (self.wo != 0).any(axis=0)).any())
 
 
 class HashedPatchTable:
@@ -224,6 +232,27 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return t
 
 
+def layer_runs(weights: ModelWeights, first_row: int = 0) -> list[tuple[LayerWeights, int]]:
+    """The model's layers as (layer, k) runs, each of which ``forward``
+    computes once. A run of k > 1 is k consecutive positions that hold the
+    same layer object, which has no FFN and no ``reads_own_writes``, in a
+    model without ``norm``: each position's input then differs from the
+    previous one's only in channels that q, k and v weigh with zeros, so all
+    k compute the same attention and the same residual increment. With
+    ``first_row > 0`` no run of k > 1 takes in the last position, which
+    computes only rows ``first_row..n-1``: the tail of a product over all n
+    rows can round differently in BLAS. Every other position is a run of 1."""
+    runs: list[tuple[LayerWeights, int]] = []
+    last = len(weights.layers) - 1
+    for i, lw in enumerate(weights.layers):
+        if (runs and runs[-1][0] is lw and lw.w1 is None and not weights.norm
+                and not lw.reads_own_writes and not (i == last and first_row > 0)):
+            runs[-1] = (lw, runs[-1][1] + 1)
+        else:
+            runs.append((lw, 1))
+    return runs
+
+
 # Budget of one head's score tile in bytes, sized to a 4 MiB L2 cache. A
 # forward whose (n, n) float64 scores would exceed it splits its rows evenly
 # into ceil(8·n² / _TILE_BYTES) tiles, so no (n, n) array is allocated.
@@ -241,6 +270,13 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     values. The last layer's queries, attention, out-projection, FFN, final
     norm and output head run over rows ``first_row..n-1`` only; with
     ``first_row = 0`` that is the full forward.
+
+    Layers are walked in the runs of ``layer_runs``. A run of k positions
+    computes its attention and its increment ``heads @ wo`` once, then adds
+    the increment k times and, with ``capture``, its captured rows k times in
+    the same (head, tile) order. For finite activations that is bitwise the
+    layer-by-layer forward, up to the sign of a zero (the copy model's
+    activations are all >= 0). A run of 1 is one layer.
 
     Each layer's head widths are its arrays' (``LayerWeights``); scores are
     scaled by ``1/sqrt(cfg.head_dim)`` at any width. A layer with no FFN
@@ -273,13 +309,15 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     h = x
     scores = np.empty((-(-n // tiles), n))
     total = np.zeros((n - first_row, n)) if capture else None
-    last = len(weights.layers) - 1
-    for li, lw in enumerate(weights.layers):
-        lo = first_row if li == last else 0  # first row whose output this layer computes
+    end = 0
+    for lw, k in layer_runs(weights, first_row):
+        end += k
+        lo = first_row if end == len(weights.layers) else 0  # first row whose output it computes
         layer_tiles = -(-(n - lo) * tiles // n)
         a_in = layer_norm(h) if weights.norm else h
         dv = lw.wv.shape[2]
         heads = np.empty((n, cfg.heads * dv))  # every head's attn·v, side by side
+        repeat = []  # captured rows the run's other k - 1 positions add again
         for hd in range(cfg.heads):
             q = a_in[lo:] @ lw.wq[hd]
             kt = (a_in @ lw.wk[hd]).T
@@ -296,8 +334,17 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                     c = max(r0, first_row)
                     rows = total[c - first_row:r1 - first_row]
                     rows += attn[c - r0:]  # on a view: no copy back into total
+                    if k > 1:
+                        repeat.append((rows, attn[c - r0:].copy()))
                 np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
-        h = h[lo:] + heads[lo:] @ lw.wo
+        for rows, again in repeat * (k - 1):
+            rows += again
+        inc = heads[lo:] @ lw.wo
+        for _ in range(k - 1):
+            h = h + inc
+        inc += h[lo:]  # in place, as numpy elides an unnamed temporary: no extra (n, d) array
+        h = inc
+        del inc  # h alone holds it, so the FFN's new h frees it
         if lw.w1 is not None:
             f_in = layer_norm(h) if weights.norm else h
             h = h + gelu(f_in @ lw.w1) @ lw.w2
@@ -417,8 +464,14 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
 
     Each layer is attention-only and stores only the head columns it routes
     through: layer 1 has q/k width n and v width 1, the others q/k width 1
-    and v width a, no layer has an FFN, and ``norm`` is unset. The config keeps
-    ``ffn_dim = 1``, which ``analysis`` prices; the weights carry none. Scores
+    and v width a, no layer has an FFN, and ``norm`` is unset. Layers 2..L
+    are one ``LayerWeights`` object, which writes only the fetched payload
+    and reads none of it, so ``forward`` runs them as one run
+    (``layer_runs``): at ``first_row = 0`` a forward is the broadcast layer,
+    one fetch layer and L - 2 more adds of its increment; past it the run
+    stops one position short, and the last fetch layer computes its rows
+    ``first_row..n-1`` alone. The config keeps ``ffn_dim = 1``, which
+    ``analysis`` prices; the weights carry none. Scores
     are still scaled by ``1/sqrt(d)``, the config's head width. Every
     projection column holds at most one nonzero weight, so the logits are
     bitwise those of the same weights zero-padded to width d with an all-zero
@@ -499,7 +552,7 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
         projector=projector,
         token_embed=token_embed,
         positional=positional,
-        layers=[broadcast_layer()] + [fetch_layer() for _ in range(cfg.layers - 1)],
+        layers=[broadcast_layer()] + [fetch_layer()] * (cfg.layers - 1),
         output_w=output_w,
         output_b=output_b,
     )

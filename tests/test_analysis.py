@@ -85,18 +85,24 @@ class TestExecutedMacs:
         assert attn == 2 * 10 * 10 * 16 + 2 * 3 * 10 * 16
         assert ffn == 2 * 10 * 16 * 8 + 2 * 3 * 16 * 8
 
-    @pytest.mark.parametrize("first_row,last_rows", [(0, 73), (65, 8)])
-    def test_copy8x8(self, first_row, last_rows):
+    @pytest.mark.parametrize("first_row", [0, 65])
+    def test_copy8x8(self, first_row):
         # n = 64 patches + 1 prompt + 8 response rows, d = 2·64 + 4 + 2·16 =
         # 164; the broadcast layer has q/k width 64 and v width 1, the 11
-        # fetch layers q/k width 1 and v width 16, and no layer has an FFN
+        # fetch positions hold one layer object with q/k width 1 and v width
+        # 16, and no layer has an FFN. model.layer_runs gives [broadcast ×1,
+        # fetch ×11] at first_row 0, so the count is broadcast + one
+        # full-row fetch; at first_row 65 the last position computes rows
+        # 65..72 alone, the runs are [broadcast ×1, fetch ×10, fetch ×1],
+        # and the count is broadcast + one full-row fetch + an 8-row fetch
         w = build_copy_model((8, 8), tuple(f"s{j}" for j in range(16)))
-        n, d, r = 73, 164, last_rows
+        n, d, r = 73, 164, 73 - first_row
         broadcast = (n * d * 64 + n * d * 64 + n * d * 1 + n * 1 * d, n * n * (64 + 1))
         fetch = (n * d * 1 + n * d * 1 + n * d * 16 + n * 16 * d, n * n * (1 + 16))
         last = (r * d * 1 + n * d * 1 + n * d * 16 + r * 16 * d, r * n * (1 + 16))
-        assert executed_macs(w, n, first_row) == (
-            broadcast[0] + 10 * fetch[0] + last[0], broadcast[1] + 10 * fetch[1] + last[1], 0)
+        want = [broadcast, fetch] + ([last] if first_row else [])
+        assert executed_macs(w, n, first_row) == (sum(p for p, _ in want),
+                                                   sum(a for _, a in want), 0)
 
     @pytest.mark.parametrize("first_row", [-1, 10])
     def test_first_row_outside_the_rows_rejected(self, first_row):

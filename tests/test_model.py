@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import tracemalloc
@@ -13,7 +14,7 @@ from dlmprune.decoder import SchedulePolicy, init_state, step
 from dlmprune.model import (DEFAULT_MAX_PROMPT, DEFAULT_MAX_RESPONSE, CopyTaskVocab,
                             HashedPatchTable, LayerWeights, ModelConfig, ModelWeights,
                             build_copy_model, copy_model_config, embed_prompt, embed_response,
-                            encode_image, forward, gelu, init_random_model)
+                            encode_image, forward, gelu, init_random_model, layer_runs)
 from dlmprune.numerics import SeededRng, layer_norm, softmax_rows
 from dlmprune.pruning import mean_attention
 from test_numerics import ref_gelu, ref_layer_norm, ref_softmax
@@ -179,6 +180,20 @@ class TestLayerWeights:
             arrays[name] = None
         lw = LayerWeights(**arrays)
         assert lw.w1 is None and lw.w2 is None
+
+    @pytest.mark.parametrize("read,written,reads_own_writes", [
+        (None, None, False), (("wq", 0), 1, False), (("wq", 2), 2, True),
+        (("wk", 5), 5, True), (("wv", 7), 7, True), (("wv", 7), 6, False)])
+    def test_reads_own_writes_compares_the_channels_wo_writes_with_those_qkv_read(
+            self, read, written, reads_own_writes):
+        # a channel is read where a row of wq, wk or wv is nonzero, and
+        # written where a column of wo is
+        arrays = layer_arrays()
+        if read is not None:
+            name, channel = read
+            arrays[name][1, channel, 2] = 0.5
+            arrays["wo"][3, written] = -2.0
+        assert LayerWeights(**arrays).reads_own_writes == reads_own_writes
 
     @pytest.mark.parametrize("missing,given", [("w1", "w2"), ("w2", "w1")])
     def test_ffn_given_in_part_rejected(self, missing, given):
@@ -478,6 +493,130 @@ class TestTiledForward:
         assert gelu_shapes == [(n, mu), (n - first_row, mu)]
 
 
+def disjoint_layer(rng, heads, d, read, w=3, w_v=2, mu=None):
+    """A random layer whose q, k and v read channels [0, read) and whose
+    out-projection writes channels [read, d) only; with ``mu``, an FFN too."""
+    wq, wk, wv = (rng.normal(size=(heads, d, width)) for width in (w, w, w_v))
+    for m in (wq, wk, wv):
+        m[:, read:] = 0.0
+    wo = rng.normal(size=(heads * w_v, d))
+    wo[:, :read] = 0.0
+    ffn = {} if mu is None else dict(w1=rng.normal(size=(d, mu)), w2=rng.normal(size=(mu, d)))
+    return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo, **ffn)
+
+
+def copy_model_input(w, grid, symbols):
+    """(x, patch symbols) of a copy-model input whose prompt points at the last
+    patch and whose response has masked, decoded and abstaining rows."""
+    n = w.config.num_patches
+    vocab = CopyTaskVocab(symbols, n)
+    rng = SeededRng(n)
+    flat = [symbols[int(i)] for i in rng.integers(0, len(symbols), size=n)]
+    image = [flat[r * grid[1]:(r + 1) * grid[1]] for r in range(grid[0])]
+    response = [vocab.mask_id, vocab.symbol_id(flat[1 % n]), vocab.mask_id, vocab.null_id]
+    return np.concatenate([encode_image(image, w), embed_prompt([vocab.index_id(n - 1)], w),
+                           embed_response(response, w)]), flat
+
+
+def softmax_calls(w, x, **kwargs):
+    with mock.patch.object(model, "softmax_rows", wraps=softmax_rows) as spy:
+        forward(x, w, **kwargs)
+    return spy.call_count
+
+
+class TestTiedRuns:
+    """A run of positions holding one attention-only layer object that writes
+    no channel it reads, in a model without norm, runs once per forward."""
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("grid,num_symbols", [((2, 2), 4), ((2, 3), 6), ((8, 8), 16)])
+    def test_tied_copy_model_is_bitwise_its_untied_copy(self, grid, num_symbols, capture):
+        symbols = tuple(f"s{j}" for j in range(num_symbols))
+        w = build_copy_model(grid, symbols)
+        untied = dataclasses.replace(w, layers=[w.layers[0]] + [
+            copy.deepcopy(w.layers[1]) for _ in range(w.config.layers - 1)])
+        assert [k for _, k in layer_runs(untied)] == [1] * w.config.layers
+        x, _ = copy_model_input(w, grid, symbols)
+        for first_row in (0, w.config.num_patches + 1):
+            logits, cap = forward(x, w, capture=capture, first_row=first_row)
+            want_logits, want = forward(x, untied, capture=capture, first_row=first_row)
+            np.testing.assert_array_equal(logits, want_logits)
+            if capture:
+                np.testing.assert_array_equal(cap.maps[0][0], want.maps[0][0])
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_copy_forward_runs_the_fetch_layer_once_or_twice(self, capture):
+        # broadcast + the 11 fetch positions as one run; past first_row 0 the
+        # last position computes its rows alone: broadcast + 10 + 1
+        grid, symbols = (2, 3), ("a", "b", "c")
+        w = build_copy_model(grid, symbols)
+        x, _ = copy_model_input(w, grid, symbols)
+        response_start = w.config.num_patches + 1
+        assert [k for _, k in layer_runs(w)] == [1, 11]
+        assert [k for _, k in layer_runs(w, response_start)] == [1, 10, 1]
+        assert softmax_calls(w, x, capture=capture) == 2
+        assert softmax_calls(w, x, capture=capture, first_row=response_start) == 3
+        untied = dataclasses.replace(w, layers=[copy.deepcopy(lw) for lw in w.layers])
+        assert softmax_calls(untied, x, capture=capture) == 12
+
+    @pytest.mark.parametrize("case,runs_once", [
+        ("disjoint", True), ("norm", False), ("ffn", False), ("reads_own_writes", False)])
+    @pytest.mark.parametrize("first_row", [0, 7])
+    def test_only_a_write_disjoint_attention_only_run_without_norm_runs_once(
+            self, case, runs_once, first_row):
+        # 4 positions, 2 heads, 2 tiles of 5 rows: every run of 1 tiles its rows
+        n, heads, layers = 10, 2, 4
+        cfg = small_config(layers=layers, heads=heads, embed_dim=8)
+        rng = SeededRng(3)
+        lw = disjoint_layer(rng, heads, 8, read=4, mu=5 if case == "ffn" else None)
+        if case == "reads_own_writes":
+            lw = dataclasses.replace(lw, wo=lw.wo + np.eye(heads * 2, 8))
+        assert lw.reads_own_writes == (case == "reads_own_writes")
+        w = dataclasses.replace(init_random_model(cfg, 3), layers=[lw] * layers,
+                                norm=case == "norm")
+        x = np.abs(rng.normal(size=(n, 8)))
+        runs = ([layers] if first_row == 0 else [layers - 1, 1]) if runs_once else [1] * layers
+        assert [k for _, k in layer_runs(w, first_row)] == runs
+        with mock.patch.object(model, "_TILE_BYTES", tile_bytes_for(n, 5)):
+            tiles = [-(-(n - (first_row if i == len(runs) - 1 else 0)) * 2 // n)
+                     for i in range(len(runs))]
+            assert softmax_calls(w, x, first_row=first_row) == heads * sum(tiles)
+            logits, cap = forward(x, w, capture=True, first_row=first_row)
+        ref_logits, maps = reference_forward(x, w, first_row=first_row)
+        np.testing.assert_array_equal(logits, ref_logits)
+        np.testing.assert_array_equal(cap.maps[0][0],
+                                      head_mean([m[len(m) - (n - first_row):] for m in maps]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), layers=st.integers(2, 6), heads=st.integers(1, 3),
+           n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_write_disjoint_tied_run_is_the_layer_by_layer_forward(self, data, layers, heads,
+                                                                    n, seed):
+        start = data.draw(st.integers(0, layers - 2), label="run start")
+        k = data.draw(st.integers(2, layers - start), label="run length")
+        first_row = data.draw(st.integers(0, n - 1), label="first_row")
+        d = 4 * heads
+        read = data.draw(st.integers(1, d - 1), label="channels read")
+        width = data.draw(st.integers(1, 5), label="q/k width")
+        v_width = data.draw(st.integers(1, 5), label="v width")
+        cfg = small_config(layers=layers, heads=heads, embed_dim=d)
+        rng = SeededRng(seed)
+        tied = disjoint_layer(rng, heads, d, read, width, v_width)
+        w = init_random_model(cfg, seed)
+        positions = [dataclasses.replace(lw, w1=None, w2=None) for lw in w.layers]
+        positions[start:start + k] = [tied] * k
+        w = dataclasses.replace(w, layers=positions, norm=False)
+        ends_last = start + k == layers and first_row > 0
+        assert [kk for _, kk in layer_runs(w, first_row)] == (
+            [1] * start + ([k - 1, 1] if ends_last else [k]) + [1] * (layers - start - k))
+        x = np.abs(rng.normal(size=(n, d)))  # no -0.0 whose sign a skipped add would flip
+        logits, cap = forward(x, w, capture=True, first_row=first_row)
+        ref_logits, maps = reference_forward(x, w, first_row=first_row)
+        np.testing.assert_array_equal(logits, ref_logits)
+        np.testing.assert_array_equal(cap.maps[0][0],
+                                      head_mean([m[len(m) - (n - first_row):] for m in maps]))
+
+
 class TestForwardAllocations:
     @staticmethod
     def forward_peak(n, width=32, vocab=64, **kwargs):
@@ -623,6 +762,7 @@ class TestCopyModel:
         assert ([x.shape for x in (broadcast.wq, broadcast.wk, broadcast.wv, broadcast.wo)]
                 == [(1, d, n), (1, d, n), (1, d, 1), (1, d)])
         assert len(fetch) == w.config.layers - 1
+        assert all(lw is fetch[0] for lw in fetch)  # one tied layer object
         for lw in fetch:
             assert [x.shape for x in (lw.wq, lw.wk, lw.wv, lw.wo)] == [
                 (1, d, 1), (1, d, 1), (1, d, a), (a, d)]
@@ -634,13 +774,7 @@ class TestCopyModel:
         dense = zero_padded_to_width_d(w)
         n = w.config.num_patches
         vocab = CopyTaskVocab(symbols, n)
-        rng = SeededRng(n)
-        flat = [symbols[int(i)] for i in rng.integers(0, num_symbols, size=n)]
-        image = [flat[r * grid[1]:(r + 1) * grid[1]] for r in range(grid[0])]
-        # a response with masked, decoded and abstaining rows
-        response = [vocab.mask_id, vocab.symbol_id(flat[1 % n]), vocab.mask_id, vocab.null_id]
-        x = np.concatenate([encode_image(image, w), embed_prompt([vocab.index_id(n - 1)], w),
-                            embed_response(response, w)])
+        x, flat = copy_model_input(w, grid, symbols)
         for first_row in (0, n + 1):
             logits, cap = forward(x, w, capture=True, first_row=first_row)
             want_logits, want = forward(x, dense, capture=True, first_row=first_row)

@@ -23,7 +23,9 @@ to the forward's arithmetic shows even where it flips no decoded id.
 It then runs each command of ``REPORT_COMMANDS`` through the checkout's CLI
 under ``--policy confidence`` and ``--policy stochastic`` and prints one
 SHA-256 of the ``--out`` JSON with the timings (``TIMINGS``) removed, or the
-exit code of a command that fails.
+exit code of a command that fails. The JSON keeps its key order and the text
+of its floats, so a report that only reorders its fields or prints a float
+differently digests differently.
 """
 
 from __future__ import annotations
@@ -140,11 +142,11 @@ def _print_report_digests() -> None:
                 if code != 0:
                     print(f"{label:58s} exit {code}")
                     continue
-                data = json.loads(out.read_text())
+                data = json.loads(out.read_text(), parse_float=str)
                 for report in data if isinstance(data, list) else [data]:
                     for key in TIMINGS:
                         report.pop(key, None)
-                digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+                digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
                 print(f"{label:58s} {digest}")
 
 
