@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import pruning
-from .model import AttentionCapture, ModelWeights, embed_response, forward
+from .model import AttentionCapture, ModelWeights, embed_response, forward, response_rows
 from .numerics import Matrix, SeededRng, softmax_rows
 
 
@@ -51,7 +51,16 @@ class SchedulePolicy:
 
 @dataclass
 class SequenceState:
-    """Live decoding state; owned by exactly one run."""
+    """Live decoding state; owned by exactly one run.
+
+    ``step_input`` is the (n, d) forward input of the next step:
+    ``np.vstack([visual, prompt, embed_response(response_ids)])``, or None
+    until ``step`` builds it. ``step`` builds it when it is None, at the first
+    step and after ``pruning.apply_prune`` (which sets it to None), and after
+    each commit writes the committed response rows into it in place
+    (``model.response_rows``). Code that changes ``visual``, ``prompt`` or
+    ``response_ids`` in any other way sets it to None.
+    """
 
     visual: Matrix                 # current visual rows (original or pruned)
     prompt: Matrix                 # (m, d)
@@ -60,6 +69,7 @@ class SequenceState:
     visual_index_map: np.ndarray   # original indices of surviving visual rows, ascending
     step: int                      # next step to run, 1-based
     total_steps: int
+    step_input: Optional[Matrix] = None  # (n, d), kept between steps; see above
 
     @property
     def num_visual(self) -> int:
@@ -140,6 +150,11 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
     outcome's attention is the layer/head mean of rows ``first_row..n-1`` of
     this step's maps, one (n - first_row, n) map; by default the whole (n, n)
     map. ``capture=False`` skips it (logits are unaffected).
+
+    The forward input is ``state.step_input``, built from ``visual``,
+    ``prompt`` and ``embed_response`` when it is None. After committing, the
+    step writes only the committed response rows into it, in place, so the
+    next step's input is ready without rebuilding it.
     """
     k = state.step
     if k > state.total_steps:
@@ -147,8 +162,10 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
     resp_start = state.num_visual + state.prompt_len
     if first_row > resp_start:
         raise ValueError(f"first_row {first_row} is past the response start {resp_start}")
-    resp_embed = embed_response(state.response_ids, weights)
-    x = np.vstack([state.visual, state.prompt, resp_embed])
+    x = state.step_input
+    if x is None:
+        x = state.step_input = np.vstack([state.visual, state.prompt,
+                                          embed_response(state.response_ids, weights)])
     logits, cap = forward(x, weights, capture=capture, first_row=first_row)
     resp_logits = logits[resp_start - first_row:]
 
@@ -169,6 +186,7 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
 
     state.response_ids[commit] = resp_logits[commit].argmax(axis=1)
     state.masked[commit] = False
+    x[resp_start + commit] = response_rows(state.response_ids, commit, weights)
     state.step = k + 1
 
     return state, StepOutcome(newly_decoded=np.sort(commit), attention=cap)

@@ -207,10 +207,23 @@ def embed_prompt(tokens: Sequence[int], weights: ModelWeights) -> Matrix:
                          "prompt")
 
 
+def _response_base(cfg: ModelConfig) -> int:
+    """The positional-table row of response position 0."""
+    return cfg.num_patches + DEFAULT_MAX_PROMPT
+
+
 def embed_response(ids: Sequence[int], weights: ModelWeights) -> Matrix:
     """Response-row embeddings; masked positions carry the mask token id."""
-    return _embed_tokens(ids, weights, weights.config.num_patches + DEFAULT_MAX_PROMPT,
-                         DEFAULT_MAX_RESPONSE, "response")
+    return _embed_tokens(ids, weights, _response_base(weights.config), DEFAULT_MAX_RESPONSE,
+                         "response")
+
+
+def response_rows(ids: np.ndarray, positions: np.ndarray, weights: ModelWeights) -> Matrix:
+    """Rows ``positions`` of ``embed_response(ids, weights)``, computed for
+    those rows only: elementwise the same sums, so bitwise the same rows.
+    ``ids`` must already be a valid response (as ``embed_response`` checks)."""
+    base = _response_base(weights.config)
+    return weights.token_embed[ids[positions]] + weights.positional[base + positions]
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -276,7 +289,9 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     the increment k times and, with ``capture``, its captured rows k times in
     the same (head, tile) order. For finite activations that is bitwise the
     layer-by-layer forward, up to the sign of a zero (the copy model's
-    activations are all >= 0). A run of 1 is one layer.
+    activations are all >= 0). A run of 1 is one layer. The residual stream
+    is a new array from its first write on, and a run's later adds write it
+    in place, so ``x`` itself is never written.
 
     Each layer's head widths are its arrays' (``LayerWeights``); scores are
     scaled by ``1/sqrt(cfg.head_dim)`` at any width. A layer with no FFN
@@ -340,8 +355,10 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
         for rows, again in repeat * (k - 1):
             rows += again
         inc = heads[lo:] @ lw.wo
-        for _ in range(k - 1):
+        if k > 1:  # lo is 0: the run's first add is on a new array, so x is never written
             h = h + inc
+            for _ in range(k - 2):
+                h += inc
         inc += h[lo:]  # in place, as numpy elides an unnamed temporary: no extra (n, d) array
         h = inc
         del inc  # h alone holds it, so the FFN's new h frees it
@@ -515,7 +532,7 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
     positional = np.zeros((n + DEFAULT_MAX_PROMPT + DEFAULT_MAX_RESPONSE, d))
     for i in range(n):
         positional[i, a1 + i] = _CODE
-    resp_base = n + DEFAULT_MAX_PROMPT
+    resp_base = _response_base(cfg)
     for p in range(DEFAULT_MAX_RESPONSE):
         positional[resp_base + p, ramp_ch] = _RAMP_STEP * p
 

@@ -214,7 +214,8 @@ def prune_to(state: "SequenceState", plan: PrunePlan, n_keep: int,
 
 
 def apply_prune(state: "SequenceState", keep: KeepSet) -> "SequenceState":
-    """Restrict the state's visual rows to the keep set, preserving original order."""
+    """Restrict the state's visual rows to the keep set, preserving original
+    order; the next ``step`` rebuilds its input from them."""
     current = state.visual_index_map
     local = np.searchsorted(current, keep.indices)
     bad = (local >= current.size) | (current[np.minimum(local, current.size - 1)] != keep.indices)
@@ -223,6 +224,7 @@ def apply_prune(state: "SequenceState", keep: KeepSet) -> "SequenceState":
         raise ValueError(f"keep indices not currently present: {missing}")
     state.visual = state.visual[local]
     state.visual_index_map = keep.indices.copy()
+    state.step_input = None
     return state
 
 

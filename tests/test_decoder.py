@@ -8,10 +8,10 @@ from hypothesis import strategies as hst
 from dlmprune import decoder, pruning
 from dlmprune.decoder import (PolicyKind, SchedulePolicy, decode_quota, init_state,
                               remask_prob, run_inference, step)
-from dlmprune.model import (ModelConfig, build_copy_model, embed_prompt, embed_response,
-                            encode_image, forward, init_random_model)
+from dlmprune.model import (CopyTaskVocab, ModelConfig, build_copy_model, embed_prompt,
+                            embed_response, encode_image, forward, init_random_model)
 from dlmprune.numerics import SeededRng, softmax_rows
-from dlmprune.pruning import (EmptyGuidanceSet, PrunePlan, ScorerKind, apply_prune,
+from dlmprune.pruning import (EmptyGuidanceSet, KeepSet, PrunePlan, ScorerKind, apply_prune,
                               first_guidance_row, keep_schedule, plan_progressive, prune_to,
                               step_scores)
 
@@ -412,3 +412,68 @@ class TestRunInference:
         with pytest.raises(ValueError):
             run_inference(v, p, 4, 1, w, SchedulePolicy.confidence(),
                           PrunePlan.progressive(0.5))
+
+
+def rebuilt_input(state, weights):
+    return np.vstack([state.visual, state.prompt, embed_response(state.response_ids, weights)])
+
+
+class TestKeptStepInput:
+    """The input a state keeps between steps is, at every forward, the input
+    rebuilt from its visual, prompt and response rows."""
+
+    @staticmethod
+    def model_and_segments(kind):
+        if kind == "copy":
+            symbols = ("a", "b", "c", "d")
+            w = build_copy_model((3, 3), symbols)
+            image = [["b", "a", "d"], ["c", "a", "b"], ["d", "d", "c"]]
+            prompt = embed_prompt([CopyTaskVocab(symbols, 9).index_id(5)], w)
+            return w, encode_image(image, w), prompt
+        _, w = tiny_model(grid=(3, 3))
+        return (w, *tiny_inputs(w))
+
+    @pytest.mark.parametrize("policy", [SchedulePolicy.confidence(),
+                                        SchedulePolicy.stochastic(6)])
+    @pytest.mark.parametrize("plan", [None, PrunePlan.once(0.5),
+                                      PrunePlan.random_once(0.5, seed=4),
+                                      PrunePlan.progressive(0.25)])
+    @pytest.mark.parametrize("kind", ["random", "copy"])
+    def test_every_forward_reads_the_rebuilt_rows(self, kind, plan, policy):
+        w, v, p = self.model_and_segments(kind)
+        current, lengths = [], []
+
+        def recording_step(state, *args, **kwargs):
+            current[:] = [state]
+            return step(state, *args, **kwargs)
+
+        def checking_forward(x, weights, **kwargs):
+            want = rebuilt_input(current[0], weights)
+            assert x.shape == want.shape and x.tobytes() == want.tobytes()
+            lengths.append(x.shape[0])
+            return forward(x, weights, **kwargs)
+
+        with mock.patch.object(decoder, "step", recording_step), \
+                mock.patch.object(decoder, "forward", checking_forward):
+            _, trace, stats = run_inference(v, p, 6, 4, w, policy, plan)
+        assert lengths == stats.per_step_lengths and len(lengths) == len(trace) > 1
+        assert (len(set(lengths)) > 1) == (plan is not None)
+
+    def test_a_step_after_apply_prune_reads_the_pruned_rows(self):
+        cfg, w = tiny_model(grid=(3, 3))
+        v, p = tiny_inputs(w)
+        state = init_state(v, p, 4, 4, mask_token_id=cfg.mask_token_id)
+        step(state, w, SchedulePolicy.confidence())
+        apply_prune(state, KeepSet(indices=np.array([1, 4, 7])))
+        assert state.step_input is None
+        want = np.vstack([v[[1, 4, 7]], p, embed_response(state.response_ids, w)])
+        seen = []
+
+        def recording_forward(x, weights, **kwargs):
+            seen.append(x.copy())
+            return forward(x, weights, **kwargs)
+
+        with mock.patch.object(decoder, "forward", recording_forward):
+            step(state, w, SchedulePolicy.confidence())
+        assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+        assert state.step_input.tobytes() == rebuilt_input(state, w).tobytes()

@@ -617,6 +617,53 @@ class TestTiedRuns:
                                       head_mean([m[len(m) - (n - first_row):] for m in maps]))
 
 
+class TestForwardNeverWritesItsInput:
+    """The residual stream is a new array from its first write on: neither
+    ``forward``'s input nor the segments a step builds it from are written."""
+
+    @staticmethod
+    def model_input(kind):
+        """(weights, x, response start) of a visual + prompt + response input."""
+        if kind == "copy":
+            grid, symbols = (2, 3), ("a", "b", "c")
+            w = build_copy_model(grid, symbols)
+            x, _ = copy_model_input(w, grid, symbols)
+            return w, x, w.config.num_patches + 1
+        w = init_random_model(small_config(layers=4, embed_dim=8), 5)
+        if kind == "tied_first":
+            # one write-disjoint attention-only layer at every position: the
+            # run starts at layer 1, so its first add is on x's own rows
+            lw = disjoint_layer(SeededRng(5), 2, 8, read=4)
+            w = dataclasses.replace(w, layers=[lw] * 4, norm=False)
+        x = np.vstack([encode_image([["a", "b"], ["c", "d"]], w), embed_prompt([1, 2], w),
+                       embed_response([11, 3, 11], w)])
+        return w, x, w.config.num_patches + 2
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("kind", ["tied_first", "copy", "random"])
+    def test_forward_leaves_x_bitwise_unchanged(self, kind, capture):
+        w, x, response_start = self.model_input(kind)
+        if kind == "tied_first":
+            assert [k for _, k in layer_runs(w)] == [4]
+        before = x.tobytes()
+        for first_row in (0, response_start):
+            forward(x, w, capture=capture, first_row=first_row)
+            assert x.tobytes() == before
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("kind", ["tied_first", "copy", "random"])
+    def test_step_leaves_visual_and_prompt_bitwise_unchanged(self, kind, capture):
+        w, x, response_start = self.model_input(kind)
+        n = w.config.num_patches
+        state = init_state(x[:n].copy(), x[n:response_start].copy(), 3, 2,
+                           mask_token_id=w.config.mask_token_id)
+        visual, prompt = state.visual.tobytes(), state.prompt.tobytes()
+        for first_row in (0, response_start):
+            step(state, w, SchedulePolicy.confidence(), capture=capture, first_row=first_row)
+            assert state.visual.tobytes() == visual
+            assert state.prompt.tobytes() == prompt
+
+
 class TestForwardAllocations:
     @staticmethod
     def forward_peak(n, width=32, vocab=64, **kwargs):

@@ -18,7 +18,10 @@ embedding path shows directly, not only through the decodes. A third,
 ``<name> logits``, is one SHA-256 over the logits of every forward those
 decodes run, and the attention map it captured whenever there is one
 (``decoder.forward`` is wrapped as ``pruning.apply_prune`` is), so a change
-to the forward's arithmetic shows even where it flips no decoded id.
+to the forward's arithmetic shows even where it flips no decoded id. The
+wrapper also hashes the forward's input before and after the call: a forward
+that writes its input (the decoder keeps that input between steps) ends the
+script with exit code 1 and names the workload.
 
 It then runs each command of ``REPORT_COMMANDS`` through the checkout's CLI
 under ``--policy confidence`` and ``--policy stochastic`` and prints one
@@ -81,7 +84,10 @@ def main(argv=None) -> int:
     forward = decoder.forward
 
     def hashing_forward(*args, **kwargs):
+        before = hashlib.sha256(np.ascontiguousarray(args[0]).tobytes()).digest()
         logits, capture = result = forward(*args, **kwargs)
+        if hashlib.sha256(np.ascontiguousarray(args[0]).tobytes()).digest() != before:
+            sys.exit(f"error: a forward wrote its input on workload {name}")
         _update(h_logits, logits)
         if capture is not None:
             for maps in capture.maps:
