@@ -4,10 +4,11 @@ Per layer and step, a forward pass over n tokens of width d with FFN width mu
 costs 4*n*d^2 + 2*n^2*d + 2*n*d*mu floating-point operations (QKV/output
 projections, attention products, FFN), one per multiply-add. Counts are exact
 integers. The copy model is priced at its full width d, FFN width 1 and 12
-layers too, though its heads are narrower, its layers have no FFN and a
-forward runs its 11 tied fetch layers as one or two (``model.layer_runs``);
-``executed_macs`` counts the multiply-adds ``model.forward`` actually runs,
-from the weights.
+layers too, though its heads are narrower, its projections run over only the
+channels they read and write (``model.LayerWeights.spanned``), its layers
+have no FFN and a forward runs its 11 tied fetch layers as one or two
+(``model.layer_runs``); ``executed_macs`` counts the multiply-adds
+``model.forward`` actually runs, from the weights.
 """
 
 from __future__ import annotations
@@ -82,13 +83,15 @@ def flops_pruned(layers: int, steps: int, n: int, n_r: int, d: int, mu: int) -> 
 def executed_macs(weights, n: int, first_row: int = 0) -> tuple[int, int, int]:
     """(proj, attn, ffn) multiply-adds of one ``model.forward`` over n rows.
 
-    Widths are read from each layer's weights: q/k width ``wq.shape[2]``, v
-    width ``wv.shape[2]`` and FFN width ``w1.shape[1]``, 0 for a layer with
-    no FFN. A run of tied layers (``model.layer_runs``) counts once. Every
-    run computes all n rows except the one ending at the last layer, which
-    computes rows ``first_row..n-1`` (past ``first_row`` 0 that run is the
-    last layer alone); K and V always run over all n rows. For a random
-    model at ``first_row`` 0 the sum is ``layers * flops_per_pass(n, d, mu)``.
+    Widths are read from each layer's ``spanned`` weights: q/k width
+    ``wq.shape[2]``, v width ``wv.shape[2]``, the channels q, k and v read
+    and those ``wo`` writes (all d unless the projection routes), and FFN
+    width ``w1.shape[1]``, 0 for a layer with no FFN. A run of tied layers
+    (``model.layer_runs``) counts once. Every run computes all n rows except
+    the one ending at the last layer, which computes rows ``first_row..n-1``
+    (past ``first_row`` 0 that run is the last layer alone); K and V always
+    run over all n rows. For a random model at ``first_row`` 0 the sum is
+    ``layers * flops_per_pass(n, d, mu)``.
     """
     if not 0 <= first_row < n:
         raise ValueError(f"first_row {first_row} outside 0..{n - 1}")
@@ -96,14 +99,16 @@ def executed_macs(weights, n: int, first_row: int = 0) -> tuple[int, int, int]:
     end = 0
     for lw, k in layer_runs(weights, first_row):
         end += k
-        heads, d, w = lw.wq.shape
-        w_v = lw.wv.shape[2]
+        wq, wk, wv, wo = lw.spanned
+        heads, q_in, w = wq.shape
+        _, v_in, w_v = wv.shape
         rows = n - (first_row if end == len(weights.layers) else 0)
         # Q and the out-projection over the rows computed, K and V over all n
-        proj += heads * (rows * d * w + n * d * w + n * d * w_v) + rows * heads * w_v * d
+        proj += (heads * (rows * q_in * w + n * wk.shape[1] * w + n * v_in * w_v)
+                 + rows * heads * w_v * wo.shape[1])
         attn += heads * rows * n * (w + w_v)
         if lw.w1 is not None:
-            ffn += 2 * rows * d * lw.w1.shape[1]
+            ffn += 2 * rows * lw.w1.size
     return proj, attn, ffn
 
 

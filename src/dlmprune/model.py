@@ -76,6 +76,18 @@ class AttentionCapture:
     first_row: int = 0
 
 
+def _span(used: np.ndarray, per_column: np.ndarray) -> Optional[slice]:
+    """The channel span a projection runs over. For a routing projection,
+    whose every column holds at most one nonzero weight (``per_column``
+    counts them), that is the smallest span holding its ``used`` channels;
+    for any other projection, or a span of all channels, it is None."""
+    if (per_column > 1).any():
+        return None
+    channels = np.flatnonzero(used)
+    lo, hi = (int(channels[0]), int(channels[-1]) + 1) if channels.size else (0, 0)
+    return None if hi - lo == used.size else slice(lo, hi)
+
+
 @dataclass
 class LayerWeights:
     """One layer's weights. Its head widths are those of its arrays: q/k width
@@ -83,11 +95,18 @@ class LayerWeights:
     ``config.head_dim`` (the copy model stores only the columns it routes);
     ``forward`` scales scores by ``1/sqrt(config.head_dim)`` whatever they
     are. An FFN is ``w1`` and ``w2`` together; an attention-only layer has
-    neither, and ``forward`` skips its FFN sublayer. Shapes are checked once,
-    here, and so is ``reads_own_writes``: whether the out-projection writes
-    (a nonzero column of ``wo``) a channel that q, k or v read (a nonzero
-    row of ``wq``, ``wk`` or ``wv``). Weights are not to be changed in place
-    after that."""
+    neither, and ``forward`` skips its FFN sublayer.
+
+    Shapes are checked once, here, and so is what the nonzero weights
+    imply. A channel is read where a row of ``wq``, ``wk`` or ``wv`` is
+    nonzero and written where a column of ``wo`` is; ``reads_own_writes``
+    says whether ``wo`` writes a channel that q, k or v read. ``reads`` (q,
+    k, v) and ``writes`` (``wo``) are each projection's channel span: for a
+    routing projection, whose every column holds at most one nonzero
+    weight, the smallest span holding the channels it reads or writes; None,
+    all d channels, for any other. ``spanned`` holds ``wq``, ``wk``, ``wv``
+    and ``wo`` cut to their spans, as views. Weights are not to be changed
+    in place after that."""
 
     wq: np.ndarray  # (heads, d, w)
     wk: np.ndarray  # (heads, d, w)
@@ -95,6 +114,9 @@ class LayerWeights:
     wo: np.ndarray  # (heads·w_v, d), applied to the concatenated head outputs
     w1: Optional[np.ndarray] = None  # (d, mu), or None with w2: no FFN
     w2: Optional[np.ndarray] = None  # (mu, d)
+    reads: tuple[Optional[slice], ...] = field(init=False, repr=False)  # q, k, v
+    writes: Optional[slice] = field(init=False, repr=False)
+    spanned: tuple[np.ndarray, ...] = field(init=False, repr=False)  # wq, wk, wv, wo
     reads_own_writes: bool = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -116,10 +138,14 @@ class LayerWeights:
         for name, (array, shape) in wanted.items():
             if np.shape(array) != shape:
                 raise ValueError(f"{name} must be {shape}, got {np.shape(array)}")
-        reads = np.zeros(d, dtype=bool)
-        for m in (self.wq, self.wk, self.wv):
-            reads |= (m != 0).any(axis=(0, 2))
-        self.reads_own_writes = bool((reads & (self.wo != 0).any(axis=0)).any())
+        read = [m != 0 for m in (self.wq, self.wk, self.wv)]
+        used = [nonzero.any(axis=(0, 2)) for nonzero in read]
+        written = self.wo != 0
+        self.reads = tuple(_span(u, nonzero.sum(axis=1)) for u, nonzero in zip(used, read))
+        self.writes = _span(written.any(axis=0), written.sum(axis=0))
+        self.spanned = tuple(m if s is None else m[:, s] for m, s in zip(
+            (self.wq, self.wk, self.wv, self.wo), (*self.reads, self.writes)))
+        self.reads_own_writes = bool((np.any(used, axis=0) & written.any(axis=0)).any())
 
 
 class HashedPatchTable:
@@ -293,6 +319,14 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     is a new array from its first write on, and a run's later adds write it
     in place, so ``x`` itself is never written.
 
+    Each projection runs over its channel span (``LayerWeights.spanned``):
+    q, k and v are ``a_in[:, span] @ w[span]``, and an out-projection with
+    a written span computes only those columns, which a run adds k times
+    into the same channels of a new copy of ``h``. Every output of a
+    routing projection holds at most one nonzero term, so this is bitwise
+    the full-width product, and the other channels keep ``h`` itself where
+    the full form adds zeros: bitwise the same unless ``h`` holds -0.0.
+
     Each layer's head widths are its arrays' (``LayerWeights``); scores are
     scaled by ``1/sqrt(cfg.head_dim)`` at any width. A layer with no FFN
     (``w1`` None) runs attention only: its FFN sublayer, norm included, is
@@ -330,13 +364,15 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
         lo = first_row if end == len(weights.layers) else 0  # first row whose output it computes
         layer_tiles = -(-(n - lo) * tiles // n)
         a_in = layer_norm(h) if weights.norm else h
-        dv = lw.wv.shape[2]
+        a_q, a_k, a_v = [a_in if s is None else a_in[:, s] for s in lw.reads]
+        wq, wk, wv, wo = lw.spanned
+        dv = wv.shape[2]
         heads = np.empty((n, cfg.heads * dv))  # every head's attn·v, side by side
         repeat = []  # captured rows the run's other k - 1 positions add again
         for hd in range(cfg.heads):
-            q = a_in[lo:] @ lw.wq[hd]
-            kt = (a_in @ lw.wk[hd]).T
-            v = a_in @ lw.wv[hd]
+            q = a_q[lo:] @ wq[hd]
+            kt = (a_k @ wk[hd]).T
+            v = a_v @ wv[hd]
             c0 = hd * dv
             r1 = lo
             for t in range(1, layer_tiles + 1):
@@ -354,13 +390,19 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                 np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
         for rows, again in repeat * (k - 1):
             rows += again
-        inc = heads[lo:] @ lw.wo
-        if k > 1:  # lo is 0: the run's first add is on a new array, so x is never written
-            h = h + inc
-            for _ in range(k - 2):
-                h += inc
-        inc += h[lo:]  # in place, as numpy elides an unnamed temporary: no extra (n, d) array
-        h = inc
+        inc = heads[lo:] @ wo
+        if lw.writes is not None:  # only the written channels change, in a new array
+            h = h[lo:].copy()
+            written = h[:, lw.writes]
+            for _ in range(k):
+                written += inc
+        else:
+            if k > 1:  # lo is 0: the run's first add is on a new array
+                h = h + inc
+                for _ in range(k - 2):
+                    h += inc
+            inc += h[lo:]  # in place, as numpy elides an unnamed temporary: no extra (n, d) array
+            h = inc
         del inc  # h alone holds it, so the FFN's new h frees it
         if lw.w1 is not None:
             f_in = layer_norm(h) if weights.norm else h
@@ -490,9 +532,14 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
     ``first_row..n-1`` alone. The config keeps ``ffn_dim = 1``, which
     ``analysis`` prices; the weights carry none. Scores
     are still scaled by ``1/sqrt(d)``, the config's head width. Every
-    projection column holds at most one nonzero weight, so the logits are
-    bitwise those of the same weights zero-padded to width d with an all-zero
-    FFN in every layer.
+    projection column holds at most one nonzero weight, so every projection
+    routes and ``forward`` runs it over only its channel span
+    (``LayerWeights.reads`` and ``writes``): layer 1's q and k read n
+    channels each, its v one and its ``wo`` writes one (the flag); a fetch
+    layer's q and k read one each, its v the a visual payload channels and
+    its ``wo`` writes the a fetched ones. The logits are bitwise those of
+    the same weights zero-padded to width d with an all-zero FFN in every
+    layer.
 
     Layer 1 routes each visual token's position code against the prompt's
     pointer code and writes the flag onto the matching visual token. Layers

@@ -90,16 +90,19 @@ class TestExecutedMacs:
         # n = 64 patches + 1 prompt + 8 response rows, d = 2·64 + 4 + 2·16 =
         # 164; the broadcast layer has q/k width 64 and v width 1, the 11
         # fetch positions hold one layer object with q/k width 1 and v width
-        # 16, and no layer has an FFN. model.layer_runs gives [broadcast ×1,
-        # fetch ×11] at first_row 0, so the count is broadcast + one
-        # full-row fetch; at first_row 65 the last position computes rows
-        # 65..72 alone, the runs are [broadcast ×1, fetch ×10, fetch ×1],
-        # and the count is broadcast + one full-row fetch + an 8-row fetch
+        # 16, and no layer has an FFN. Every projection routes, so it runs
+        # over the channels it reads or writes: broadcast q and k read 64
+        # each, v reads 1 and wo writes 1; fetch q and k read 1 each, v reads
+        # 16 and wo writes 16. model.layer_runs gives [broadcast ×1, fetch
+        # ×11] at first_row 0, so the count is broadcast + one full-row
+        # fetch; at first_row 65 the last position computes rows 65..72
+        # alone, the runs are [broadcast ×1, fetch ×10, fetch ×1], and the
+        # count is broadcast + one full-row fetch + an 8-row fetch
         w = build_copy_model((8, 8), tuple(f"s{j}" for j in range(16)))
-        n, d, r = 73, 164, 73 - first_row
-        broadcast = (n * d * 64 + n * d * 64 + n * d * 1 + n * 1 * d, n * n * (64 + 1))
-        fetch = (n * d * 1 + n * d * 1 + n * d * 16 + n * 16 * d, n * n * (1 + 16))
-        last = (r * d * 1 + n * d * 1 + n * d * 16 + r * 16 * d, r * n * (1 + 16))
+        n, r = 73, 73 - first_row
+        broadcast = (n * 64 * 64 + n * 64 * 64 + n * 1 * 1 + n * 1 * 1, n * n * (64 + 1))
+        fetch = (n * 1 * 1 + n * 1 * 1 + n * 16 * 16 + n * 16 * 16, n * n * (1 + 16))
+        last = (r * 1 * 1 + n * 1 * 1 + n * 16 * 16 + r * 16 * 16, r * n * (1 + 16))
         want = [broadcast, fetch] + ([last] if first_row else [])
         assert executed_macs(w, n, first_row) == (sum(p for p, _ in want),
                                                    sum(a for _, a in want), 0)

@@ -195,6 +195,55 @@ class TestLayerWeights:
             arrays["wo"][3, written] = -2.0
         assert LayerWeights(**arrays).reads_own_writes == reads_own_writes
 
+    @pytest.mark.parametrize("grid,num_symbols", [((2, 3), 3), ((8, 8), 16)])
+    def test_copy_layers_span_the_channels_they_read_and_write(self, grid, num_symbols):
+        # channel plan of build_copy_model: position codes [0, n), pointer
+        # codes [n, 2n), flag 2n, index mark 2n+1, mask mark 2n+2, ramp
+        # 2n+3, visual payload [2n+4, 2n+4+a), fetched payload after it
+        w = build_copy_model(grid, tuple(f"s{j}" for j in range(num_symbols)))
+        n, a = w.config.num_patches, num_symbols
+        broadcast, fetch = w.layers[:2]
+        assert broadcast.reads == (slice(0, n), slice(n, 2 * n), slice(2 * n + 1, 2 * n + 2))
+        assert broadcast.writes == slice(2 * n, 2 * n + 1)
+        assert fetch.reads == (slice(2 * n + 2, 2 * n + 3), slice(2 * n, 2 * n + 1),
+                               slice(2 * n + 4, 2 * n + 4 + a))
+        assert fetch.writes == slice(2 * n + 4 + a, 2 * n + 4 + 2 * a)
+        for lw in (broadcast, fetch):
+            spans = (*lw.reads, lw.writes)
+            for narrow, m, s in zip(lw.spanned, (lw.wq, lw.wk, lw.wv, lw.wo), spans):
+                assert np.shares_memory(narrow, m)
+                np.testing.assert_array_equal(narrow, m[:, s])
+
+    def test_a_dense_layer_spans_every_channel(self):
+        lw = init_random_model(small_config(), 1).layers[0]
+        assert lw.reads == (None, None, None) and lw.writes is None
+        assert all(narrow is m for narrow, m in zip(lw.spanned, (lw.wq, lw.wk, lw.wv, lw.wo)))
+
+    @pytest.mark.parametrize("name", ["wq", "wk", "wv", "wo"])
+    def test_a_column_with_two_nonzeros_spans_every_channel(self, name):
+        # one nonzero per column on channels 2 and 4 spans [2, 5), gap and all
+        arrays = layer_arrays()  # heads 2, d 8, q/k width 3, v width 5
+        for m in ("wq", "wk", "wv"):
+            arrays[m][1, 2, 0] = 1.0
+            arrays[m][0, 4, 1] = -1.0
+        arrays["wo"][3, 2] = 1.0
+        arrays["wo"][7, 4] = -1.0
+        lw = LayerWeights(**arrays)
+        assert (*lw.reads, lw.writes) == (slice(2, 5),) * 4
+        if name == "wo":
+            arrays["wo"][5, 2] = 0.5  # wo column 2 now takes head rows 3 and 5
+        else:
+            arrays[name][1, 3, 0] = 0.5  # column 0 of head 1 now reads channels 2 and 3
+        lw = LayerWeights(**arrays)
+        spans = dict(zip(["wq", "wk", "wv", "wo"], (*lw.reads, lw.writes)))
+        assert spans.pop(name) is None
+        assert list(spans.values()) == [slice(2, 5)] * 3
+
+    def test_an_all_zero_projection_spans_no_channel(self):
+        lw = LayerWeights(**layer_arrays())
+        assert (*lw.reads, lw.writes) == (slice(0, 0),) * 4
+        assert [m.shape for m in lw.spanned] == [(2, 0, 3), (2, 0, 3), (2, 0, 5), (10, 0)]
+
     @pytest.mark.parametrize("missing,given", [("w1", "w2"), ("w2", "w1")])
     def test_ffn_given_in_part_rejected(self, missing, given):
         arrays = layer_arrays()
@@ -615,6 +664,80 @@ class TestTiedRuns:
         np.testing.assert_array_equal(logits, ref_logits)
         np.testing.assert_array_equal(cap.maps[0][0],
                                       head_mean([m[len(m) - (n - first_row):] for m in maps]))
+
+
+def routing_layer(rng, heads, d, read, written, w, w_v):
+    """A layer whose q, k and v columns each hold one nonzero weight, in a
+    channel drawn from ``read``, and whose ``wo`` writes each channel of
+    ``written`` from at most one head output: routing projections whose
+    spans can hold gaps."""
+    wq, wk, wv = (np.zeros((heads, d, width)) for width in (w, w, w_v))
+    for m in (wq, wk, wv):
+        for hd in range(heads):
+            rows = np.asarray(read)[rng.integers(0, len(read), size=m.shape[2])]
+            m[hd, rows, np.arange(m.shape[2])] = rng.normal(size=m.shape[2])
+    wo = np.zeros((heads * w_v, d))
+    rows = rng.integers(0, heads * w_v + 1, size=len(written))
+    kept = rows < heads * w_v  # row heads·w_v: the channel is left unwritten
+    wo[rows[kept], np.asarray(written)[kept]] = rng.normal(size=int(kept.sum()))
+    return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo)
+
+
+class TestChannelSpans:
+    """A routing projection runs over the channels it reads or writes. Each
+    output is then a single product, so that is bitwise the full-width
+    product for an input without -0.0."""
+
+    @pytest.mark.parametrize("read,v_width,n", [(1, 2, 1), (3, 1, 5)])
+    def test_columns_with_several_nonzeros_run_full_width(self, read, v_width, n):
+        # (1, 2, 1): q, k and v read channel 0 alone, but wo's two head rows
+        # both write channels 1..3; (3, 1, 5): wo writes channel 3 from one
+        # head row, but q, k and v columns read channels 0..2. Cut to its
+        # span, the projection with several nonzeros per column rounds
+        # differently from the full-width one at some of these seeds
+        spans = ((slice(0, 1),) * 3, None) if read == 1 else ((None,) * 3, slice(3, 4))
+        for seed in range(20):
+            rng = SeededRng(seed)
+            lw = disjoint_layer(rng, 1, 4, read, w_v=v_width)
+            assert (lw.reads, lw.writes) == spans
+            w = dataclasses.replace(
+                init_random_model(small_config(layers=2, heads=1, embed_dim=4), seed),
+                layers=[lw] * 2, norm=False)
+            x = np.abs(rng.normal(size=(n, 4)))
+            np.testing.assert_array_equal(forward(x, w)[0], reference_forward(x, w)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), layers=st.integers(2, 5), heads=st.integers(1, 3),
+           n=st.integers(1, 16), capture=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_routing_layers_are_bitwise_the_full_width_forward(self, data, layers, heads, n,
+                                                               capture, seed):
+        # positions start..start+k-1 hold one layer that reads channels
+        # below `split` and writes those above it, so they run as one tied
+        # run; every other position reads and writes anywhere
+        d = heads * data.draw(st.integers(2, 6), label="head_dim")
+        split = data.draw(st.integers(1, d - 1), label="split")
+        start = data.draw(st.integers(0, layers - 2), label="run start")
+        k = data.draw(st.integers(2, layers - start), label="run length")
+        first_row = data.draw(st.sampled_from([0, n - 1, n // 2]), label="first_row")
+        rng = SeededRng(seed)
+
+        def layer(read, written):
+            return routing_layer(rng, heads, d, read, written, data.draw(st.integers(1, 5)),
+                                 data.draw(st.integers(1, 5)))
+
+        tied = layer(range(split), range(split, d))
+        positions = [tied if start <= i < start + k else layer(range(d), range(d))
+                     for i in range(layers)]
+        cfg = small_config(layers=layers, heads=heads, embed_dim=d)
+        w = dataclasses.replace(init_random_model(cfg, seed), layers=positions, norm=False)
+        assert k in [kk for _, kk in layer_runs(w)]
+        x = np.abs(rng.normal(size=(n, d)))  # no -0.0, whose sign a skipped add would flip
+        logits, cap = forward(x, w, capture=capture, first_row=first_row)
+        ref_logits, maps = reference_forward(x, w, first_row=first_row)
+        np.testing.assert_array_equal(logits, ref_logits)
+        if capture:
+            np.testing.assert_array_equal(
+                cap.maps[0][0], head_mean([m[len(m) - (n - first_row):] for m in maps]))
 
 
 class TestForwardNeverWritesItsInput:
