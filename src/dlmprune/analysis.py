@@ -6,7 +6,7 @@ projections, attention products, FFN), one per multiply-add. Counts are exact
 integers. The copy model is priced at its full width d, FFN width 1 and 12
 layers too, though its heads are narrower, its projections run over only the
 channels they read and write (``model.LayerWeights.spanned``), its layers
-have no FFN and a forward runs its 11 tied fetch layers as one or two
+have no FFN and a forward runs its 11 tied fetch layers as one
 (``model.layer_runs``); ``executed_macs`` counts the multiply-adds
 ``model.forward`` actually runs, from the weights.
 """
@@ -88,16 +88,15 @@ def executed_macs(weights, n: int, first_row: int = 0) -> tuple[int, int, int]:
     and those ``wo`` writes (all d unless the projection routes), and FFN
     width ``w1.shape[1]``, 0 for a layer with no FFN. A run of tied layers
     (``model.layer_runs``) counts once. Every run computes all n rows except
-    the one ending at the last layer, which computes rows ``first_row..n-1``
-    (past ``first_row`` 0 that run is the last layer alone); K and V always
-    run over all n rows. For a random model at ``first_row`` 0 the sum is
-    ``layers * flops_per_pass(n, d, mu)``.
+    the one ending at the last layer, which computes rows ``first_row..n-1``;
+    K and V always run over all n rows. For a random model at ``first_row``
+    0 the sum is ``layers * flops_per_pass(n, d, mu)``.
     """
     if not 0 <= first_row < n:
         raise ValueError(f"first_row {first_row} outside 0..{n - 1}")
     proj = attn = ffn = 0
     end = 0
-    for lw, k in layer_runs(weights, first_row):
+    for lw, k in layer_runs(weights):
         end += k
         wq, wk, wv, wo = lw.spanned
         heads, q_in, w = wq.shape

@@ -104,9 +104,10 @@ class LayerWeights:
     k, v) and ``writes`` (``wo``) are each projection's channel span: for a
     routing projection, whose every column holds at most one nonzero
     weight, the smallest span holding the channels it reads or writes; None,
-    all d channels, for any other. ``spanned`` holds ``wq``, ``wk``, ``wv``
-    and ``wo`` cut to their spans, as views. Weights are not to be changed
-    in place after that."""
+    all d channels, for any other. Only a layer with a ``writes`` span and
+    no ``reads_own_writes`` can run tied (``layer_runs``). ``spanned``
+    holds ``wq``, ``wk``, ``wv`` and ``wo`` cut to their spans, as views.
+    Weights are not to be changed in place after that."""
 
     wq: np.ndarray  # (heads, d, w)
     wk: np.ndarray  # (heads, d, w)
@@ -271,21 +272,19 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def layer_runs(weights: ModelWeights, first_row: int = 0) -> list[tuple[LayerWeights, int]]:
+def layer_runs(weights: ModelWeights) -> list[tuple[LayerWeights, int]]:
     """The model's layers as (layer, k) runs, each of which ``forward``
     computes once. A run of k > 1 is k consecutive positions that hold the
-    same layer object, which has no FFN and no ``reads_own_writes``, in a
-    model without ``norm``: each position's input then differs from the
-    previous one's only in channels that q, k and v weigh with zeros, so all
-    k compute the same attention and the same residual increment. With
-    ``first_row > 0`` no run of k > 1 takes in the last position, which
-    computes only rows ``first_row..n-1``: the tail of a product over all n
-    rows can round differently in BLAS. Every other position is a run of 1."""
+    same layer object, which has no FFN, a routing out-projection
+    (``writes`` not None) and no ``reads_own_writes``, in a model without
+    ``norm``: each position's input then differs from the previous one's
+    only in channels that q, k and v weigh with zeros, so all k compute the
+    same attention and the same residual increment. Every other position
+    is a run of 1."""
     runs: list[tuple[LayerWeights, int]] = []
-    last = len(weights.layers) - 1
-    for i, lw in enumerate(weights.layers):
+    for lw in weights.layers:
         if (runs and runs[-1][0] is lw and lw.w1 is None and not weights.norm
-                and not lw.reads_own_writes and not (i == last and first_row > 0)):
+                and lw.writes is not None and not lw.reads_own_writes):
             runs[-1] = (lw, runs[-1][1] + 1)
         else:
             runs.append((lw, 1))
@@ -305,19 +304,21 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     (n - first_row, vocab) array and, with ``capture``, the layer/head mean
     of their attention maps as one (n - first_row, n) map.
 
-    Layers 1..L-1 run over every row, and so do the last layer's keys and
-    values. The last layer's queries, attention, out-projection, FFN, final
-    norm and output head run over rows ``first_row..n-1`` only; with
-    ``first_row = 0`` that is the full forward.
-
-    Layers are walked in the runs of ``layer_runs``. A run of k positions
+    Layers are walked in the runs of ``layer_runs``. Every run computes all
+    n rows but the one ending at the last layer, which computes its queries,
+    attention, out-projection, FFN, final norm and output head over rows
+    ``first_row..n-1`` only, and its keys and values over all n rows; with
+    ``first_row = 0`` that is the full forward. A run of k positions
     computes its attention and its increment ``heads @ wo`` once, then adds
-    the increment k times and, with ``capture``, its captured rows k times in
-    the same (head, tile) order. For finite activations that is bitwise the
-    layer-by-layer forward, up to the sign of a zero (the copy model's
-    activations are all >= 0). A run of 1 is one layer. The residual stream
-    is a new array from its first write on, and a run's later adds write it
-    in place, so ``x`` itself is never written.
+    the increment k times into the channels ``wo`` writes and, with
+    ``capture``, its captured rows k times in the same (head, tile) order.
+    Its q, k and v read none of those channels and the output head reads
+    only rows ``first_row..n-1``, so no row above ``first_row`` that a last
+    run would write is ever read. For finite activations a run is bitwise
+    the layer-by-layer forward whose positions from the run's start on
+    compute the run's rows, up to the sign of a zero (the copy model's
+    activations are all >= 0). The residual stream is a new array from its
+    first write on, so ``x`` itself is never written.
 
     Each projection runs over its channel span (``LayerWeights.spanned``):
     q, k and v are ``a_in[:, span] @ w[span]``, and an out-projection with
@@ -359,7 +360,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     scores = np.empty((-(-n // tiles), n))
     total = np.zeros((n - first_row, n)) if capture else None
     end = 0
-    for lw, k in layer_runs(weights, first_row):
+    for lw, k in layer_runs(weights):
         end += k
         lo = first_row if end == len(weights.layers) else 0  # first row whose output it computes
         layer_tiles = -(-(n - lo) * tiles // n)
@@ -396,11 +397,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
             written = h[:, lw.writes]
             for _ in range(k):
                 written += inc
-        else:
-            if k > 1:  # lo is 0: the run's first add is on a new array
-                h = h + inc
-                for _ in range(k - 2):
-                    h += inc
+        else:  # a run of 1
             inc += h[lo:]  # in place, as numpy elides an unnamed temporary: no extra (n, d) array
             h = inc
         del inc  # h alone holds it, so the FFN's new h frees it
@@ -526,10 +523,9 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
     and v width a, no layer has an FFN, and ``norm`` is unset. Layers 2..L
     are one ``LayerWeights`` object, which writes only the fetched payload
     and reads none of it, so ``forward`` runs them as one run
-    (``layer_runs``): at ``first_row = 0`` a forward is the broadcast layer,
-    one fetch layer and L - 2 more adds of its increment; past it the run
-    stops one position short, and the last fetch layer computes its rows
-    ``first_row..n-1`` alone. The config keeps ``ffn_dim = 1``, which
+    (``layer_runs``): a forward is the broadcast layer over all n rows, then
+    one fetch layer over rows ``first_row..n-1`` and L - 2 more adds of its
+    increment into those rows. The config keeps ``ffn_dim = 1``, which
     ``analysis`` prices; the weights carry none. Scores
     are still scaled by ``1/sqrt(d)``, the config's head width. Every
     projection column holds at most one nonzero weight, so every projection

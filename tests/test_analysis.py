@@ -94,18 +94,14 @@ class TestExecutedMacs:
         # over the channels it reads or writes: broadcast q and k read 64
         # each, v reads 1 and wo writes 1; fetch q and k read 1 each, v reads
         # 16 and wo writes 16. model.layer_runs gives [broadcast ×1, fetch
-        # ×11] at first_row 0, so the count is broadcast + one full-row
-        # fetch; at first_row 65 the last position computes rows 65..72
-        # alone, the runs are [broadcast ×1, fetch ×10, fetch ×1], and the
-        # count is broadcast + one full-row fetch + an 8-row fetch
+        # ×11] at any first_row, and the fetch run ends at the last layer,
+        # so the count is broadcast + one fetch over rows first_row..72
         w = build_copy_model((8, 8), tuple(f"s{j}" for j in range(16)))
         n, r = 73, 73 - first_row
         broadcast = (n * 64 * 64 + n * 64 * 64 + n * 1 * 1 + n * 1 * 1, n * n * (64 + 1))
-        fetch = (n * 1 * 1 + n * 1 * 1 + n * 16 * 16 + n * 16 * 16, n * n * (1 + 16))
-        last = (r * 1 * 1 + n * 1 * 1 + n * 16 * 16 + r * 16 * 16, r * n * (1 + 16))
-        want = [broadcast, fetch] + ([last] if first_row else [])
-        assert executed_macs(w, n, first_row) == (sum(p for p, _ in want),
-                                                   sum(a for _, a in want), 0)
+        fetch = (r * 1 * 1 + n * 1 * 1 + n * 16 * 16 + r * 16 * 16, r * n * (1 + 16))
+        assert executed_macs(w, n, first_row) == (broadcast[0] + fetch[0],
+                                                   broadcast[1] + fetch[1], 0)
 
     @pytest.mark.parametrize("first_row", [-1, 10])
     def test_first_row_outside_the_rows_rejected(self, first_row):

@@ -333,26 +333,32 @@ class TestForward:
             forward(np.zeros((3, 7)), w)
 
 
-def reference_forward(x, w, softmax=softmax_rows, norm=layer_norm, act=gelu, first_row=0):
-    """Forward pass that keeps every per-head map, in (layer, head) order. Its
-    last layer runs on rows ``first_row:`` only, so its maps and the logits
-    hold just those rows."""
+def reference_forward(x, w, softmax=softmax_rows, norm=layer_norm, act=gelu, first_row=0,
+                      tail_from=None):
+    """Forward pass that keeps every per-head map, in (layer, head) order.
+    Layers from index ``tail_from`` (by default the last) on run their
+    queries, out-projection and FFN on rows ``first_row:`` only and add into
+    those rows, whose rows above keep their values, so their maps and the
+    logits hold just rows ``first_row:``."""
     cfg = w.config
     scale = 1.0 / np.sqrt(cfg.head_dim)
+    tail_from = len(w.layers) - 1 if tail_from is None else tail_from
     h = x.copy()
     maps = []
     for li, lw in enumerate(w.layers):
-        lo = first_row if li == len(w.layers) - 1 else 0
+        lo = first_row if li >= tail_from else 0
         a_in = norm(h) if w.norm else h
         outs = []
         for hd in range(cfg.heads):
             attn = softmax(((a_in[lo:] @ lw.wq[hd]) @ (a_in @ lw.wk[hd]).T) * scale)
             maps.append(attn)
             outs.append(attn @ (a_in @ lw.wv[hd]))
-        h = h[lo:] + np.concatenate(outs, axis=1) @ lw.wo
+        rows = h[lo:] + np.concatenate(outs, axis=1) @ lw.wo
         if lw.w1 is not None:
-            f_in = norm(h) if w.norm else h
-            h = h + act(f_in @ lw.w1) @ lw.w2
+            f_in = norm(rows) if w.norm else rows
+            rows = rows + act(f_in @ lw.w1) @ lw.w2
+        h = np.vstack([h[:lo], rows])
+    h = h[first_row:]
     if w.norm:
         h = norm(h)
     return h @ w.output_w + w.output_b, maps
@@ -542,16 +548,32 @@ class TestTiledForward:
         assert gelu_shapes == [(n, mu), (n - first_row, mu)]
 
 
-def disjoint_layer(rng, heads, d, read, w=3, w_v=2, mu=None):
-    """A random layer whose q, k and v read channels [0, read) and whose
-    out-projection writes channels [read, d) only; with ``mu``, an FFN too."""
+def disjoint_layer(rng, heads, d, read, w=3, w_v=2):
+    """A random attention-only layer whose q, k and v read channels [0, read)
+    and whose dense out-projection writes channels [read, d) only."""
     wq, wk, wv = (rng.normal(size=(heads, d, width)) for width in (w, w, w_v))
     for m in (wq, wk, wv):
         m[:, read:] = 0.0
     wo = rng.normal(size=(heads * w_v, d))
     wo[:, :read] = 0.0
-    ffn = {} if mu is None else dict(w1=rng.normal(size=(d, mu)), w2=rng.normal(size=(mu, d)))
-    return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo, **ffn)
+    return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo)
+
+
+def routing_layer(rng, heads, d, read, written, w, w_v):
+    """A layer whose q, k and v columns each hold one nonzero weight, in a
+    channel drawn from ``read``, and whose ``wo`` writes each channel of
+    ``written`` from at most one head output: routing projections whose
+    spans can hold gaps."""
+    wq, wk, wv = (np.zeros((heads, d, width)) for width in (w, w, w_v))
+    for m in (wq, wk, wv):
+        for hd in range(heads):
+            rows = np.asarray(read)[rng.integers(0, len(read), size=m.shape[2])]
+            m[hd, rows, np.arange(m.shape[2])] = rng.normal(size=m.shape[2])
+    wo = np.zeros((heads * w_v, d))
+    rows = rng.integers(0, heads * w_v + 1, size=len(written))
+    kept = rows < heads * w_v  # row heads·w_v: the channel is left unwritten
+    wo[rows[kept], np.asarray(written)[kept]] = rng.normal(size=int(kept.sum()))
+    return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo)
 
 
 def copy_model_input(w, grid, symbols):
@@ -574,8 +596,9 @@ def softmax_calls(w, x, **kwargs):
 
 
 class TestTiedRuns:
-    """A run of positions holding one attention-only layer object that writes
-    no channel it reads, in a model without norm, runs once per forward."""
+    """A run of positions holding one attention-only layer object whose
+    routing out-projection writes no channel it reads, in a model without
+    norm, runs once per forward."""
 
     @pytest.mark.parametrize("capture", [False, True])
     @pytest.mark.parametrize("grid,num_symbols", [((2, 2), 4), ((2, 3), 6), ((8, 8), 16)])
@@ -594,44 +617,50 @@ class TestTiedRuns:
                 np.testing.assert_array_equal(cap.maps[0][0], want.maps[0][0])
 
     @pytest.mark.parametrize("capture", [False, True])
-    def test_copy_forward_runs_the_fetch_layer_once_or_twice(self, capture):
-        # broadcast + the 11 fetch positions as one run; past first_row 0 the
-        # last position computes its rows alone: broadcast + 10 + 1
+    def test_copy_forward_runs_the_fetch_layer_once(self, capture):
+        # broadcast + the 11 fetch positions as one run, at any first_row
         grid, symbols = (2, 3), ("a", "b", "c")
         w = build_copy_model(grid, symbols)
         x, _ = copy_model_input(w, grid, symbols)
-        response_start = w.config.num_patches + 1
         assert [k for _, k in layer_runs(w)] == [1, 11]
-        assert [k for _, k in layer_runs(w, response_start)] == [1, 10, 1]
         assert softmax_calls(w, x, capture=capture) == 2
-        assert softmax_calls(w, x, capture=capture, first_row=response_start) == 3
+        assert softmax_calls(w, x, capture=capture, first_row=w.config.num_patches + 1) == 2
         untied = dataclasses.replace(w, layers=[copy.deepcopy(lw) for lw in w.layers])
         assert softmax_calls(untied, x, capture=capture) == 12
 
     @pytest.mark.parametrize("case,runs_once", [
-        ("disjoint", True), ("norm", False), ("ffn", False), ("reads_own_writes", False)])
+        ("routing", True), ("dense", False), ("norm", False), ("ffn", False),
+        ("reads_own_writes", False)])
     @pytest.mark.parametrize("first_row", [0, 7])
-    def test_only_a_write_disjoint_attention_only_run_without_norm_runs_once(
+    def test_only_a_routing_write_disjoint_attention_only_run_without_norm_runs_once(
             self, case, runs_once, first_row):
         # 4 positions, 2 heads, 2 tiles of 5 rows: every run of 1 tiles its rows
         n, heads, layers = 10, 2, 4
         cfg = small_config(layers=layers, heads=heads, embed_dim=8)
         rng = SeededRng(3)
-        lw = disjoint_layer(rng, heads, 8, read=4, mu=5 if case == "ffn" else None)
-        if case == "reads_own_writes":
-            lw = dataclasses.replace(lw, wo=lw.wo + np.eye(heads * 2, 8))
+        if case == "dense":  # writes no channel it reads, but not by routing
+            lw = disjoint_layer(rng, heads, 8, read=4)
+        else:
+            read = range(4, 8) if case == "reads_own_writes" else range(4)
+            lw = routing_layer(rng, heads, 8, read, range(4, 8), w=3, w_v=2)
+        if case == "ffn":
+            lw = dataclasses.replace(lw, w1=rng.normal(size=(8, 5)), w2=rng.normal(size=(5, 8)))
         assert lw.reads_own_writes == (case == "reads_own_writes")
+        assert (lw.writes is None) == (case == "dense")
         w = dataclasses.replace(init_random_model(cfg, 3), layers=[lw] * layers,
                                 norm=case == "norm")
         x = np.abs(rng.normal(size=(n, 8)))
-        runs = ([layers] if first_row == 0 else [layers - 1, 1]) if runs_once else [1] * layers
-        assert [k for _, k in layer_runs(w, first_row)] == runs
+        runs = [layers] if runs_once else [1] * layers
+        assert [k for _, k in layer_runs(w)] == runs
         with mock.patch.object(model, "_TILE_BYTES", tile_bytes_for(n, 5)):
             tiles = [-(-(n - (first_row if i == len(runs) - 1 else 0)) * 2 // n)
                      for i in range(len(runs))]
             assert softmax_calls(w, x, first_row=first_row) == heads * sum(tiles)
             logits, cap = forward(x, w, capture=True, first_row=first_row)
-        ref_logits, maps = reference_forward(x, w, first_row=first_row)
+        # bitwise against a reference whose positions from the last run's
+        # start on compute the rows the run computes
+        ref_logits, maps = reference_forward(x, w, first_row=first_row,
+                                             tail_from=layers - runs[-1])
         np.testing.assert_array_equal(logits, ref_logits)
         np.testing.assert_array_equal(cap.maps[0][0],
                                       head_mean([m[len(m) - (n - first_row):] for m in maps]))
@@ -650,37 +679,32 @@ class TestTiedRuns:
         v_width = data.draw(st.integers(1, 5), label="v width")
         cfg = small_config(layers=layers, heads=heads, embed_dim=d)
         rng = SeededRng(seed)
-        tied = disjoint_layer(rng, heads, d, read, width, v_width)
+        tied = routing_layer(rng, heads, d, range(read), range(read, d), width, v_width)
         w = init_random_model(cfg, seed)
         positions = [dataclasses.replace(lw, w1=None, w2=None) for lw in w.layers]
         positions[start:start + k] = [tied] * k
         w = dataclasses.replace(w, layers=positions, norm=False)
-        ends_last = start + k == layers and first_row > 0
-        assert [kk for _, kk in layer_runs(w, first_row)] == (
-            [1] * start + ([k - 1, 1] if ends_last else [k]) + [1] * (layers - start - k))
+        runs = [1] * start + [k] + [1] * (layers - start - k)
+        assert [kk for _, kk in layer_runs(w)] == runs
         x = np.abs(rng.normal(size=(n, d)))  # no -0.0 whose sign a skipped add would flip
         logits, cap = forward(x, w, capture=True, first_row=first_row)
-        ref_logits, maps = reference_forward(x, w, first_row=first_row)
-        np.testing.assert_array_equal(logits, ref_logits)
-        np.testing.assert_array_equal(cap.maps[0][0],
-                                      head_mean([m[len(m) - (n - first_row):] for m in maps]))
+        assert_matches_the_layer_by_layer_forward(x, w, first_row, runs[-1], logits, cap)
 
 
-def routing_layer(rng, heads, d, read, written, w, w_v):
-    """A layer whose q, k and v columns each hold one nonzero weight, in a
-    channel drawn from ``read``, and whose ``wo`` writes each channel of
-    ``written`` from at most one head output: routing projections whose
-    spans can hold gaps."""
-    wq, wk, wv = (np.zeros((heads, d, width)) for width in (w, w, w_v))
-    for m in (wq, wk, wv):
-        for hd in range(heads):
-            rows = np.asarray(read)[rng.integers(0, len(read), size=m.shape[2])]
-            m[hd, rows, np.arange(m.shape[2])] = rng.normal(size=m.shape[2])
-    wo = np.zeros((heads * w_v, d))
-    rows = rng.integers(0, heads * w_v + 1, size=len(written))
-    kept = rows < heads * w_v  # row heads·w_v: the channel is left unwritten
-    wo[rows[kept], np.asarray(written)[kept]] = rng.normal(size=int(kept.sum()))
-    return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo)
+def assert_matches_the_layer_by_layer_forward(x, w, first_row, last_run, logits, cap):
+    """``forward``'s outputs, ``logits`` and the map ``cap``, against the
+    reference forward: bitwise against the one whose positions from the last
+    run's start on compute rows ``first_row:`` as that run does, and to
+    rounding (a product over fewer rows, as in ``TestTiledForward``) against
+    the one in which only the last layer does."""
+    n = x.shape[0]
+    for tail_from, exact in ((len(w.layers) - last_run, True), (None, False)):
+        ref_logits, maps = reference_forward(x, w, first_row=first_row, tail_from=tail_from)
+        check = np.testing.assert_array_equal if exact else (
+            lambda got, ref: np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12))
+        check(logits, ref_logits)
+        if cap is not None:
+            check(cap.maps[0][0], head_mean([m[len(m) - (n - first_row):] for m in maps]))
 
 
 class TestChannelSpans:
@@ -730,14 +754,11 @@ class TestChannelSpans:
                      for i in range(layers)]
         cfg = small_config(layers=layers, heads=heads, embed_dim=d)
         w = dataclasses.replace(init_random_model(cfg, seed), layers=positions, norm=False)
-        assert k in [kk for _, kk in layer_runs(w)]
+        runs = [kk for _, kk in layer_runs(w)]
+        assert k in runs
         x = np.abs(rng.normal(size=(n, d)))  # no -0.0, whose sign a skipped add would flip
         logits, cap = forward(x, w, capture=capture, first_row=first_row)
-        ref_logits, maps = reference_forward(x, w, first_row=first_row)
-        np.testing.assert_array_equal(logits, ref_logits)
-        if capture:
-            np.testing.assert_array_equal(
-                cap.maps[0][0], head_mean([m[len(m) - (n - first_row):] for m in maps]))
+        assert_matches_the_layer_by_layer_forward(x, w, first_row, runs[-1], logits, cap)
 
 
 class TestForwardNeverWritesItsInput:
@@ -754,9 +775,9 @@ class TestForwardNeverWritesItsInput:
             return w, x, w.config.num_patches + 1
         w = init_random_model(small_config(layers=4, embed_dim=8), 5)
         if kind == "tied_first":
-            # one write-disjoint attention-only layer at every position: the
-            # run starts at layer 1, so its first add is on x's own rows
-            lw = disjoint_layer(SeededRng(5), 2, 8, read=4)
+            # one routing write-disjoint attention-only layer at every
+            # position: the run starts at layer 1, so it adds into x's rows
+            lw = routing_layer(SeededRng(5), 2, 8, range(4), range(4, 8), w=3, w_v=2)
             w = dataclasses.replace(w, layers=[lw] * 4, norm=False)
         x = np.vstack([encode_image([["a", "b"], ["c", "d"]], w), embed_prompt([1, 2], w),
                        embed_response([11, 3, 11], w)])

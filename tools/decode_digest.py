@@ -118,8 +118,7 @@ def main(argv=None) -> int:
                     for outcome in steps:
                         _update(h, outcome.newly_decoded)
                     _update(h, np.asarray(stats.per_step_lengths, dtype=np.int64))
-                    # checkouts before the trace became a list hold None without score_with
-                    for scores in stats.score_trace or []:
+                    for scores in stats.score_trace:
                         _update(h, scores)
                     h.update(f"keeps{len(keeps)}".encode())
                     for keep in keeps:
