@@ -76,16 +76,16 @@ class AttentionCapture:
     first_row: int = 0
 
 
-def _span(used: np.ndarray, per_column: np.ndarray) -> Optional[slice]:
+def _span(used: np.ndarray, per_column: np.ndarray) -> slice:
     """The channel span a projection runs over. For a routing projection,
     whose every column holds at most one nonzero weight (``per_column``
-    counts them), that is the smallest span holding its ``used`` channels;
-    for any other projection, or a span of all channels, it is None."""
+    counts them), that is the smallest span holding its ``used`` channels,
+    ``slice(0, 0)`` if it uses none; for any other, all d channels,
+    ``slice(0, d)``."""
     if (per_column > 1).any():
-        return None
+        return slice(0, used.size)
     channels = np.flatnonzero(used)
-    lo, hi = (int(channels[0]), int(channels[-1]) + 1) if channels.size else (0, 0)
-    return None if hi - lo == used.size else slice(lo, hi)
+    return slice(int(channels[0]), int(channels[-1]) + 1) if channels.size else slice(0, 0)
 
 
 @dataclass
@@ -99,15 +99,16 @@ class LayerWeights:
 
     Shapes are checked once, here, and so is what the nonzero weights
     imply. A channel is read where a row of ``wq``, ``wk`` or ``wv`` is
-    nonzero and written where a column of ``wo`` is; ``reads_own_writes``
-    says whether ``wo`` writes a channel that q, k or v read. ``reads`` (q,
-    k, v) and ``writes`` (``wo``) are each projection's channel span: for a
-    routing projection, whose every column holds at most one nonzero
-    weight, the smallest span holding the channels it reads or writes; None,
-    all d channels, for any other. Only a layer with a ``writes`` span and
-    no ``reads_own_writes`` can run tied (``layer_runs``). ``spanned``
-    holds ``wq``, ``wk``, ``wv`` and ``wo`` cut to their spans, as views.
-    Weights are not to be changed in place after that."""
+    nonzero and written where a column of ``wo`` is. ``reads`` (q, k, v)
+    and ``writes`` (``wo``) are each projection's channel span (``_span``):
+    for a routing projection, whose every column holds at most one nonzero
+    weight, the smallest span holding the channels it reads or writes; all
+    d channels for any other. ``spanned`` holds ``wq``, ``wk``, ``wv`` and
+    ``wo`` cut to their spans, as views. ``ties`` says whether consecutive
+    positions holding this layer can run as one (``layer_runs``): the layer
+    has no FFN and one head, and its ``writes`` span is disjoint from each
+    of its ``reads`` spans. Weights are not to be changed in place after
+    that."""
 
     wq: np.ndarray  # (heads, d, w)
     wk: np.ndarray  # (heads, d, w)
@@ -115,10 +116,10 @@ class LayerWeights:
     wo: np.ndarray  # (heads·w_v, d), applied to the concatenated head outputs
     w1: Optional[np.ndarray] = None  # (d, mu), or None with w2: no FFN
     w2: Optional[np.ndarray] = None  # (mu, d)
-    reads: tuple[Optional[slice], ...] = field(init=False, repr=False)  # q, k, v
-    writes: Optional[slice] = field(init=False, repr=False)
+    reads: tuple[slice, ...] = field(init=False, repr=False)  # q, k, v
+    writes: slice = field(init=False, repr=False)
     spanned: tuple[np.ndarray, ...] = field(init=False, repr=False)  # wq, wk, wv, wo
-    reads_own_writes: bool = field(init=False, repr=False)
+    ties: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.wq.ndim != 3:
@@ -140,13 +141,14 @@ class LayerWeights:
             if np.shape(array) != shape:
                 raise ValueError(f"{name} must be {shape}, got {np.shape(array)}")
         read = [m != 0 for m in (self.wq, self.wk, self.wv)]
-        used = [nonzero.any(axis=(0, 2)) for nonzero in read]
         written = self.wo != 0
-        self.reads = tuple(_span(u, nonzero.sum(axis=1)) for u, nonzero in zip(used, read))
-        self.writes = _span(written.any(axis=0), written.sum(axis=0))
-        self.spanned = tuple(m if s is None else m[:, s] for m, s in zip(
-            (self.wq, self.wk, self.wv, self.wo), (*self.reads, self.writes)))
-        self.reads_own_writes = bool((np.any(used, axis=0) & written.any(axis=0)).any())
+        self.reads = tuple(_span(nonzero.any(axis=(0, 2)), nonzero.sum(axis=1))
+                           for nonzero in read)
+        self.writes = w = _span(written.any(axis=0), written.sum(axis=0))
+        self.spanned = tuple(m[:, s] for m, s in zip(
+            (self.wq, self.wk, self.wv, self.wo), (*self.reads, w)))
+        self.ties = self.w1 is None and heads == 1 and all(
+            w.stop <= r.start or r.stop <= w.start for r in self.reads)
 
 
 class HashedPatchTable:
@@ -275,16 +277,14 @@ def gelu(x: np.ndarray) -> np.ndarray:
 def layer_runs(weights: ModelWeights) -> list[tuple[LayerWeights, int]]:
     """The model's layers as (layer, k) runs, each of which ``forward``
     computes once. A run of k > 1 is k consecutive positions that hold the
-    same layer object, which has no FFN, a routing out-projection
-    (``writes`` not None) and no ``reads_own_writes``, in a model without
-    ``norm``: each position's input then differs from the previous one's
-    only in channels that q, k and v weigh with zeros, so all k compute the
-    same attention and the same residual increment. Every other position
-    is a run of 1."""
+    same layer object whose ``ties`` is set, in a model without ``norm``:
+    each position's input then differs from the previous one's only in
+    channels outside the spans q, k and v read, so all k compute the same
+    attention and the same residual increment. Every other position is a
+    run of 1."""
     runs: list[tuple[LayerWeights, int]] = []
     for lw in weights.layers:
-        if (runs and runs[-1][0] is lw and lw.w1 is None and not weights.norm
-                and lw.writes is not None and not lw.reads_own_writes):
+        if runs and runs[-1][0] is lw and lw.ties and not weights.norm:
             runs[-1] = (lw, runs[-1][1] + 1)
         else:
             runs.append((lw, 1))
@@ -311,22 +311,24 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     ``first_row = 0`` that is the full forward. A run of k positions
     computes its attention and its increment ``heads @ wo`` once, then adds
     the increment k times into the channels ``wo`` writes and, with
-    ``capture``, its captured rows k times in the same (head, tile) order.
-    Its q, k and v read none of those channels and the output head reads
-    only rows ``first_row..n-1``, so no row above ``first_row`` that a last
-    run would write is ever read. For finite activations a run is bitwise
+    ``capture``, each captured tile k times in a row: it has one head, so
+    that is the order of k layer-by-layer positions. Its q, k and v read
+    none of those channels and the output head reads only rows
+    ``first_row..n-1``, so no row above ``first_row`` that a last run would
+    write is ever read. For finite activations a run is bitwise
     the layer-by-layer forward whose positions from the run's start on
     compute the run's rows, up to the sign of a zero (the copy model's
     activations are all >= 0). The residual stream is a new array from its
     first write on, so ``x`` itself is never written.
 
-    Each projection runs over its channel span (``LayerWeights.spanned``):
-    q, k and v are ``a_in[:, span] @ w[span]``, and an out-projection with
-    a written span computes only those columns, which a run adds k times
-    into the same channels of a new copy of ``h``. Every output of a
-    routing projection holds at most one nonzero term, so this is bitwise
-    the full-width product, and the other channels keep ``h`` itself where
-    the full form adds zeros: bitwise the same unless ``h`` holds -0.0.
+    Each projection runs over its channel span (``LayerWeights.spanned``),
+    all d channels unless it routes: q, k and v are ``a_in[:, span] @
+    w[span]``, and the out-projection computes only its written columns,
+    which every run adds k times into the same channels of a new copy of
+    ``h``. Every output of a routing projection holds at most one nonzero
+    term, so this is bitwise the full-width product, and the other channels
+    keep ``h`` itself where the full form adds zeros: bitwise the same
+    unless ``h`` holds -0.0.
 
     Each layer's head widths are its arrays' (``LayerWeights``); scores are
     scaled by ``1/sqrt(cfg.head_dim)`` at any width. A layer with no FFN
@@ -365,11 +367,10 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
         lo = first_row if end == len(weights.layers) else 0  # first row whose output it computes
         layer_tiles = -(-(n - lo) * tiles // n)
         a_in = layer_norm(h) if weights.norm else h
-        a_q, a_k, a_v = [a_in if s is None else a_in[:, s] for s in lw.reads]
+        a_q, a_k, a_v = [a_in[:, s] for s in lw.reads]
         wq, wk, wv, wo = lw.spanned
         dv = wv.shape[2]
         heads = np.empty((n, cfg.heads * dv))  # every head's attn·v, side by side
-        repeat = []  # captured rows the run's other k - 1 positions add again
         for hd in range(cfg.heads):
             q = a_q[lo:] @ wq[hd]
             kt = (a_k @ wk[hd]).T
@@ -385,22 +386,14 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                 if capture and r1 > first_row:
                     c = max(r0, first_row)
                     rows = total[c - first_row:r1 - first_row]
-                    rows += attn[c - r0:]  # on a view: no copy back into total
-                    if k > 1:
-                        repeat.append((rows, attn[c - r0:].copy()))
+                    for _ in range(k):
+                        rows += attn[c - r0:]  # on a view: no copy back into total
                 np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
-        for rows, again in repeat * (k - 1):
-            rows += again
         inc = heads[lo:] @ wo
-        if lw.writes is not None:  # only the written channels change, in a new array
-            h = h[lo:].copy()
-            written = h[:, lw.writes]
-            for _ in range(k):
-                written += inc
-        else:  # a run of 1
-            inc += h[lo:]  # in place, as numpy elides an unnamed temporary: no extra (n, d) array
-            h = inc
-        del inc  # h alone holds it, so the FFN's new h frees it
+        h = h[lo:].copy()  # only the written channels change, in a new array
+        written = h[:, lw.writes]
+        for _ in range(k):
+            written += inc
         if lw.w1 is not None:
             f_in = layer_norm(h) if weights.norm else h
             h = h + gelu(f_in @ lw.w1) @ lw.w2
@@ -520,20 +513,20 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
 
     Each layer is attention-only and stores only the head columns it routes
     through: layer 1 has q/k width n and v width 1, the others q/k width 1
-    and v width a, no layer has an FFN, and ``norm`` is unset. Layers 2..L
-    are one ``LayerWeights`` object, which writes only the fetched payload
-    and reads none of it, so ``forward`` runs them as one run
-    (``layer_runs``): a forward is the broadcast layer over all n rows, then
-    one fetch layer over rows ``first_row..n-1`` and L - 2 more adds of its
-    increment into those rows. The config keeps ``ffn_dim = 1``, which
-    ``analysis`` prices; the weights carry none. Scores
-    are still scaled by ``1/sqrt(d)``, the config's head width. Every
+    and v width a, no layer has an FFN, and ``norm`` is unset. Every
     projection column holds at most one nonzero weight, so every projection
     routes and ``forward`` runs it over only its channel span
     (``LayerWeights.reads`` and ``writes``): layer 1's q and k read n
     channels each, its v one and its ``wo`` writes one (the flag); a fetch
     layer's q and k read one each, its v the a visual payload channels and
-    its ``wo`` writes the a fetched ones. The logits are bitwise those of
+    its ``wo`` writes the a fetched ones. Layers 2..L are one
+    ``LayerWeights`` object whose one head writes a span none of its reads
+    meet (``ties``), so ``forward`` runs them as one run (``layer_runs``): a
+    forward is the broadcast layer over all n rows, then one fetch layer
+    over rows ``first_row..n-1`` and L - 2 more adds of its increment into
+    those rows. The config keeps ``ffn_dim = 1``, which ``analysis``
+    prices; the weights carry none. Scores are still scaled by
+    ``1/sqrt(d)``, the config's head width. The logits are bitwise those of
     the same weights zero-padded to width d with an all-zero FFN in every
     layer.
 

@@ -156,10 +156,12 @@ class TestEmbedTokens:
 
 
 def layer_arrays(heads=2, d=8, w=3, w_v=5, mu=4):
-    """Zero arrays of one well-shaped layer whose head widths differ from d / heads."""
+    """Zero arrays of one well-shaped layer whose head widths differ from d / heads;
+    with ``mu`` None, an attention-only one."""
+    ffn = dict(w1=None, w2=None) if mu is None else dict(w1=np.zeros((d, mu)),
+                                                          w2=np.zeros((mu, d)))
     return dict(wq=np.zeros((heads, d, w)), wk=np.zeros((heads, d, w)),
-                wv=np.zeros((heads, d, w_v)), wo=np.zeros((heads * w_v, d)),
-                w1=np.zeros((d, mu)), w2=np.zeros((mu, d)))
+                wv=np.zeros((heads, d, w_v)), wo=np.zeros((heads * w_v, d)), **ffn)
 
 
 class TestLayerWeights:
@@ -181,19 +183,37 @@ class TestLayerWeights:
         lw = LayerWeights(**arrays)
         assert lw.w1 is None and lw.w2 is None
 
-    @pytest.mark.parametrize("read,written,reads_own_writes", [
-        (None, None, False), (("wq", 0), 1, False), (("wq", 2), 2, True),
-        (("wk", 5), 5, True), (("wv", 7), 7, True), (("wv", 7), 6, False)])
-    def test_reads_own_writes_compares_the_channels_wo_writes_with_those_qkv_read(
-            self, read, written, reads_own_writes):
-        # a channel is read where a row of wq, wk or wv is nonzero, and
-        # written where a column of wo is
-        arrays = layer_arrays()
+    @pytest.mark.parametrize("read,written,ties", [
+        (None, None, True), (("wq", 0), 1, True), (("wq", 2), 2, False),
+        (("wk", 5), 5, False), (("wv", 7), 7, False), (("wv", 7), 6, True)])
+    def test_ties_compares_the_span_wo_writes_with_those_qkv_read(self, read, written, ties):
+        # one-head attention-only layer: a channel is read where a row of
+        # wq, wk or wv is nonzero, and written where a column of wo is
+        arrays = layer_arrays(heads=1, mu=None)
         if read is not None:
             name, channel = read
-            arrays[name][1, channel, 2] = 0.5
+            arrays[name][0, channel, 2] = 0.5
             arrays["wo"][3, written] = -2.0
-        assert LayerWeights(**arrays).reads_own_writes == reads_own_writes
+        assert LayerWeights(**arrays).ties == ties
+
+    @pytest.mark.parametrize("case,ties", [
+        ("ffn", False), ("two_heads", False), ("dense_wo", False), ("zero_qkv", True)])
+    def test_ties_needs_no_ffn_one_head_and_a_write_span_no_read_span_meets(self, case, ties):
+        # q reads channel 0 and wo writes channel 6 (which ties on its
+        # own), but for the case named
+        rng = SeededRng(1)
+        arrays = layer_arrays(heads=2 if case == "two_heads" else 1,
+                              mu=4 if case == "ffn" else None)
+        arrays["wq"][0, 0, 2] = 0.5
+        arrays["wo"][3, 6] = -2.0
+        if case == "dense_wo":  # every wo column takes all 5 head rows: all 8 channels
+            arrays["wo"] = rng.normal(size=arrays["wo"].shape)
+        if case == "zero_qkv":  # spans of no channel meet nothing, even all d written
+            arrays["wq"][:] = 0.0
+            arrays["wo"] = rng.normal(size=arrays["wo"].shape)
+        lw = LayerWeights(**arrays)
+        assert lw.writes == (slice(0, 8) if case in ("dense_wo", "zero_qkv") else slice(6, 7))
+        assert lw.ties == ties
 
     @pytest.mark.parametrize("grid,num_symbols", [((2, 3), 3), ((8, 8), 16)])
     def test_copy_layers_span_the_channels_they_read_and_write(self, grid, num_symbols):
@@ -216,8 +236,10 @@ class TestLayerWeights:
 
     def test_a_dense_layer_spans_every_channel(self):
         lw = init_random_model(small_config(), 1).layers[0]
-        assert lw.reads == (None, None, None) and lw.writes is None
-        assert all(narrow is m for narrow, m in zip(lw.spanned, (lw.wq, lw.wk, lw.wv, lw.wo)))
+        assert (*lw.reads, lw.writes) == (slice(0, 16),) * 4
+        for narrow, m in zip(lw.spanned, (lw.wq, lw.wk, lw.wv, lw.wo)):
+            assert np.shares_memory(narrow, m)
+            np.testing.assert_array_equal(narrow, m)
 
     @pytest.mark.parametrize("name", ["wq", "wk", "wv", "wo"])
     def test_a_column_with_two_nonzeros_spans_every_channel(self, name):
@@ -236,8 +258,11 @@ class TestLayerWeights:
             arrays[name][1, 3, 0] = 0.5  # column 0 of head 1 now reads channels 2 and 3
         lw = LayerWeights(**arrays)
         spans = dict(zip(["wq", "wk", "wv", "wo"], (*lw.reads, lw.writes)))
-        assert spans.pop(name) is None
+        assert spans.pop(name) == slice(0, 8)
         assert list(spans.values()) == [slice(2, 5)] * 3
+        narrow = lw.spanned[["wq", "wk", "wv", "wo"].index(name)]
+        assert np.shares_memory(narrow, arrays[name])
+        np.testing.assert_array_equal(narrow, arrays[name])
 
     def test_an_all_zero_projection_spans_no_channel(self):
         lw = LayerWeights(**layer_arrays())
@@ -596,9 +621,10 @@ def softmax_calls(w, x, **kwargs):
 
 
 class TestTiedRuns:
-    """A run of positions holding one attention-only layer object whose
-    routing out-projection writes no channel it reads, in a model without
-    norm, runs once per forward."""
+    """A run of positions holding one one-head attention-only layer object
+    whose routing out-projection writes a span none of its reads meet
+    (``LayerWeights.ties``), in a model without norm, runs once per
+    forward."""
 
     @pytest.mark.parametrize("capture", [False, True])
     @pytest.mark.parametrize("grid,num_symbols", [((2, 2), 4), ((2, 3), 6), ((8, 8), 16)])
@@ -630,23 +656,25 @@ class TestTiedRuns:
 
     @pytest.mark.parametrize("case,runs_once", [
         ("routing", True), ("dense", False), ("norm", False), ("ffn", False),
-        ("reads_own_writes", False)])
+        ("reads_writes", False), ("two_heads", False)])
     @pytest.mark.parametrize("first_row", [0, 7])
     def test_only_a_routing_write_disjoint_attention_only_run_without_norm_runs_once(
             self, case, runs_once, first_row):
-        # 4 positions, 2 heads, 2 tiles of 5 rows: every run of 1 tiles its rows
-        n, heads, layers = 10, 2, 4
+        # 4 positions, 1 head (2 in case two_heads), 2 tiles of 5 rows:
+        # every run of 1 tiles its rows
+        n, layers = 10, 4
+        heads = 2 if case == "two_heads" else 1
         cfg = small_config(layers=layers, heads=heads, embed_dim=8)
         rng = SeededRng(3)
         if case == "dense":  # writes no channel it reads, but not by routing
             lw = disjoint_layer(rng, heads, 8, read=4)
         else:
-            read = range(4, 8) if case == "reads_own_writes" else range(4)
+            read = range(4, 8) if case == "reads_writes" else range(4)
             lw = routing_layer(rng, heads, 8, read, range(4, 8), w=3, w_v=2)
         if case == "ffn":
             lw = dataclasses.replace(lw, w1=rng.normal(size=(8, 5)), w2=rng.normal(size=(5, 8)))
-        assert lw.reads_own_writes == (case == "reads_own_writes")
-        assert (lw.writes is None) == (case == "dense")
+        assert lw.ties == (case in ("routing", "norm"))
+        assert (lw.writes == slice(0, 8)) == (case == "dense")
         w = dataclasses.replace(init_random_model(cfg, 3), layers=[lw] * layers,
                                 norm=case == "norm")
         x = np.abs(rng.normal(size=(n, 8)))
@@ -666,20 +694,19 @@ class TestTiedRuns:
                                       head_mean([m[len(m) - (n - first_row):] for m in maps]))
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), layers=st.integers(2, 6), heads=st.integers(1, 3),
+    @given(data=st.data(), layers=st.integers(2, 6), d=st.integers(2, 12),
            n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
-    def test_write_disjoint_tied_run_is_the_layer_by_layer_forward(self, data, layers, heads,
+    def test_write_disjoint_tied_run_is_the_layer_by_layer_forward(self, data, layers, d,
                                                                     n, seed):
         start = data.draw(st.integers(0, layers - 2), label="run start")
         k = data.draw(st.integers(2, layers - start), label="run length")
         first_row = data.draw(st.integers(0, n - 1), label="first_row")
-        d = 4 * heads
         read = data.draw(st.integers(1, d - 1), label="channels read")
         width = data.draw(st.integers(1, 5), label="q/k width")
         v_width = data.draw(st.integers(1, 5), label="v width")
-        cfg = small_config(layers=layers, heads=heads, embed_dim=d)
+        cfg = small_config(layers=layers, heads=1, embed_dim=d)
         rng = SeededRng(seed)
-        tied = routing_layer(rng, heads, d, range(read), range(read, d), width, v_width)
+        tied = routing_layer(rng, 1, d, range(read), range(read, d), width, v_width)
         w = init_random_model(cfg, seed)
         positions = [dataclasses.replace(lw, w1=None, w2=None) for lw in w.layers]
         positions[start:start + k] = [tied] * k
@@ -719,7 +746,8 @@ class TestChannelSpans:
         # head row, but q, k and v columns read channels 0..2. Cut to its
         # span, the projection with several nonzeros per column rounds
         # differently from the full-width one at some of these seeds
-        spans = ((slice(0, 1),) * 3, None) if read == 1 else ((None,) * 3, slice(3, 4))
+        spans = (((slice(0, 1),) * 3, slice(0, 4)) if read == 1
+                 else ((slice(0, 4),) * 3, slice(3, 4)))
         for seed in range(20):
             rng = SeededRng(seed)
             lw = disjoint_layer(rng, 1, 4, read, w_v=v_width)
@@ -736,8 +764,9 @@ class TestChannelSpans:
     def test_routing_layers_are_bitwise_the_full_width_forward(self, data, layers, heads, n,
                                                                capture, seed):
         # positions start..start+k-1 hold one layer that reads channels
-        # below `split` and writes those above it, so they run as one tied
-        # run; every other position reads and writes anywhere
+        # below `split` and writes those above it, so with one head they run
+        # as one tied run and with more layer by layer; every other
+        # position reads and writes anywhere
         d = heads * data.draw(st.integers(2, 6), label="head_dim")
         split = data.draw(st.integers(1, d - 1), label="split")
         start = data.draw(st.integers(0, layers - 2), label="run start")
@@ -755,7 +784,7 @@ class TestChannelSpans:
         cfg = small_config(layers=layers, heads=heads, embed_dim=d)
         w = dataclasses.replace(init_random_model(cfg, seed), layers=positions, norm=False)
         runs = [kk for _, kk in layer_runs(w)]
-        assert k in runs
+        assert (k in runs) == (heads == 1)
         x = np.abs(rng.normal(size=(n, d)))  # no -0.0, whose sign a skipped add would flip
         logits, cap = forward(x, w, capture=capture, first_row=first_row)
         assert_matches_the_layer_by_layer_forward(x, w, first_row, runs[-1], logits, cap)
@@ -775,9 +804,10 @@ class TestForwardNeverWritesItsInput:
             return w, x, w.config.num_patches + 1
         w = init_random_model(small_config(layers=4, embed_dim=8), 5)
         if kind == "tied_first":
-            # one routing write-disjoint attention-only layer at every
-            # position: the run starts at layer 1, so it adds into x's rows
-            lw = routing_layer(SeededRng(5), 2, 8, range(4), range(4, 8), w=3, w_v=2)
+            # one one-head routing write-disjoint attention-only layer at
+            # every position: the run starts at layer 1, so it adds into x's rows
+            w = init_random_model(small_config(layers=4, heads=1, embed_dim=8), 5)
+            lw = routing_layer(SeededRng(5), 1, 8, range(4), range(4, 8), w=3, w_v=2)
             w = dataclasses.replace(w, layers=[lw] * 4, norm=False)
         x = np.vstack([encode_image([["a", "b"], ["c", "d"]], w), embed_prompt([1, 2], w),
                        embed_response([11, 3, 11], w)])
