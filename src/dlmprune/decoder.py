@@ -55,11 +55,10 @@ class SequenceState:
 
     ``step_input`` is the (n, d) forward input of the next step:
     ``np.vstack([visual, prompt, embed_response(response_ids)])``, or None
-    until ``step`` builds it. ``step`` builds it when it is None, at the first
-    step and after ``pruning.apply_prune`` (which sets it to None), and after
-    each commit writes the committed response rows into it in place
-    (``model.response_rows``). Code that changes ``visual``, ``prompt`` or
-    ``response_ids`` in any other way sets it to None.
+    until the first ``step`` builds it. Each commit writes the committed
+    response rows into it in place (``model.response_rows``), and
+    ``pruning.apply_prune`` gathers its kept rows. Code that changes
+    ``visual``, ``prompt`` or ``response_ids`` in any other way sets it to None.
     """
 
     visual: Matrix                 # current visual rows (original or pruned)
@@ -152,9 +151,9 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
     map. ``capture=False`` skips it (logits are unaffected).
 
     The forward input is ``state.step_input``, built from ``visual``,
-    ``prompt`` and ``embed_response`` when it is None. After committing, the
-    step writes only the committed response rows into it, in place, so the
-    next step's input is ready without rebuilding it.
+    ``prompt`` and ``embed_response`` when it is None (before the first step).
+    After committing, the step writes only the committed response rows into
+    it, in place, so the next step's input is ready without rebuilding it.
     """
     k = state.step
     if k > state.total_steps:
@@ -202,6 +201,8 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     The plan's keep schedule alone decides the pruning: after step k the
     state is cut to the count scheduled for step k+1 when that count is
     smaller, and attention is captured only for a step whose prune is scored.
+    A cut gathers the kept rows of the step input (``pruning.apply_prune``),
+    so a decode embeds its response rows in full once, at step 1.
     Each step's forward computes outputs only for the rows it reads: the
     response rows' logits and, at a scored step, the attention rows of every
     scorer in use (``pruning.first_guidance_row``). That capture lives only

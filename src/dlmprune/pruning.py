@@ -193,12 +193,14 @@ def keep_schedule(plan: Optional[PrunePlan], num_visual: int, total_steps: int) 
 
 def step_scores(state: "SequenceState", capture: AttentionCapture,
                 scorer: ScorerKind) -> np.ndarray:
-    """Importance of the surviving visual tokens from the step just run."""
-    rows = guidance_rows(state, scorer)
+    """Importance of the surviving visual tokens from the step just run, read off
+    the one map ``forward`` captures (row i is sequence row first_row + i): bitwise
+    ``importance_scores(mean_attention(capture), rows - first_row, arange(N))``."""
+    rows = guidance_rows(state, scorer)  # built valid, so not checked again
     if rows.size == 0:
         raise EmptyGuidanceSet(scorer, state.step - 1)
-    abar = mean_attention(capture)  # row i is sequence row capture.first_row + i
-    return importance_scores(abar, rows - capture.first_row, np.arange(state.num_visual))
+    abar = capture.maps[0][0][rows - capture.first_row, :state.num_visual]
+    return abar.sum(axis=0) / rows.size  # the sum and division ``mean`` makes, bitwise
 
 
 def prune_to(state: "SequenceState", plan: PrunePlan, n_keep: int,
@@ -215,16 +217,18 @@ def prune_to(state: "SequenceState", plan: PrunePlan, n_keep: int,
 
 def apply_prune(state: "SequenceState", keep: KeepSet) -> "SequenceState":
     """Restrict the state's visual rows to the keep set, preserving original
-    order; the next ``step`` rebuilds its input from them."""
+    order; a kept ``step_input`` is gathered to its kept rows, not rebuilt."""
     current = state.visual_index_map
     local = np.searchsorted(current, keep.indices)
-    bad = (local >= current.size) | (current[np.minimum(local, current.size - 1)] != keep.indices)
+    bad = current.take(local, mode="clip") != keep.indices  # an index past the end clips lower
     if bad.any():
         missing = keep.indices[bad].tolist()
         raise ValueError(f"keep indices not currently present: {missing}")
-    state.visual = state.visual[local]
+    x = state.step_input
+    if x is not None:  # the gathered rows are bitwise the rebuilt ones
+        state.step_input = x.take(np.concatenate((local, np.arange(current.size, len(x)))), 0)
+    state.visual = state.visual.take(local, 0)
     state.visual_index_map = keep.indices.copy()
-    state.step_input = None
     return state
 
 
@@ -240,6 +244,11 @@ def guidance_rows(state: "SequenceState", scorer: ScorerKind) -> np.ndarray:
     if state.step < 2:
         raise ValueError("guidance sets are defined only after at least one step")
     visual, prompt, masked, decoded = _GUIDANCE[scorer]
+    if not (visual or prompt):  # response rows only: skip the full-length mask
+        resp = state.num_visual + state.prompt_len
+        if masked and decoded:
+            return np.arange(resp, state.seq_len)
+        return resp + (state.masked if masked else ~state.masked).nonzero()[0]
     rows = np.concatenate([np.full(state.num_visual, visual), np.full(state.prompt_len, prompt),
                            np.where(state.masked, masked, decoded)])
     return np.flatnonzero(rows)

@@ -418,20 +418,21 @@ def rebuilt_input(state, weights):
     return np.vstack([state.visual, state.prompt, embed_response(state.response_ids, weights)])
 
 
+def model_and_segments(kind):
+    """(weights, visual, prompt) of a 3x3-grid copy model or random model."""
+    if kind == "copy":
+        symbols = ("a", "b", "c", "d")
+        w = build_copy_model((3, 3), symbols)
+        image = [["b", "a", "d"], ["c", "a", "b"], ["d", "d", "c"]]
+        prompt = embed_prompt([CopyTaskVocab(symbols, 9).index_id(5)], w)
+        return w, encode_image(image, w), prompt
+    _, w = tiny_model(grid=(3, 3))
+    return (w, *tiny_inputs(w))
+
+
 class TestKeptStepInput:
     """The input a state keeps between steps is, at every forward, the input
     rebuilt from its visual, prompt and response rows."""
-
-    @staticmethod
-    def model_and_segments(kind):
-        if kind == "copy":
-            symbols = ("a", "b", "c", "d")
-            w = build_copy_model((3, 3), symbols)
-            image = [["b", "a", "d"], ["c", "a", "b"], ["d", "d", "c"]]
-            prompt = embed_prompt([CopyTaskVocab(symbols, 9).index_id(5)], w)
-            return w, encode_image(image, w), prompt
-        _, w = tiny_model(grid=(3, 3))
-        return (w, *tiny_inputs(w))
 
     @pytest.mark.parametrize("policy", [SchedulePolicy.confidence(),
                                         SchedulePolicy.stochastic(6)])
@@ -440,7 +441,7 @@ class TestKeptStepInput:
                                       PrunePlan.progressive(0.25)])
     @pytest.mark.parametrize("kind", ["random", "copy"])
     def test_every_forward_reads_the_rebuilt_rows(self, kind, plan, policy):
-        w, v, p = self.model_and_segments(kind)
+        w, v, p = model_and_segments(kind)
         current, lengths = [], []
 
         def recording_step(state, *args, **kwargs):
@@ -465,8 +466,10 @@ class TestKeptStepInput:
         state = init_state(v, p, 4, 4, mask_token_id=cfg.mask_token_id)
         step(state, w, SchedulePolicy.confidence())
         apply_prune(state, KeepSet(indices=np.array([1, 4, 7])))
-        assert state.step_input is None
+        # the prune gathers the kept rows: bitwise the input rebuilt from them
         want = np.vstack([v[[1, 4, 7]], p, embed_response(state.response_ids, w)])
+        assert state.step_input.shape == want.shape
+        assert state.step_input.tobytes() == want.tobytes()
         seen = []
 
         def recording_forward(x, weights, **kwargs):

@@ -10,10 +10,10 @@ from dlmprune.model import (AttentionCapture, CopyTaskVocab, build_copy_model, e
                             encode_image)
 from dlmprune.numerics import SeededRng, softmax_rows
 from dlmprune.pruning import (EmptyGuidanceSet, KeepSet, PrunePlan, ScorerKind, apply_prune,
-                              guidance_rows, importance_scores, keep_count, keep_schedule,
-                              mean_attention, plan_progressive, prune_to, random_keep,
-                              select_top)
-from test_decoder import tiny_inputs, tiny_model
+                              first_guidance_row, guidance_rows, importance_scores, keep_count,
+                              keep_schedule, mean_attention, plan_progressive, prune_to,
+                              random_keep, select_top, step_scores)
+from test_decoder import model_and_segments, tiny_inputs, tiny_model
 
 
 def random_capture(rng, layers, heads, n):
@@ -203,9 +203,14 @@ class TestApplyPrune:
     @given(n=hst.integers(1, 12), data=hst.data())
     def test_missing_index_rejected(self, n, data):
         st = visual_state(n)
+        full_input = np.arange(2.0 * (n + 1)).reshape(n + 1, 2)  # n visual rows, 1 response row
+        st.step_input = full_input
         survivors = data.draw(sorted_subset(range(n)))
         apply_prune(st, KeepSet(indices=np.array(survivors)))
         rows = st.visual.copy()
+        step_input = st.step_input
+        assert step_input.tobytes() == full_input[survivors + [n]].tobytes()
+        kept_input = step_input.copy()
         absent = data.draw(hst.integers(-3, n + 3).filter(lambda i: i not in survivors))
         present = data.draw(sorted_subset(survivors, min_size=0))
         keep = np.array(sorted(present + [absent]))
@@ -213,6 +218,7 @@ class TestApplyPrune:
             apply_prune(st, KeepSet(indices=keep))
         assert st.visual_index_map.tolist() == survivors
         np.testing.assert_array_equal(st.visual, rows)
+        assert st.step_input is step_input and step_input.tobytes() == kept_input.tobytes()
 
 
 class TestRandomKeep:
@@ -394,6 +400,58 @@ class TestGuidanceRows:
             want = sorted({int(i) for name in names for i in segments[name]})
             assert rows.tolist() == want, scorer
             assert np.all(np.diff(rows) > 0)
+
+
+# Which segments each guidance set reads: (visual, prompt, masked, decoded).
+SEGMENT_FLAGS = {
+    ScorerKind.MASKED: (False, False, True, False),
+    ScorerKind.PROMPT: (False, True, False, False),
+    ScorerKind.DECODED: (False, False, False, True),
+    ScorerKind.ALL_RESPONSE: (False, False, True, True),
+    ScorerKind.PROMPT_RESPONSE: (False, True, True, True),
+    ScorerKind.VISUAL: (True, False, False, False),
+    ScorerKind.PROMPT_MASKED: (False, True, True, False),
+}
+
+
+def segment_mask_rows(st, scorer):
+    """Guidance rows by the segment-mask definition: one flag per sequence row."""
+    visual, prompt, masked, decoded = SEGMENT_FLAGS[scorer]
+    flags = np.concatenate([np.full(st.num_visual, visual), np.full(st.prompt_len, prompt),
+                            np.where(st.masked, masked, decoded)])
+    return np.flatnonzero(flags)
+
+
+class TestStepScores:
+    """``step_scores`` reads the captured mean directly; it must give the
+    reference scores bitwise, over the rows of the segment-mask definition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=hst.sampled_from(["random", "copy"]), scorer=hst.sampled_from(list(ScorerKind)),
+           tau=hst.integers(1, 6), steps=hst.integers(2, 6), seed=hst.integers(0, 2**16),
+           data=hst.data())
+    def test_scores_are_the_reference_scores_bitwise(self, kind, scorer, tau, steps, seed, data):
+        assert set(SEGMENT_FLAGS) == set(ScorerKind)
+        w, v, p = model_and_segments(kind)
+        st = init_state(v, p, tau, steps, mask_token_id=w.config.mask_token_id)
+        rng = SeededRng(seed)
+        while st.masked.any():
+            st, out = step(st, w, SchedulePolicy.stochastic(seed), rng,
+                           first_row=first_guidance_row(st, scorer))
+            rows = guidance_rows(st, scorer)
+            want_rows = segment_mask_rows(st, scorer)
+            assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
+            cap = out.attention
+            if rows.size == 0:
+                with pytest.raises(EmptyGuidanceSet):
+                    step_scores(st, cap, scorer)
+            else:
+                want = importance_scores(mean_attention(cap), rows - cap.first_row,
+                                         np.arange(st.num_visual))
+                assert step_scores(st, cap, scorer).tobytes() == want.tobytes()
+            # later steps score fewer visual tokens
+            n_keep = data.draw(hst.integers(1, st.num_visual))
+            apply_prune(st, random_keep(st.visual_index_map, n_keep, SeededRng(seed)))
 
 
 class TestCopyModelScoring:

@@ -6,10 +6,11 @@
 Imports ``src/dlmprune`` of the given base checkout and of the checkout this
 script lives in under distinct package names (``dlmprune_base`` and
 ``dlmprune_head``), without writing bytecode, with one BLAS thread, pinned
-to one core. For each side it builds each perfbench workload's model and
-the input of its first baseline decode step (seed 1, the first input:
-visual, prompt and an all-masked response, outputs from the response start
-on, no capture) through that side's ``perfbench/workloads.py``.
+to one core (``tools/checkout.py``). For each side it builds each
+perfbench workload's model and the input of its first baseline decode step
+(seed 1, the first input: visual, prompt and an all-masked response, outputs
+from the response start on, no capture) through that side's
+``perfbench/workloads.py``.
 
 It exits 1, before timing anything, unless both sides' logits are bitwise
 equal on every workload. Each round then times a batch of forwards of each
@@ -23,44 +24,14 @@ and each side's median minor page faults per forward (``getrusage``).
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
-import os
 import resource
 import sys
 import time
 from pathlib import Path
 
-HEAD = Path(__file__).resolve().parents[1]
-SUBMODULES = ("decoder", "harness", "model", "pruning")  # what workloads.py imports
+from checkout import check_root, isolate, load_sides
+
 BATCH_S = 0.02
-
-
-def load_side(name: str, root: Path):
-    """(package, workloads module) of the checkout at ``root``, imported as ``name``."""
-    src = root / "src" / "dlmprune"
-    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
-                                                  submodule_search_locations=[str(src)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    for sub in SUBMODULES:
-        importlib.import_module(f"{name}.{sub}")
-    # workloads.py imports ``dlmprune`` by its own name: lend it this side's package
-    spec = importlib.util.spec_from_file_location(f"{name}_workloads",
-                                                  root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # for its dataclasses
-    saved = sys.modules.get("dlmprune")
-    sys.modules["dlmprune"] = package
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        if saved is None:
-            del sys.modules["dlmprune"]
-        else:
-            sys.modules["dlmprune"] = saved
-    return package, workloads
 
 
 def step_call(package, workloads, name: str):
@@ -94,19 +65,17 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
     base = args.base.resolve()
-    if not (base / "src" / "dlmprune" / "__init__.py").is_file():
-        print(f"error: no dlmprune sources under {base / 'src'}", file=sys.stderr)
+    error = check_root(base)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     if args.rounds < 1:
         print("error: --rounds must be >= 1", file=sys.stderr)
         return 2
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.dont_write_bytecode = True
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    isolate()
     import numpy as np
 
-    sides = {"base": load_side("dlmprune_base", base), "head": load_side("dlmprune_head", HEAD)}
+    sides = load_sides(base)
     names = list(sides["head"][1].WORKLOADS)
     calls = {name: {side: step_call(*loaded, name) for side, loaded in sides.items()}
              for name in names}
