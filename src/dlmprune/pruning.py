@@ -193,14 +193,17 @@ def keep_schedule(plan: Optional[PrunePlan], num_visual: int, total_steps: int) 
 
 def step_scores(state: "SequenceState", capture: AttentionCapture,
                 scorer: ScorerKind) -> np.ndarray:
-    """Importance of the surviving visual tokens from the step just run, read off
-    the one map ``forward`` captures (row i is sequence row first_row + i): bitwise
+    """Importance of the surviving visual tokens from the step just run: bitwise
     ``importance_scores(mean_attention(capture), rows - first_row, arange(N))``."""
-    rows = guidance_rows(state, scorer)  # built valid, so not checked again
+    rows = guidance_rows(state, scorer)
     if rows.size == 0:
         raise EmptyGuidanceSet(scorer, state.step - 1)
-    abar = capture.maps[0][0][rows - capture.first_row, :state.num_visual]
-    return abar.sum(axis=0) / rows.size  # the sum and division ``mean`` makes, bitwise
+    if rows[0] < capture.first_row:  # rows ascend; numpy would count this one from the end
+        raise ValueError(f"guidance row {rows[0]} precedes the capture's first row "
+                         f"{capture.first_row}")
+    abar = mean_attention(capture)  # row i is sequence row capture.first_row + i
+    # the sum and division ``mean`` makes, bitwise, without np.ix_
+    return abar[rows - capture.first_row, :state.num_visual].sum(axis=0) / rows.size
 
 
 def prune_to(state: "SequenceState", plan: PrunePlan, n_keep: int,
@@ -244,11 +247,6 @@ def guidance_rows(state: "SequenceState", scorer: ScorerKind) -> np.ndarray:
     if state.step < 2:
         raise ValueError("guidance sets are defined only after at least one step")
     visual, prompt, masked, decoded = _GUIDANCE[scorer]
-    if not (visual or prompt):  # response rows only: skip the full-length mask
-        resp = state.num_visual + state.prompt_len
-        if masked and decoded:
-            return np.arange(resp, state.seq_len)
-        return resp + (state.masked if masked else ~state.masked).nonzero()[0]
     rows = np.concatenate([np.full(state.num_visual, visual), np.full(state.prompt_len, prompt),
                            np.where(state.masked, masked, decoded)])
     return np.flatnonzero(rows)

@@ -402,36 +402,15 @@ class TestGuidanceRows:
             assert np.all(np.diff(rows) > 0)
 
 
-# Which segments each guidance set reads: (visual, prompt, masked, decoded).
-SEGMENT_FLAGS = {
-    ScorerKind.MASKED: (False, False, True, False),
-    ScorerKind.PROMPT: (False, True, False, False),
-    ScorerKind.DECODED: (False, False, False, True),
-    ScorerKind.ALL_RESPONSE: (False, False, True, True),
-    ScorerKind.PROMPT_RESPONSE: (False, True, True, True),
-    ScorerKind.VISUAL: (True, False, False, False),
-    ScorerKind.PROMPT_MASKED: (False, True, True, False),
-}
-
-
-def segment_mask_rows(st, scorer):
-    """Guidance rows by the segment-mask definition: one flag per sequence row."""
-    visual, prompt, masked, decoded = SEGMENT_FLAGS[scorer]
-    flags = np.concatenate([np.full(st.num_visual, visual), np.full(st.prompt_len, prompt),
-                            np.where(st.masked, masked, decoded)])
-    return np.flatnonzero(flags)
-
-
 class TestStepScores:
-    """``step_scores`` reads the captured mean directly; it must give the
-    reference scores bitwise, over the rows of the segment-mask definition."""
+    """``step_scores`` gathers the guidance rows of the captured mean itself; it
+    must give the reference scores bitwise."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=hst.sampled_from(["random", "copy"]), scorer=hst.sampled_from(list(ScorerKind)),
            tau=hst.integers(1, 6), steps=hst.integers(2, 6), seed=hst.integers(0, 2**16),
            data=hst.data())
     def test_scores_are_the_reference_scores_bitwise(self, kind, scorer, tau, steps, seed, data):
-        assert set(SEGMENT_FLAGS) == set(ScorerKind)
         w, v, p = model_and_segments(kind)
         st = init_state(v, p, tau, steps, mask_token_id=w.config.mask_token_id)
         rng = SeededRng(seed)
@@ -439,8 +418,6 @@ class TestStepScores:
             st, out = step(st, w, SchedulePolicy.stochastic(seed), rng,
                            first_row=first_guidance_row(st, scorer))
             rows = guidance_rows(st, scorer)
-            want_rows = segment_mask_rows(st, scorer)
-            assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
             cap = out.attention
             if rows.size == 0:
                 with pytest.raises(EmptyGuidanceSet):
@@ -452,6 +429,17 @@ class TestStepScores:
             # later steps score fewer visual tokens
             n_keep = data.draw(hst.integers(1, st.num_visual))
             apply_prune(st, random_keep(st.visual_index_map, n_keep, SeededRng(seed)))
+
+    def test_a_capture_that_starts_past_the_guidance_rows_is_rejected(self):
+        # captured for the masked rows, scored with the prompt rows: numpy would
+        # read map row -1 for the prompt row, the last response row
+        w, v, p = model_and_segments("copy")
+        st = init_state(v, p, 3, 3, mask_token_id=w.config.mask_token_id)
+        st, out = step(st, w, SchedulePolicy.confidence(),
+                       first_row=first_guidance_row(st, ScorerKind.MASKED))
+        assert guidance_rows(st, ScorerKind.PROMPT)[0] < out.attention.first_row
+        with pytest.raises(ValueError, match="precedes the capture's first row"):
+            step_scores(st, out.attention, ScorerKind.PROMPT)
 
 
 class TestCopyModelScoring:

@@ -8,12 +8,13 @@ as ``tools/ab_forward.py`` does (``tools/checkout.py``: one BLAS thread, no
 bytecode, one core). For each workload (``all`` by default) each side builds
 its model and the first ``INPUTS`` inputs of seed 1 through its own
 ``perfbench/workloads.py``, and decodes them under every variant in
-``workloads.VARIANTS`` as the benchmark does.
+``workloads.VARIANTS`` as the benchmark does (``checkout.decode``).
 
 It exits 1, before timing anything, unless both sides decode every variant
-bitwise alike: the decoded ids, the positions committed at each step, the
-per-step sequence lengths, the score traces and the keep sets applied
-(recorded by wrapping ``pruning.apply_prune``). Each round then times, per
+bitwise alike in the fields ``tools/decode_digest.py`` hashes
+(``checkout.record_decode``): the decoded ids, the positions committed at
+each step, the per-step sequence lengths, the score traces and the keep sets
+applied. Each round then times, per
 variant, a batch of decodes on each side, alternating which side runs
 first; a batch holds as many decodes as make about 20 ms of the base side's
 baseline, cycling through the inputs. Per workload it prints, per variant,
@@ -34,12 +35,12 @@ import sys
 import time
 from pathlib import Path
 
-from checkout import check_root, isolate, load_sides
+from checkout import (FIELDS, check_root, decode, isolate, load_sides, pin_to_one_core,
+                      record_decode)
 
 INPUTS = 16
 SEED = 1
 BATCH_S = 0.02
-FIELDS = ("ids", "committed positions", "step lengths", "score traces", "keep sets")
 
 
 class Side:
@@ -47,48 +48,22 @@ class Side:
 
     def __init__(self, package, workloads, name: str):
         import numpy as np
-        self.pruning, self.decoder = package.pruning, package.decoder
-        self.workloads = workloads
+        self.side = package, workloads
         self.wl = workloads.WORKLOADS[name]
         self.weights = self.wl.build_model()
         self.inputs = self.wl.make_inputs(np.random.default_rng(SEED), self.weights)[:INPUTS]
 
-    def decode(self, variant: str, inp):
-        score_with = self.pruning.ScorerKind.MASKED if variant == "scored" else None
-        return self.decoder.run_inference(inp.visual, inp.prompt, self.wl.tau, self.wl.steps,
-                                          self.weights, inp.policy,
-                                          self.workloads.plan_for(variant, inp),
-                                          score_with=score_with)
-
     def record(self, variant: str) -> list:
-        """Per input, the fields of ``FIELDS``, each as a list of arrays."""
-        import numpy as np
-        keeps: list = []
-        apply_prune = self.pruning.apply_prune
-
-        def recording_apply_prune(state, keep):
-            keeps.append(np.array(keep.indices))
-            return apply_prune(state, keep)
-
-        self.pruning.apply_prune = recording_apply_prune
-        out = []
-        try:
-            for inp in self.inputs:
-                keeps.clear()
-                ids, steps, stats = self.decode(variant, inp)
-                out.append(([ids], [s.newly_decoded for s in steps],
-                            [np.asarray(stats.per_step_lengths, dtype=np.int64)],
-                            list(stats.score_trace), list(keeps)))
-        finally:
-            self.pruning.apply_prune = apply_prune
-        return out
+        """Per input, ``record_decode``'s fields."""
+        return [record_decode(*self.side, self.wl, self.weights, variant, inp)
+                for inp in self.inputs]
 
     def batch(self, variant: str, reps: int) -> float:
         """Seconds per decode over ``reps`` decodes, cycling through the inputs."""
         gc.collect()
         t0 = time.perf_counter()
         for i in range(reps):
-            self.decode(variant, self.inputs[i % len(self.inputs)])
+            decode(*self.side, self.wl, self.weights, variant, self.inputs[i % len(self.inputs)])
         return (time.perf_counter() - t0) / reps
 
 
@@ -166,6 +141,7 @@ def main(argv=None) -> int:
         print("error: --rounds must be >= 1", file=sys.stderr)
         return 2
     isolate()
+    pin_to_one_core()
     sides = load_sides(base)
     workloads = sides["head"][1]
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]

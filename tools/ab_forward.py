@@ -29,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from checkout import check_root, isolate, load_sides
+from checkout import check_root, isolate, load_sides, pin_to_one_core
 
 BATCH_S = 0.02
 
@@ -73,6 +73,7 @@ def main(argv=None) -> int:
         print("error: --rounds must be >= 1", file=sys.stderr)
         return 2
     isolate()
+    pin_to_one_core()
     import numpy as np
 
     sides = load_sides(base)

@@ -1,11 +1,13 @@
-"""Load two checkouts of dlmprune side by side in one process, for the A/B tools.
+"""Load checkouts of dlmprune and decode their perfbench workloads, for the tools.
 
 ``load_side`` imports a checkout's ``src/dlmprune`` under a package name of
 the caller's choosing (``dlmprune_base``, ``dlmprune_head``), so two trees
 live in one interpreter, together with that checkout's
-``perfbench/workloads.py``. ``isolate`` sets up the process the way both
-tools time it: one BLAS thread, no bytecode written into either checkout, and
-pinned to one core. It must run before numpy is imported.
+``perfbench/workloads.py``. ``isolate`` writes no bytecode into a checkout
+and gives BLAS one thread; it must run before numpy is imported.
+``pin_to_one_core`` is for the tools that time. ``record_decode`` decodes one
+input under one perfbench variant as the benchmark does and returns what
+``tools/decode_digest.py`` hashes and ``tools/ab_decode.py`` compares.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 HEAD = Path(__file__).resolve().parents[1]
 SUBMODULES = ("decoder", "harness", "model", "pruning")  # what workloads.py imports
+FIELDS = ("ids", "committed positions", "step lengths", "score traces", "keep sets")
 
 
 def check_root(root: Path) -> str | None:
@@ -28,10 +31,14 @@ def check_root(root: Path) -> str | None:
 
 
 def isolate() -> None:
-    """One BLAS thread, no bytecode, one core (the lowest this process may use)."""
+    """One BLAS thread and no bytecode."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
+
+
+def pin_to_one_core() -> None:
+    """Run on one core, the lowest this process may use."""
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
@@ -65,3 +72,31 @@ def load_side(name: str, root: Path):
 def load_sides(base: Path) -> dict:
     """{"base": ..., "head": ...}: ``load_side`` of ``base`` and of this checkout."""
     return {"base": load_side("dlmprune_base", base), "head": load_side("dlmprune_head", HEAD)}
+
+
+def decode(package, workloads, wl, weights, variant: str, inp):
+    """``run_inference`` of one input under one perfbench variant, as the benchmark runs it."""
+    score_with = package.pruning.ScorerKind.MASKED if variant == "scored" else None
+    return package.decoder.run_inference(inp.visual, inp.prompt, wl.tau, wl.steps, weights,
+                                         inp.policy, workloads.plan_for(variant, inp),
+                                         score_with=score_with)
+
+
+def record_decode(package, workloads, wl, weights, variant: str, inp) -> tuple:
+    """The ``FIELDS`` of one ``decode``, each a list of arrays. Keep sets are
+    recorded by wrapping ``pruning.apply_prune``, as the benchmark's tracer does."""
+    import numpy as np
+    pruning, keeps = package.pruning, []
+    apply_prune = pruning.apply_prune
+
+    def recording_apply_prune(state, keep):
+        keeps.append(keep.indices.copy())
+        return apply_prune(state, keep)
+
+    pruning.apply_prune = recording_apply_prune
+    try:
+        ids, steps, stats = decode(package, workloads, wl, weights, variant, inp)
+    finally:
+        pruning.apply_prune = apply_prune
+    return ([ids], [s.newly_decoded for s in steps],
+            [np.asarray(stats.per_step_lengths, dtype=np.int64)], list(stats.score_trace), keeps)

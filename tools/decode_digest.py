@@ -9,15 +9,16 @@ seeds 1 and 2 it decodes the first 64 inputs of copy8x8 and tiny16 and all 4
 of vit1024 under every variant in ``workloads.VARIANTS`` (1,320 decodes), as
 the benchmark does, and prints one SHA-256 per workload over the decoded ids,
 the positions committed at each step, the per-step sequence lengths, the
-score traces and the keep sets applied. Keep sets are captured by wrapping
-``pruning.apply_prune``, as the benchmark's tracer does. A change that must
+score traces and the keep sets applied (``record_decode`` in
+``tools/checkout.py``, which ``tools/ab_decode.py`` shares). A change that must
 leave every decode bitwise the same prints the same digests as its parent.
 A second line per workload, ``<name> inputs``, is one SHA-256 over the
 embedded visual and prompt rows of every input decoded, so a change to the
 embedding path shows directly, not only through the decodes. A third,
 ``<name> logits``, is one SHA-256 over the logits of every forward those
 decodes run, and the attention map it captured whenever there is one
-(``decoder.forward`` is wrapped as ``pruning.apply_prune`` is), so a change
+(``decoder.forward`` is wrapped, as ``record_decode`` wraps
+``pruning.apply_prune``), so a change
 to the forward's arithmetic shows even where it flips no decoded id. The
 wrapper also hashes the forward's input before and after the call: a forward
 that writes its input (the decoder keeps that input between steps) ends the
@@ -37,10 +38,11 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
+
+from checkout import check_root, isolate, record_decode
 
 SEEDS = (1, 2)
 MAX_INPUTS = 64
@@ -63,23 +65,16 @@ def main(argv=None) -> int:
         print("usage: decode_digest.py <checkout>", file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
-    if not (root / "src" / "dlmprune" / "__init__.py").is_file():
-        print(f"error: no dlmprune sources under {root / 'src'}", file=sys.stderr)
+    error = check_root(root)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.dont_write_bytecode = True
+    isolate()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import dlmprune
     import numpy as np
-    from dlmprune import decoder, pruning
-    from workloads import VARIANTS, WORKLOADS, plan_for
-
-    keeps: list = []
-    apply_prune = pruning.apply_prune
-
-    def recording_apply_prune(state, keep):
-        keeps.append(keep.indices.copy())
-        return apply_prune(state, keep)
+    import workloads
+    from dlmprune import decoder
 
     forward = decoder.forward
 
@@ -95,10 +90,9 @@ def main(argv=None) -> int:
                     _update(h_logits, m)
         return result
 
-    pruning.apply_prune = recording_apply_prune
     decoder.forward = hashing_forward
     total = 0
-    for name, wl in WORKLOADS.items():
+    for name, wl in workloads.WORKLOADS.items():
         h, h_inputs, h_logits = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
         weights = wl.build_model()
         for seed in SEEDS:
@@ -106,20 +100,13 @@ def main(argv=None) -> int:
             for inp in inputs:
                 _update(h_inputs, inp.visual)
                 _update(h_inputs, inp.prompt)
-                for variant in VARIANTS:
-                    score_with = pruning.ScorerKind.MASKED if variant == "scored" else None
-                    keeps.clear()
-                    ids, steps, stats = decoder.run_inference(
-                        inp.visual, inp.prompt, wl.tau, wl.steps, weights, inp.policy,
-                        plan_for(variant, inp), score_with=score_with)
+                for variant in workloads.VARIANTS:
+                    ids, committed, lengths, scores, keeps = record_decode(
+                        dlmprune, workloads, wl, weights, variant, inp)
                     total += 1
                     h.update(variant.encode())
-                    _update(h, ids)
-                    for outcome in steps:
-                        _update(h, outcome.newly_decoded)
-                    _update(h, np.asarray(stats.per_step_lengths, dtype=np.int64))
-                    for scores in stats.score_trace:
-                        _update(h, scores)
+                    for a in ids + committed + lengths + scores:
+                        _update(h, a)
                     h.update(f"keeps{len(keeps)}".encode())
                     for keep in keeps:
                         _update(h, keep)
@@ -127,7 +114,6 @@ def main(argv=None) -> int:
         print(f"{name} inputs {h_inputs.hexdigest()}")
         print(f"{name} logits {h_logits.hexdigest()}")
     print(f"decodes  {total}")
-    pruning.apply_prune = apply_prune
     decoder.forward = forward
     _print_report_digests()
     return 0
