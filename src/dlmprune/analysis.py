@@ -5,10 +5,11 @@ costs 4*n*d^2 + 2*n^2*d + 2*n*d*mu floating-point operations (QKV/output
 projections, attention products, FFN), one per multiply-add. Counts are exact
 integers. The copy model is priced at its full width d, FFN width 1 and 12
 layers too, though its heads are narrower, its projections run over only the
-channels they read and write (``model.LayerWeights.spanned``), its layers
-have no FFN and a forward runs its 11 tied fetch layers as one
-(``model.layer_runs``); ``executed_macs`` counts the multiply-adds
-``model.forward`` actually runs, from the weights.
+channels they read and write (``model.LayerWeights.spanned``), six of its
+eight are the identity there and run as that span, bitwise, with no product
+(``model.LayerWeights.identity``), its layers have no FFN and a forward runs
+its 11 tied fetch layers as one (``model.layer_runs``); ``executed_macs``
+counts the multiply-adds ``model.forward`` actually runs, from the weights.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ def executed_macs(weights, n: int, first_row: int = 0) -> tuple[int, int, int]:
     Widths are read from each layer's ``spanned`` weights: q/k width
     ``wq.shape[2]``, v width ``wv.shape[2]``, the channels q, k and v read
     and those ``wo`` writes (all d unless the projection routes), and FFN
-    width ``w1.shape[1]``, 0 for a layer with no FFN. A run of tied layers
+    width ``w1.shape[1]``, 0 for a layer with no FFN. A projection that
+    ``forward`` runs as its span (``LayerWeights.runs_as_span``: the
+    identity on its span) counts 0. A run of tied layers
     (``model.layer_runs``) counts once. Every run computes all n rows except
     the one ending at the last layer, which computes rows ``first_row..n-1``;
     K and V always run over all n rows. For a random model at ``first_row``
@@ -101,10 +104,13 @@ def executed_macs(weights, n: int, first_row: int = 0) -> tuple[int, int, int]:
         wq, wk, wv, wo = lw.spanned
         heads, q_in, w = wq.shape
         _, v_in, w_v = wv.shape
-        rows = n - (first_row if end == len(weights.layers) else 0)
-        # Q and the out-projection over the rows computed, K and V over all n
-        proj += (heads * (rows * q_in * w + n * wk.shape[1] * w + n * v_in * w_v)
-                 + rows * heads * w_v * wo.shape[1])
+        lo = first_row if end == len(weights.layers) else 0
+        rows = n - lo
+        # Q and the out-projection over the rows computed, K and V over all n,
+        # but none for a projection forward runs as its span
+        macs = (heads * rows * q_in * w, heads * n * wk.shape[1] * w,
+                heads * n * v_in * w_v, rows * heads * w_v * wo.shape[1])
+        proj += sum(m for m, span in zip(macs, lw.runs_as_span(n, lo)) if not span)
         attn += heads * rows * n * (w + w_v)
         if lw.w1 is not None:
             ffn += 2 * rows * lw.w1.size

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import pruning
 from .model import AttentionCapture, ModelWeights, embed_response, forward, response_rows
-from .numerics import Matrix, SeededRng, softmax_rows
+# softmax_rows stays importable here: perfbench traces it under this module's name
+from .numerics import Matrix, SeededRng, softmax_row_max, softmax_rows  # noqa: F401
 
 
 class PolicyKind(str, Enum):
@@ -179,7 +180,7 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
         commit = entry_masked[~stay]
     else:
         quota = min(decode_quota(k, state.response_len, state.total_steps), entry_masked.size)
-        conf = softmax_rows(resp_logits[entry_masked]).max(axis=1)
+        conf = softmax_row_max(resp_logits[entry_masked])
         order = np.argsort(-conf, kind="stable")  # ties -> lower position index
         commit = entry_masked[order[:quota]]
 

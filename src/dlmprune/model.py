@@ -88,6 +88,14 @@ def _span(used: np.ndarray, per_column: np.ndarray) -> slice:
     return slice(int(channels[0]), int(channels[-1]) + 1) if channels.size else slice(0, 0)
 
 
+def _is_identity(block: np.ndarray) -> bool:
+    """Whether a projection cut to its span (a (heads, span, w) head stack or
+    an (h·w_v, span) out-projection) is the identity on that span: a square
+    block equal to ``np.eye`` for every head."""
+    w = block.shape[-1]
+    return w == block.shape[-2] and bool((block == np.eye(w)).all())
+
+
 @dataclass
 class LayerWeights:
     """One layer's weights. Its head widths are those of its arrays: q/k width
@@ -104,7 +112,13 @@ class LayerWeights:
     for a routing projection, whose every column holds at most one nonzero
     weight, the smallest span holding the channels it reads or writes; all
     d channels for any other. ``spanned`` holds ``wq``, ``wk``, ``wv`` and
-    ``wo`` cut to their spans, as views. ``ties`` says whether consecutive
+    ``wo`` cut to their spans, as views. ``identity`` says which of them
+    (q, k, v, wo) is the identity on its span, a square block equal to
+    ``np.eye`` for every head (``_is_identity``): ``forward`` then uses the
+    span itself in place of that product, but for v in a layer with a
+    one-row tile (``runs_as_span``). k is not, where q is the identity on
+    the same span: ``a @ a.T`` would run as numpy's syrk, whose rounding
+    can differ from the product's gemm. ``ties`` says whether consecutive
     positions holding this layer can run as one (``layer_runs``): the layer
     has no FFN and one head, and its ``writes`` span is disjoint from each
     of its ``reads`` spans. Weights are not to be changed in place after
@@ -119,6 +133,7 @@ class LayerWeights:
     reads: tuple[slice, ...] = field(init=False, repr=False)  # q, k, v
     writes: slice = field(init=False, repr=False)
     spanned: tuple[np.ndarray, ...] = field(init=False, repr=False)  # wq, wk, wv, wo
+    identity: tuple[bool, ...] = field(init=False, repr=False)  # q, k, v, wo
     ties: bool = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -147,8 +162,21 @@ class LayerWeights:
         self.writes = w = _span(written.any(axis=0), written.sum(axis=0))
         self.spanned = tuple(m[:, s] for m, s in zip(
             (self.wq, self.wk, self.wv, self.wo), (*self.reads, w)))
+        same = [_is_identity(m) for m in self.spanned]
+        same[1] = same[1] and not (same[0] and self.reads[0] == self.reads[1])  # no syrk
+        self.identity = tuple(same)
         self.ties = self.w1 is None and heads == 1 and all(
             w.stop <= r.start or r.stop <= w.start for r in self.reads)
+
+    def runs_as_span(self, n: int, lo: int) -> tuple[bool, ...]:
+        """Which of q, k, v and wo ``forward`` runs as its span in a layer
+        computing rows ``lo..n-1`` of n: those of ``identity``, but v only
+        where every row tile (``row_tiles``) holds two rows or more. A
+        one-row tile's ``attn·v`` is numpy's vector product, whose rounding
+        depends on the layout of v, a strided span view or the contiguous
+        product."""
+        q, k, v, o = self.identity
+        return q, k, v and (n - lo) // row_tiles(n, lo) > 1, o
 
 
 class HashedPatchTable:
@@ -297,6 +325,13 @@ def layer_runs(weights: ModelWeights) -> list[tuple[LayerWeights, int]]:
 _TILE_BYTES = 1 << 20
 
 
+def row_tiles(n: int, lo: int) -> int:
+    """How many tiles ``forward`` cuts rows ``lo..n-1`` of an n-row layer
+    into: ceil(8·n² / _TILE_BYTES) for all n rows, proportionally fewer for
+    fewer rows."""
+    return -(-(n - lo) * -(-8 * n * n // _TILE_BYTES) // n)
+
+
 def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
             first_row: int = 0) -> tuple[Matrix, Optional[AttentionCapture]]:
     """Bidirectional self-attention over all n rows, returning the outputs of
@@ -328,7 +363,12 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     ``h``. Every output of a routing projection holds at most one nonzero
     term, so this is bitwise the full-width product, and the other channels
     keep ``h`` itself where the full form adds zeros: bitwise the same
-    unless ``h`` holds -0.0.
+    unless ``h`` holds -0.0. A projection ``LayerWeights.runs_as_span``
+    names, the identity on its span, is that span: q, k and v are the views
+    ``a_q[lo:]``, ``a_k.T`` and ``a_v`` (of ``x`` itself in layer 1 without
+    norm; nothing writes them), and the increment is ``heads[lo:]``. A
+    product with the identity is its finite input up to the sign of a zero,
+    so this too is bitwise unless the input holds -0.0.
 
     Each layer's head widths are its arrays' (``LayerWeights``); scores are
     scaled by ``1/sqrt(cfg.head_dim)`` at any width. A layer with no FFN
@@ -357,24 +397,24 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     if not 0 <= first_row < n:
         raise ValueError(f"first_row {first_row} outside 0..{n - 1}")
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    tiles = -(-8 * n * n // _TILE_BYTES)
     h = x
-    scores = np.empty((-(-n // tiles), n))
+    scores = np.empty((-(-n // row_tiles(n, 0)), n))
     total = np.zeros((n - first_row, n)) if capture else None
     end = 0
     for lw, k in layer_runs(weights):
         end += k
         lo = first_row if end == len(weights.layers) else 0  # first row whose output it computes
-        layer_tiles = -(-(n - lo) * tiles // n)
+        layer_tiles = row_tiles(n, lo)
         a_in = layer_norm(h) if weights.norm else h
         a_q, a_k, a_v = [a_in[:, s] for s in lw.reads]
         wq, wk, wv, wo = lw.spanned
+        same_q, same_k, same_v, same_o = lw.runs_as_span(n, lo)
         dv = wv.shape[2]
         heads = np.empty((n, cfg.heads * dv))  # every head's attn·v, side by side
         for hd in range(cfg.heads):
-            q = a_q[lo:] @ wq[hd]
-            kt = (a_k @ wk[hd]).T
-            v = a_v @ wv[hd]
+            q = a_q[lo:] if same_q else a_q[lo:] @ wq[hd]
+            kt = a_k.T if same_k else (a_k @ wk[hd]).T
+            v = a_v if same_v else a_v @ wv[hd]
             c0 = hd * dv
             r1 = lo
             for t in range(1, layer_tiles + 1):
@@ -389,7 +429,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                     for _ in range(k):
                         rows += attn[c - r0:]  # on a view: no copy back into total
                 np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
-        inc = heads[lo:] @ wo
+        inc = heads[lo:] if same_o else heads[lo:] @ wo
         h = h[lo:].copy()  # only the written channels change, in a new array
         written = h[:, lw.writes]
         for _ in range(k):
@@ -519,7 +559,11 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
     (``LayerWeights.reads`` and ``writes``): layer 1's q and k read n
     channels each, its v one and its ``wo`` writes one (the flag); a fetch
     layer's q and k read one each, its v the a visual payload channels and
-    its ``wo`` writes the a fetched ones. Layers 2..L are one
+    its ``wo`` writes the a fetched ones. All but layer 1's v (a gain of
+    20) and a fetch layer's q (20) are the identity on their span
+    (``LayerWeights.identity``), so ``forward`` uses the span itself and
+    runs no product for them; the activations are all >= 0, so that is
+    bitwise the product. Layers 2..L are one
     ``LayerWeights`` object whose one head writes a span none of its reads
     meet (``ties``), so ``forward`` runs them as one run (``layer_runs``): a
     forward is the broadcast layer over all n rows, then one fetch layer

@@ -29,6 +29,16 @@ def softmax_rows(m: Matrix, out: Optional[Matrix] = None) -> Matrix:
     return e
 
 
+def softmax_row_max(m: Matrix) -> np.ndarray:
+    """The largest entry of each row of ``softmax_rows(m)``, bitwise, without
+    dividing every entry: that entry is ``exp(0) / s = 1 / s`` for the row's
+    sum ``s``, since division by ``s`` is monotone."""
+    m = np.asarray(m, dtype=np.float64)
+    e = np.subtract(m, m.max(axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    return 1.0 / e.sum(axis=-1)
+
+
 def layer_norm(v: np.ndarray) -> np.ndarray:
     """Standardise the last axis to zero mean / unit variance, with eps 1e-5.
 

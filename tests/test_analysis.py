@@ -85,7 +85,7 @@ class TestExecutedMacs:
         assert attn == 2 * 10 * 10 * 16 + 2 * 3 * 10 * 16
         assert ffn == 2 * 10 * 16 * 8 + 2 * 3 * 16 * 8
 
-    @pytest.mark.parametrize("first_row", [0, 65])
+    @pytest.mark.parametrize("first_row", [0, 65, 72])
     def test_copy8x8(self, first_row):
         # n = 64 patches + 1 prompt + 8 response rows, d = 2·64 + 4 + 2·16 =
         # 164; the broadcast layer has q/k width 64 and v width 1, the 11
@@ -93,13 +93,16 @@ class TestExecutedMacs:
         # 16, and no layer has an FFN. Every projection routes, so it runs
         # over the channels it reads or writes: broadcast q and k read 64
         # each, v reads 1 and wo writes 1; fetch q and k read 1 each, v reads
-        # 16 and wo writes 16. model.layer_runs gives [broadcast ×1, fetch
-        # ×11] at any first_row, and the fetch run ends at the last layer,
-        # so the count is broadcast + one fetch over rows first_row..72
+        # 16 and wo writes 16. All but broadcast v (a gain of 20) and fetch q
+        # (20) are the identity on their span and run no product, but for
+        # fetch v where its one-row tile at first_row 72 keeps the product.
+        # model.layer_runs gives [broadcast ×1, fetch ×11] at any first_row,
+        # and the fetch run ends at the last layer, so the count is
+        # broadcast + one fetch over rows first_row..72
         w = build_copy_model((8, 8), tuple(f"s{j}" for j in range(16)))
         n, r = 73, 73 - first_row
-        broadcast = (n * 64 * 64 + n * 64 * 64 + n * 1 * 1 + n * 1 * 1, n * n * (64 + 1))
-        fetch = (r * 1 * 1 + n * 1 * 1 + n * 16 * 16 + r * 16 * 16, r * n * (1 + 16))
+        broadcast = (n * 1 * 1, n * n * (64 + 1))
+        fetch = (r * 1 * 1 + (n * 16 * 16 if r == 1 else 0), r * n * (1 + 16))
         assert executed_macs(w, n, first_row) == (broadcast[0] + fetch[0],
                                                    broadcast[1] + fetch[1], 0)
 

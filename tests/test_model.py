@@ -269,6 +269,47 @@ class TestLayerWeights:
         assert (*lw.reads, lw.writes) == (slice(0, 0),) * 4
         assert [m.shape for m in lw.spanned] == [(2, 0, 3), (2, 0, 3), (2, 0, 5), (10, 0)]
 
+    @pytest.mark.parametrize("name", ["wq", "wk", "wv", "wo"])
+    @pytest.mark.parametrize("block,identity", [
+        ([[1.0]], True), (np.eye(3), True), ([[20.0]], False),
+        ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], False), (np.zeros((0, 1)), False)])
+    def test_a_projection_is_the_identity_where_its_span_block_is_eye(self, name, block,
+                                                                       identity):
+        # one head, d 8: the named projection holds `block` at channels 2..,
+        # the others are all zero; np.zeros((0, 1)) is a width-1 projection
+        # that reads or writes no channel, a zero-width span
+        block = np.asarray(block)
+        span, width = block.shape
+        arrays = layer_arrays(heads=1, w=width, w_v=width, mu=None)
+        if name == "wo":
+            arrays["wo"][:, 2:2 + span] = block.T
+        else:
+            arrays[name][0, 2:2 + span] = block
+        names = ["wq", "wk", "wv", "wo"]
+        assert LayerWeights(**arrays).identity == tuple(identity and m == name for m in names)
+
+    @pytest.mark.parametrize("second,identity", [
+        (np.eye(2), True), ([[0.0, 1.0], [1.0, 0.0]], False), (2.0 * np.eye(2), False)])
+    def test_every_head_must_be_eye(self, second, identity):
+        # two heads of width 2: q and v read channels 2..3, k 4..5, and wo
+        # writes 2..5
+        arrays = layer_arrays(heads=2, w=2, w_v=2, mu=None)
+        for name, start in (("wq", 2), ("wk", 4), ("wv", 2)):
+            arrays[name][0, start:start + 2] = np.eye(2)
+            arrays[name][1, start:start + 2] = second
+        arrays["wo"][:2, 2:4] = np.eye(2)
+        arrays["wo"][2:, 4:6] = second
+        assert LayerWeights(**arrays).identity == (identity,) * 4
+
+    @pytest.mark.parametrize("k_start,identity", [(2, (True, False)), (3, (True, True))])
+    def test_k_keeps_its_product_where_q_is_the_identity_on_the_same_span(self, k_start,
+                                                                          identity):
+        # a_q @ a_k.T with a_k the same view as a_q runs as numpy's syrk
+        arrays = layer_arrays(heads=1, w=2, mu=None)
+        arrays["wq"][0, 2:4] = np.eye(2)
+        arrays["wk"][0, k_start:k_start + 2] = np.eye(2)
+        assert LayerWeights(**arrays).identity[:2] == identity
+
     @pytest.mark.parametrize("missing,given", [("w1", "w2"), ("w2", "w1")])
     def test_ffn_given_in_part_rejected(self, missing, given):
         arrays = layer_arrays()
@@ -788,6 +829,83 @@ class TestChannelSpans:
         x = np.abs(rng.normal(size=(n, d)))  # no -0.0, whose sign a skipped add would flip
         logits, cap = forward(x, w, capture=capture, first_row=first_row)
         assert_matches_the_layer_by_layer_forward(x, w, first_row, runs[-1], logits, cap)
+
+
+def eye_block_layer(data, rng, heads, d, read_to, write_from, w, w_v):
+    """A layer whose q, k and v blocks sit at drawn offsets in channels
+    [0, read_to) and whose ``wo`` block sits in [write_from, d): each the
+    identity in every head, or, where drawn so, a random gain times it."""
+    def block(width, lo, hi, what):
+        start = data.draw(st.integers(lo, hi - width), label=f"{what} offset")
+        gain = 1.0 if data.draw(st.booleans(), label=f"{what} is the identity") else rng.normal()
+        return slice(start, start + width), gain * np.eye(width)
+
+    wq, wk, wv = (np.zeros((heads, d, width)) for width in (w, w, w_v))
+    for m, what in ((wq, "q"), (wk, "k"), (wv, "v")):
+        span, eye = block(m.shape[2], 0, read_to, what)
+        m[:, span] = eye
+    wo = np.zeros((heads * w_v, d))
+    span, eye = block(heads * w_v, write_from, d, "wo")
+    wo[:, span] = eye
+    return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo)
+
+
+def with_every_product(lw):
+    """A copy of ``lw`` whose ``identity`` is cleared, so ``forward`` runs
+    every product. (Zero-padding a block to make it non-square would also
+    widen ``attn·v``, and BLAS rounds an (n, n)·(n, w) product differently
+    from the first w columns of an (n, n)·(n, w+1) one at some shapes.)"""
+    lw = copy.copy(lw)
+    lw.identity = (False,) * 4
+    return lw
+
+
+class TestIdentityProjections:
+    """A projection that is the identity on its span runs as that span
+    (``LayerWeights.runs_as_span``). For finite inputs without -0.0 that is
+    bitwise the product it replaces, at any tiling and ``first_row``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), layers=st.integers(1, 4), heads=st.integers(1, 3),
+           n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_identity_spans_are_bitwise_the_products(self, data, layers, heads, n, seed):
+        # with `disjoint` q, k and v read channels below `read_to` and wo
+        # writes those above, so one-head attention-only positions repeating
+        # one object tie; otherwise every block may sit anywhere
+        rng = SeededRng(seed)
+        w = data.draw(st.integers(1, 4), label="q/k width")
+        w_v = data.draw(st.integers(1, 3), label="v width")
+        read_to = max(w, w_v) + data.draw(st.integers(0, 3), label="read slack")
+        d = read_to + heads * w_v + data.draw(st.integers(0, 3), label="write slack")
+        d += -d % heads  # embed_dim is a multiple of heads
+        disjoint = data.draw(st.booleans(), label="reads and writes disjoint")
+        norm = data.draw(st.booleans(), label="norm")
+        positions = []
+        for _ in range(layers):
+            if positions and data.draw(st.booleans(), label="repeat the layer before"):
+                positions.append(positions[-1])
+                continue
+            lw = eye_block_layer(data, rng, heads, d, read_to if disjoint else d,
+                                 read_to if disjoint else 0, w, w_v)
+            if data.draw(st.booleans(), label="ffn"):
+                lw = dataclasses.replace(lw, w1=rng.normal(size=(d, 3)),
+                                         w2=rng.normal(size=(3, d), scale=0.1))
+            positions.append(lw)
+        products = {id(lw): with_every_product(lw) for lw in positions}
+        cfg = small_config(layers=layers, heads=heads, embed_dim=d)
+        wts = dataclasses.replace(init_random_model(cfg, seed), layers=positions, norm=norm)
+        ref = dataclasses.replace(wts, layers=[products[id(lw)] for lw in positions])
+        assert [k for _, k in layer_runs(wts)] == [k for _, k in layer_runs(ref)]
+        x = rng.normal(size=(n, d))  # no -0.0
+        before = x.tobytes()
+        tile_rows = data.draw(st.integers(1, n), label="rows per tile")
+        for first_row in (0, n - 1):
+            with mock.patch.object(model, "_TILE_BYTES", tile_bytes_for(n, tile_rows)):
+                logits, cap = forward(x, wts, capture=True, first_row=first_row)
+                want, want_cap = forward(x, ref, capture=True, first_row=first_row)
+            assert logits.tobytes() == want.tobytes()
+            assert cap.maps[0][0].tobytes() == want_cap.maps[0][0].tobytes()
+            assert x.tobytes() == before
 
 
 class TestForwardNeverWritesItsInput:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlmprune.model import gelu
-from dlmprune.numerics import SeededRng, layer_norm, softmax_rows
+from dlmprune.numerics import SeededRng, layer_norm, softmax_row_max, softmax_rows
 
 
 # Textbook forms of the kernels: the references the in-place kernels are held to.
@@ -71,6 +71,26 @@ class TestSoftmaxRows:
         out = softmax_rows(m)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
+
+
+class TestSoftmaxRowMax:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 8), cols=st.integers(1, 40), exponent=st.floats(-5, 300),
+           ties=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_is_the_largest_softmax_entry_bitwise(self, rows, cols, exponent, ties, seed):
+        # magnitudes from 1e-5 to 1e300; `ties` columns take their row's maximum
+        rng = SeededRng(seed)
+        m = rng.normal(size=(rows, cols), scale=10.0 ** exponent)
+        for col in rng.integers(0, cols, size=ties):
+            m[:, col] = m.max(axis=1)
+        before = m.tobytes()
+        assert softmax_row_max(m).tobytes() == softmax_rows(m).max(axis=1).tobytes()
+        assert m.tobytes() == before
+
+    def test_equal_rows_and_extreme_gaps(self):
+        m = np.array([[3.0, 3.0, 3.0], [1e300, -1e300, 0.0], [1e-5, 0.0, -1e-5]])
+        assert softmax_row_max(m).tobytes() == softmax_rows(m).max(axis=1).tobytes()
+        assert softmax_row_max(m)[:2].tolist() == [1.0 / 3.0, 1.0]
 
 
 class TestLayerNorm:

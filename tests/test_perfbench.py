@@ -65,6 +65,7 @@ def test_random_workload_layers_span_every_channel_and_never_tie(name, monkeypat
     for lw in w.layers:
         assert (*lw.reads, lw.writes) == (full,) * 4
         assert not lw.ties
+        assert lw.identity == (False,) * 4  # no projection runs as its span
 
 
 def test_copy_workload_layers_span_the_channels_they_route(monkeypatch):
@@ -81,3 +82,7 @@ def test_copy_workload_layers_span_the_channels_they_route(monkeypatch):
     assert fetch.writes == slice(2 * n + 4 + a, d)
     assert broadcast.ties and fetch.ties
     assert all(lw is fetch for lw in w.layers[1:])
+    # forward runs these as their spans: all but broadcast v and fetch q,
+    # whose gains are 20
+    assert broadcast.identity == (True, True, False, True)
+    assert fetch.identity == (False, True, True, True)

@@ -1,13 +1,18 @@
 """Smoke runs of tools/ab_forward.py and tools/ab_decode.py: each against its
 own checkout, and against a copy whose forward rounds differently or whose
-keep sets differ."""
+keep sets differ; and ab_decode's bootstrap interval."""
 
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+from ab_decode import bootstrap_interval  # noqa: E402
 
 
 def ab_forward(base):
@@ -61,7 +66,9 @@ def test_ab_decode_times_every_variant_against_its_own_checkout():
     assert lines[0].startswith("copy8x8: ")
     rows = [line.split() for line in lines[2:7]]
     assert [row[0] for row in rows] == ["baseline", "once", "random", "progressive", "scored"]
-    assert all(row[6] in ("0/1", "1/1") for row in rows)  # rounds won
+    for row in rows:
+        assert row[4:6] == row[6:8]  # one round: the interval is its quartiles, its ratio
+        assert row[8] in ("0/1", "1/1")  # rounds won
     per_step = {row[0]: row[1] for row in (line.split() for line in lines[8:])}
     assert per_step == {"once": "1.00", "random": "1.00", "progressive": "7.00",
                         "scored": "7.00"}
@@ -77,3 +84,20 @@ def test_ab_decode_fails_when_the_keep_sets_differ(tmp_path):
     assert "decodes differ on workload copy8x8 variant once" in proc.stderr
     assert "keep sets" in proc.stderr
     assert proc.stdout == ""  # nothing is timed
+
+
+class TestBootstrapInterval:
+    def test_a_seed_gives_one_interval(self):
+        ratios = np.random.default_rng(3).lognormal(0.0, 0.1, size=40)
+        assert bootstrap_interval(ratios, seed=7) == bootstrap_interval(ratios, seed=7)
+        assert bootstrap_interval(ratios, seed=7) != bootstrap_interval(ratios, seed=8)
+
+    def test_a_constant_ratio_has_a_zero_width_interval_at_it(self):
+        assert bootstrap_interval(np.full(40, 0.85)) == (0.85, 0.85)
+
+    @pytest.mark.parametrize("rounds", [1, 2, 5, 40])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_interval_holds_the_median(self, rounds, seed):
+        ratios = np.random.default_rng(seed).lognormal(0.0, 0.2, size=rounds)
+        lo, hi = bootstrap_interval(ratios)
+        assert lo <= np.median(ratios) <= hi

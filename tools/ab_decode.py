@@ -19,7 +19,8 @@ variant, a batch of decodes on each side, alternating which side runs
 first; a batch holds as many decodes as make about 20 ms of the base side's
 baseline, cycling through the inputs. Per workload it prints, per variant,
 each side's median seconds per decode, the median ratio head/base with its
-quartiles and the rounds the head side won. Then, per variant that prunes or
+quartiles and its bootstrap 95% interval (``bootstrap_interval``), and the
+rounds the head side won. Then, per variant that prunes or
 scores, the per-step overhead: the variant's time less the baseline's in the
 same round, divided by its prune or score steps per decode, as the median
 over rounds for each side, and the ratio head/base of those medians where
@@ -41,6 +42,7 @@ from checkout import (FIELDS, check_root, decode, isolate, load_sides, pin_to_on
 INPUTS = 16
 SEED = 1
 BATCH_S = 0.02
+RESAMPLES = 2000
 
 
 class Side:
@@ -80,6 +82,17 @@ def differing_fields(base: list, head: list) -> list:
             if not all(same(b[f], h[f]) for b, h in zip(base, head))]
 
 
+def bootstrap_interval(ratios, seed: int = 0) -> tuple[float, float]:
+    """Bootstrap 95% interval of the median of ``ratios``, one per round: the
+    2.5th and 97.5th percentiles of the medians of ``RESAMPLES`` resamplings
+    of the rounds with replacement, drawn from ``default_rng(seed)``."""
+    import numpy as np
+    ratios = np.asarray(ratios, dtype=np.float64)
+    picks = np.random.default_rng(seed).integers(0, ratios.size, (RESAMPLES, ratios.size))
+    lo, hi = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
+    return float(lo), float(hi)
+
+
 def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> bool:
     """Check and time one workload; False if the decodes differ."""
     import numpy as np
@@ -105,13 +118,14 @@ def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> bool:
 
     print(f"{name}: {reps} decodes per batch, {rounds} rounds")
     print(f"  {'variant':12s} {'base s':>10s} {'head s':>10s} {'ratio':>6s} "
-          f"{'[q1, q3]':>15s} {'won':>7s}")
+          f"{'[q1, q3]':>15s} {'95% interval':>15s} {'won':>7s}")
     for variant in variants:
         base_s, head_s = times["base", variant], times["head", variant]
         q1, ratio, q3 = np.percentile(head_s / base_s, [25, 50, 75])
+        lo, hi = bootstrap_interval(head_s / base_s)
         won = int((head_s < base_s).sum())
         print(f"  {variant:12s} {np.median(base_s):10.3e} {np.median(head_s):10.3e} "
-              f"{ratio:6.3f} [{q1:.3f}, {q3:.3f}] {won:3d}/{rounds:<3d}")
+              f"{ratio:6.3f} [{q1:.3f}, {q3:.3f}] [{lo:.3f}, {hi:.3f}] {won:3d}/{rounds:<3d}")
     print(f"  {'per-step':12s} {'steps':>6s} {'base us':>9s} {'head us':>9s} {'ratio':>6s}")
     for variant in variants:
         counts = steps_per_decode[variant]
