@@ -49,6 +49,16 @@ def _check_out(path: Optional[str]) -> None:
         raise harness.ConfigError(f"--out {path} is in no existing directory")
 
 
+def _write_out(path: str, write) -> None:
+    """Run ``write``, which writes a report to ``path``; an ``OSError`` there
+    (a full disk, a path that cannot be created) is a configuration error."""
+    try:
+        write()
+    except OSError as exc:
+        raise harness.ConfigError(f"--out {path} cannot be written: {exc.strerror or exc}") \
+            from exc
+
+
 def _apply_overrides(args) -> harness.RunConfig:
     cfg = harness.load_config(args.config)
     override: dict = {}
@@ -100,7 +110,7 @@ def _cmd_similarity(cfg: harness.RunConfig, args) -> Optional[harness.BenchRepor
         print(f"step {curve.first_step + i:3d} vs 1: cosine {sim:.6f}")
     print(f"min similarity: {curve.min():.6f} over {curve.sample_count} samples")
     if args.out and args.format == "csv":
-        harness.emit_similarity_csv(curve, args.out)
+        _write_out(args.out, lambda: harness.emit_similarity_csv(curve, args.out))
         print(f"curve written to {args.out}")
         return None
     return harness.BenchReport(variant="similarity", similarity=curve, config=cfg.raw)
@@ -136,7 +146,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # run, similarity and flops write a JSON object, ablate and bench an array
         reports = _COMMANDS[args.command](cfg, args)
         if args.out and reports is not None:
-            harness.emit_report(reports, args.out, format=args.format)
+            _write_out(args.out, lambda: harness.emit_report(reports, args.out,
+                                                             format=args.format))
             print(f"report written to {args.out}")
     except harness.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

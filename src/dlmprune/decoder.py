@@ -22,9 +22,24 @@ from typing import Optional
 import numpy as np
 
 from . import pruning
-from .model import AttentionCapture, ModelWeights, embed_response, forward, response_rows
+from .model import (AttentionCapture, ForwardBuffers, ModelWeights, embed_response, forward,
+                    response_rows)
 # softmax_rows stays importable here: perfbench traces it under this module's name
 from .numerics import Matrix, SeededRng, softmax_row_max, softmax_rows  # noqa: F401
+
+
+# numpy's ufunc buffer, in elements, while a decode runs. At the default 8,192,
+# numpy 2.4 copies the (rows, 1) operand of a row-broadcast op (softmax's and
+# layer_norm's subtract and divide) into the buffer whenever it spans more
+# than a few rows, which costs a vit1024 forward, whose score rows are 1,072
+# wide, about 7% (README). Elementwise results are the same at any size.
+_UFUNC_BUFSIZE = 512
+# The largest forward buffers (``model.ForwardBuffers``) a finished decode
+# leaves to the next decode of its model. Setting buffers up costs a decode
+# 30 to 45 us: 3 to 10% of a copy8x8 or tiny16 decode (under 300 KiB of
+# buffers), nothing to speak of in a vit1024 one, whose 7.3 MiB would raise
+# the benchmark's peak RSS by 5% if kept between decodes.
+_SPARE_BYTES = 1 << 20
 
 
 class PolicyKind(str, Enum):
@@ -60,6 +75,11 @@ class SequenceState:
     response rows into it in place (``model.response_rows``), and
     ``pruning.apply_prune`` gathers its kept rows. Code that changes
     ``visual``, ``prompt`` or ``response_ids`` in any other way sets it to None.
+
+    ``buffers`` are the arrays every step's forward writes its intermediates
+    into (``model.ForwardBuffers``), allocated at the first step's n unless
+    they already hold as many rows; after a prune the forwards use prefixes
+    of them. They never hold ``step_input``.
     """
 
     visual: Matrix                 # current visual rows (original or pruned)
@@ -70,6 +90,7 @@ class SequenceState:
     step: int                      # next step to run, 1-based
     total_steps: int
     step_input: Optional[Matrix] = None  # (n, d), kept between steps; see above
+    buffers: ForwardBuffers = field(default_factory=ForwardBuffers, repr=False)
 
     @property
     def num_visual(self) -> int:
@@ -155,6 +176,7 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
     ``prompt`` and ``embed_response`` when it is None (before the first step).
     After committing, the step writes only the committed response rows into
     it, in place, so the next step's input is ready without rebuilding it.
+    The forward writes its intermediates into ``state.buffers``.
     """
     k = state.step
     if k > state.total_steps:
@@ -166,7 +188,8 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
     if x is None:
         x = state.step_input = np.vstack([state.visual, state.prompt,
                                           embed_response(state.response_ids, weights)])
-    logits, cap = forward(x, weights, capture=capture, first_row=first_row)
+    logits, cap = forward(x, weights, capture=capture, first_row=first_row,
+                          buffers=state.buffers)
     resp_logits = logits[resp_start - first_row:]
 
     entry_masked = state.masked_positions()
@@ -211,39 +234,54 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     ``score_with`` records that guidance set's importance vector after every
     step that leaves masked rows, without pruning anything (used for
     score-stability analysis); an empty guidance set raises, as when pruning.
+
+    The steps run with numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` elements;
+    the caller's size is restored when the decode returns or raises. The
+    decode takes its forward buffers from ``weights.spare_buffers`` when an
+    earlier decode left some there, and when it ends puts them back if they
+    hold at most ``_SPARE_BYTES``.
     """
     schedule = pruning.keep_schedule(prune_plan, np.asarray(visual).shape[0], total_steps)
     rng = SeededRng(policy.rng_seed) if policy.kind == PolicyKind.STOCHASTIC else None
 
     state = init_state(visual, prompt, tau, total_steps,
                        mask_token_id=weights.config.mask_token_id)
+    spare = weights.spare_buffers
+    if spare:
+        state.buffers = spare.pop()
     trace: list[StepOutcome] = []
 
     t_start = time.perf_counter()
     stats = RunStats()
-    for k in range(1, total_steps + 1):
-        if not state.masked.any():
-            break
-        prune_next = k < total_steps and schedule[k] < state.num_visual
-        scored = prune_next and prune_plan.scored
-        # the first row this step reads: the response logits' or a scorer's
-        first_row = state.num_visual + state.prompt_len
-        if score_with is not None:
-            first_row = min(first_row, pruning.first_guidance_row(state, score_with))
-        if scored:
-            first_row = min(first_row, pruning.first_guidance_row(state, prune_plan.scorer))
-        stats.per_step_lengths.append(state.seq_len)
-        state, outcome = step(state, weights, policy, rng,
-                              capture=scored or score_with is not None, first_row=first_row)
-        # No forward pass follows once decoding completes, so late scores and
-        # prunes would be dead work (and masked-row guidance is gone).
-        if state.masked.any():
+    bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        for k in range(1, total_steps + 1):
+            if not state.masked.any():
+                break
+            prune_next = k < total_steps and schedule[k] < state.num_visual
+            scored = prune_next and prune_plan.scored
+            # the first row this step reads: the response logits' or a scorer's
+            first_row = state.num_visual + state.prompt_len
             if score_with is not None:
-                stats.score_trace.append(pruning.step_scores(state, outcome.attention,
-                                                             score_with))
-            if prune_next:
-                pruning.prune_to(state, prune_plan, schedule[k], outcome.attention)
-        outcome.attention = None
-        trace.append(outcome)
+                first_row = min(first_row, pruning.first_guidance_row(state, score_with))
+            if scored:
+                first_row = min(first_row, pruning.first_guidance_row(state, prune_plan.scorer))
+            stats.per_step_lengths.append(state.seq_len)
+            state, outcome = step(state, weights, policy, rng,
+                                  capture=scored or score_with is not None, first_row=first_row)
+            # No forward pass follows once decoding completes, so late scores and
+            # prunes would be dead work (and masked-row guidance is gone).
+            if state.masked.any():
+                if score_with is not None:
+                    stats.score_trace.append(pruning.step_scores(state, outcome.attention,
+                                                                 score_with))
+                if prune_next:
+                    pruning.prune_to(state, prune_plan, schedule[k], outcome.attention)
+            outcome.attention = None
+            trace.append(outcome)
+    finally:
+        np.setbufsize(bufsize)
+        if state.buffers.nbytes <= _SPARE_BYTES:
+            spare.append(state.buffers)
     stats.seconds_total = time.perf_counter() - t_start
     return state.response_ids.copy(), trace, stats

@@ -207,7 +207,12 @@ class FixedPatchTable:
 @dataclass
 class ModelWeights:
     """A whole model. With ``norm``, ``forward`` applies ``layer_norm`` (no
-    gain or bias) before each sublayer and before the output head."""
+    gain or bias) before each sublayer and before the output head.
+    ``spare_buffers`` holds the ``ForwardBuffers`` that finished decodes of
+    this model released (``decoder.run_inference``), for later decodes to
+    take instead of allocating their own. Their views are cut for the layers
+    they first saw, so weights are not to be changed in place once a decode
+    has run."""
 
     config: ModelConfig
     patch_embed: object  # anything with .vector(symbol) -> (vision_dim,)
@@ -218,6 +223,9 @@ class ModelWeights:
     output_w: np.ndarray  # (d, vocab)
     output_b: np.ndarray  # (vocab,)
     norm: bool = False
+
+    def __post_init__(self):
+        self.spare_buffers: list[ForwardBuffers] = []  # not a field: no part of eq or repr
 
 
 def sinusoidal_table(length: int, dim: int) -> np.ndarray:
@@ -283,14 +291,15 @@ def response_rows(ids: np.ndarray, positions: np.ndarray, weights: ModelWeights)
     return weights.token_embed[ids[positions]] + weights.positional[base + positions]
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Tanh-approximate GELU, ``0.5x(1 + tanh(c(x + 0.044715x^3)))``.
 
     The cube is ``x*x*x`` (``x**3`` calls libm ``pow``, ~40x slower), so the
     result differs from the ``x**3`` form by a few ulp; the chain runs in
-    place on one fresh array and ``x`` is left unchanged.
+    place on one array, ``out`` if given (it must not be ``x``) or a fresh
+    one, and ``x`` is left unchanged.
     """
-    t = x * x
+    t = np.multiply(x, x, out=out)
     t *= x
     t *= 0.044715
     t += x
@@ -332,8 +341,122 @@ def row_tiles(n: int, lo: int) -> int:
     return -(-(n - lo) * -(-8 * n * n // _TILE_BYTES) // n)
 
 
+# The per-run arrays of ``ForwardBuffers``, in the order of its run tuples.
+_ROLES = ("q", "k", "v", "heads", "work", "hidden", "act")
+# The most (n, first_row) plans one ``ForwardBuffers`` keeps: a progressive
+# copy8x8 decode cuts 8, at a few microseconds each.
+_PLANS = 64
+
+
+def _rows(view: Optional[np.ndarray], stop: int) -> Optional[np.ndarray]:
+    return None if view is None else view[:stop]
+
+
+class _Plan:
+    """What an n-row forward from ``first_row`` writes into, cut from
+    ``ForwardBuffers`` once per (n, first_row): ``norm`` (None without
+    ``weights.norm``) and ``work`` of n rows, ``resid`` (the rows the first
+    run computes), the (rows, n) score tile ``scores``, and ``runs``, one
+    tuple per layer run of ``layer_runs``: the layer, k, the first row
+    ``lo`` whose output the run computes, its tile count (``row_tiles``),
+    ``LayerWeights.runs_as_span``, its views of q (n - lo rows), k, v,
+    ``heads`` (n rows), the increment, the FFN hidden layer and GELU, and
+    ``norm`` and ``work`` (n - lo rows), None where the buffers hold none."""
+
+    def __init__(self, buffers: "ForwardBuffers", n: int, first_row: int):
+        tile_rows = -(-n // row_tiles(n, 0))
+        self.scores = buffers.tiles[:tile_rows * n].reshape(tile_rows, n)
+        norm = buffers.norm
+        self.norm, self.work = _rows(norm, n), buffers.work[:n]
+        self.runs, end = [], 0
+        for lw, k, q, kk, v, heads, inc, hidden, act in buffers.runs:
+            end += k
+            lo = first_row if end == len(buffers.weights.layers) else 0
+            m = n - lo
+            self.runs.append((lw, k, lo, row_tiles(n, lo), lw.runs_as_span(n, lo),
+                              _rows(q, m), _rows(kk, n), v[:n], heads[:n], _rows(inc, m),
+                              _rows(hidden, m), _rows(act, m), _rows(norm, m), buffers.work[:m]))
+        self.resid = buffers.resid[:n - self.runs[0][2]]  # the rows of the first write
+
+
+class ForwardBuffers:
+    """Arrays ``forward`` writes its intermediates into, kept by a decode
+    between its steps (``SequenceState.buffers``) and, when small, passed
+    to the next decode of its model (``ModelWeights.spare_buffers``). Freed
+    after each forward, they were trimmed from the heap and faulted back by
+    the next: 2,628 minor page faults per vit1024 decode-step forward.
+
+    ``plan(weights, n, first_row)`` returns the views a forward of n rows
+    from ``first_row`` writes into (``_Plan``), cut once per (n, first_row)
+    and kept, up to ``_PLANS`` of them. Arrays are allocated only for new
+    weights or more rows than they hold, so after a prune a decode writes
+    into prefixes of its step-1 arrays. They are (rows, d) ``resid`` (the
+    residual stream), ``norm`` (the ``layer_norm`` output, None without
+    ``weights.norm``) and ``work``, the flat score array ``tiles``, and per
+    layer run of ``layer_runs`` the layer, k and its (rows, ·) views of q,
+    k, v, ``heads``, the increment, the FFN hidden layer and GELU; None for
+    a q, k or increment that ``forward`` takes as a span
+    (``LayerWeights.identity``) and for an FFN the layer lacks. ``work``
+    holds the ``layer_norm`` temporary, the increment and the FFN output in
+    turn. All lie in one array of ``nbytes`` bytes, in which the FFN's
+    arrays share one span with q, k, v, ``heads`` and ``tiles``, as no
+    forward needs both at once. ``tiles`` holds min(rows², B/8 + rows)
+    elements for ``_TILE_BYTES`` B, the most a forward of n <= rows rows
+    needs: in t tiles it has ceil(n/t)·n <= B/8 + n scores, since t >=
+    8n²/B, and one tile only where n² <= B/8. No array holds a forward's
+    input or is returned by it.
+    """
+
+    def __init__(self):
+        self.weights: Optional[ModelWeights] = None
+        self.rows = self.nbytes = 0
+
+    def plan(self, weights: ModelWeights, n: int, first_row: int) -> _Plan:
+        if weights is not self.weights or n > self.rows:
+            self._allocate(weights, n)
+        p = self._plans.get((n, first_row))
+        if p is None:
+            if len(self._plans) >= _PLANS:
+                self._plans.clear()
+            p = self._plans[n, first_row] = _Plan(self, n, first_row)
+        return p
+
+    def _allocate(self, weights: ModelWeights, rows: int) -> None:
+        d = weights.config.embed_dim
+        runs = layer_runs(weights)
+        # per run: the widths of q, k, v, heads, the increment, the FFN hidden layer
+        # and GELU; None for a q, k or increment that forward takes as a span and for
+        # an FFN the layer lacks
+        widths = [(None if q else lw.wq.shape[2], None if k else lw.wk.shape[2],
+                   lw.wv.shape[2], lw.wo.shape[0], None if o else lw.writes.stop - lw.writes.start,
+                   mu, mu)
+                  for lw, _ in runs for q, k, _, o in [lw.identity]
+                  for mu in [None if lw.w1 is None else lw.w1.shape[1]]]
+        size = dict(zip(_ROLES, (rows * max(c or 0 for c in role) for role in zip(*widths))),
+                    resid=rows * d, norm=rows * d if weights.norm else 0,
+                    tiles=min(rows * rows, _TILE_BYTES // 8 + rows))
+        size["work"] = max(size["work"], rows * d)  # the increment's segment is work's
+        start, at = {}, 0
+        for role in ("resid", "norm", "work", "q", "k", "v", "heads", "tiles", "hidden", "act"):
+            if role == "hidden":  # never live with the attention's arrays: share their span
+                end, at = at, start["q"]
+            start[role], at = at, at + -(-size[role] // 8) * 8  # on a 64-byte line
+        flat = np.empty(max(end, at))
+        segment = {role: flat[s:s + size[role]] for role, s in start.items()}
+        self.weights, self.rows, self.tiles = weights, rows, segment["tiles"]
+        self.nbytes = flat.nbytes
+        self._plans: dict[tuple[int, int], _Plan] = {}
+        self.resid = segment["resid"].reshape(rows, d)
+        self.norm = segment["norm"].reshape(rows, d) if weights.norm else None
+        self.work = segment["work"][:rows * d].reshape(rows, d)
+        self.runs = [(lw, k, *[None if c is None else segment[role][:rows * c].reshape(rows, c)
+                               for role, c in zip(_ROLES, run_cols)])
+                     for (lw, k), run_cols in zip(runs, widths)]
+
+
 def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
-            first_row: int = 0) -> tuple[Matrix, Optional[AttentionCapture]]:
+            first_row: int = 0, buffers: Optional[ForwardBuffers] = None
+            ) -> tuple[Matrix, Optional[AttentionCapture]]:
     """Bidirectional self-attention over all n rows, returning the outputs of
     rows ``first_row..n-1``, the rows the caller reads: their logits as an
     (n - first_row, vocab) array and, with ``capture``, the layer/head mean
@@ -353,8 +476,9 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     write is ever read. For finite activations a run is bitwise
     the layer-by-layer forward whose positions from the run's start on
     compute the run's rows, up to the sign of a zero (the copy model's
-    activations are all >= 0). The residual stream is a new array from its
-    first write on, so ``x`` itself is never written.
+    activations are all >= 0). The residual stream is copied into
+    ``buffers`` at its first write and updated in place from then on, so
+    ``x`` itself is never written.
 
     Each projection runs over its channel span (``LayerWeights.spanned``),
     all d channels unless it routes: q, k and v are ``a_in[:, span] @
@@ -386,6 +510,15 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     summed in (layer, head) order as ``pruning.mean_attention`` sums maps,
     and are not kept. Capture is observation-only: logits are identical with
     it on or off.
+
+    Every intermediate of n rows or more (the norm output and its
+    temporary, q, k, v, the score tile, ``heads``, the increment, the FFN
+    hidden layer, its GELU and its output, the residual stream) goes by
+    ``out=`` into the views of ``buffers.plan(weights, n, first_row)``
+    (``ForwardBuffers``); ``buffers=None`` allocates a fresh set for this
+    call. Either way the arithmetic is the same, so the logits and the
+    capture are bitwise equal. Only the logits and the capture are new
+    arrays.
     """
     cfg = weights.config
     x = np.asarray(x, dtype=np.float64)
@@ -396,25 +529,22 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
         raise ValueError("need at least one input row")
     if not 0 <= first_row < n:
         raise ValueError(f"first_row {first_row} outside 0..{n - 1}")
+    plan = (buffers or ForwardBuffers()).plan(weights, n, first_row)
     scale = 1.0 / math.sqrt(cfg.head_dim)
     h = x
-    scores = np.empty((-(-n // row_tiles(n, 0)), n))
+    scores = plan.scores
     total = np.zeros((n - first_row, n)) if capture else None
-    end = 0
-    for lw, k in layer_runs(weights):
-        end += k
-        lo = first_row if end == len(weights.layers) else 0  # first row whose output it computes
-        layer_tiles = row_tiles(n, lo)
-        a_in = layer_norm(h) if weights.norm else h
+    # lo: the first row whose output the run computes
+    for (lw, k, lo, layer_tiles, (same_q, same_k, same_v, same_o), q_out, k_out, v_out, heads,
+         inc_out, hidden, act, norm_out, work_out) in plan.runs:
+        a_in = layer_norm(h, out=plan.norm, work=plan.work) if weights.norm else h
         a_q, a_k, a_v = [a_in[:, s] for s in lw.reads]
         wq, wk, wv, wo = lw.spanned
-        same_q, same_k, same_v, same_o = lw.runs_as_span(n, lo)
         dv = wv.shape[2]
-        heads = np.empty((n, cfg.heads * dv))  # every head's attn·v, side by side
         for hd in range(cfg.heads):
-            q = a_q[lo:] if same_q else a_q[lo:] @ wq[hd]
-            kt = a_k.T if same_k else (a_k @ wk[hd]).T
-            v = a_v if same_v else a_v @ wv[hd]
+            q = a_q[lo:] if same_q else np.matmul(a_q[lo:], wq[hd], out=q_out)
+            kt = a_k.T if same_k else np.matmul(a_k, wk[hd], out=k_out).T
+            v = a_v if same_v else np.matmul(a_v, wv[hd], out=v_out)
             c0 = hd * dv
             r1 = lo
             for t in range(1, layer_tiles + 1):
@@ -429,16 +559,21 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                     for _ in range(k):
                         rows += attn[c - r0:]  # on a view: no copy back into total
                 np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
-        inc = heads[lo:] if same_o else heads[lo:] @ wo
-        h = h[lo:].copy()  # only the written channels change, in a new array
-        written = h[:, lw.writes]
+        inc = heads[lo:] if same_o else np.matmul(heads[lo:], wo, out=inc_out)
+        if h is x:  # the first write copies x, which is never written
+            h = plan.resid
+            h[...] = x[lo:]
+        else:
+            h = h[lo:]
+        written = h[:, lw.writes]  # only these channels change
         for _ in range(k):
             written += inc
         if lw.w1 is not None:
-            f_in = layer_norm(h) if weights.norm else h
-            h = h + gelu(f_in @ lw.w1) @ lw.w2
+            f_in = layer_norm(h, out=norm_out, work=work_out) if weights.norm else h
+            f = gelu(np.matmul(f_in, lw.w1, out=hidden), out=act)
+            h += np.matmul(f, lw.w2, out=work_out)
     if weights.norm:
-        h = layer_norm(h)
+        h = layer_norm(h, out=norm_out, work=work_out)
     logits = h @ weights.output_w + weights.output_b
     if not capture:
         return logits, None

@@ -1,9 +1,10 @@
 """Dense float64 kernels and a reproducible counter-based RNG.
 
 Matrices are plain 2-D ``numpy.float64`` arrays in row-major order. All
-functions are pure unless given ``out=``; without it nothing here mutates its
-inputs. The kernels work in place on the array they return, so they allocate
-few temporaries of their input's size.
+functions are pure unless given ``out=`` (or ``work=``); without it nothing
+here mutates its inputs. The kernels work in place on the array they return,
+so they allocate few temporaries of their input's size, and given ``out=``
+and ``work=`` none: only per-row reductions of one column.
 """
 
 from __future__ import annotations
@@ -39,17 +40,20 @@ def softmax_row_max(m: Matrix) -> np.ndarray:
     return 1.0 / e.sum(axis=-1)
 
 
-def layer_norm(v: np.ndarray) -> np.ndarray:
+def layer_norm(v: np.ndarray, out: Optional[np.ndarray] = None,
+               work: Optional[np.ndarray] = None) -> np.ndarray:
     """Standardise the last axis to zero mean / unit variance, with eps 1e-5.
 
     Accepts a single vector or a stack of row vectors. Bitwise equal to
     ``(v - v.mean(-1)) / sqrt(v.var(-1) + 1e-5)`` (keepdims), without the
-    Python-level wrappers of ``np.mean`` and ``np.var``.
+    Python-level wrappers of ``np.mean`` and ``np.var``. The result goes
+    into ``out`` and the squared deviations into ``work``, both of ``v``'s
+    shape, when given (``work`` must not be ``out``); else into new arrays.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[-1]
-    c = v - v.sum(axis=-1, keepdims=True) / n
-    var = (c * c).sum(axis=-1, keepdims=True) / n
+    c = np.subtract(v, v.sum(axis=-1, keepdims=True) / n, out=out)
+    var = np.multiply(c, c, out=work).sum(axis=-1, keepdims=True) / n
     var += 1e-5
     c /= np.sqrt(var, out=var)
     return c

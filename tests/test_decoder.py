@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from dlmprune.numerics import SeededRng, softmax_rows
 from dlmprune.pruning import (EmptyGuidanceSet, KeepSet, PrunePlan, ScorerKind, apply_prune,
                               first_guidance_row, keep_schedule, plan_progressive, prune_to,
                               step_scores)
+from test_model import buffer_arrays
 
 
 def tiny_model(seed=1, grid=(2, 2), vocab=12):
@@ -337,9 +339,9 @@ class TestRunInference:
         v, p = tiny_inputs(w)
         seen = []
 
-        def recording_forward(x, weights, capture=False, first_row=0):
+        def recording_forward(x, weights, capture=False, first_row=0, buffers=None):
             seen.append((capture, first_row))
-            return forward(x, weights, capture=capture, first_row=first_row)
+            return forward(x, weights, capture=capture, first_row=first_row, buffers=buffers)
 
         with mock.patch.object(decoder, "forward", recording_forward):
             run_inference(v, p, 6, 3, w, SchedulePolicy.confidence(), None, score_with=scorer)
@@ -404,6 +406,29 @@ class TestRunInference:
         with pytest.raises(EmptyGuidanceSet):
             run_inference(v, p, 2, 8, w, SchedulePolicy.confidence(), None,
                           score_with=ScorerKind.DECODED)
+
+    def test_ufunc_buffer_size_is_the_callers_after_a_decode(self):
+        cfg, w = tiny_model()
+        v, p = tiny_inputs(w)
+        seen = []
+
+        def recording_forward(*args, **kwargs):
+            seen.append(np.getbufsize())
+            return forward(*args, **kwargs)
+
+        caller = np.setbufsize(1024)
+        try:
+            with mock.patch.object(decoder, "forward", recording_forward):
+                run_inference(v, p, 4, 2, w, SchedulePolicy.confidence(), None)
+            assert np.getbufsize() == 1024
+            # tau 2 over K 8 commits nothing at step 1: the decoded scorer raises
+            with pytest.raises(EmptyGuidanceSet):
+                run_inference(v, p, 2, 8, w, SchedulePolicy.confidence(),
+                              PrunePlan.once(0.5, ScorerKind.DECODED))
+            assert np.getbufsize() == 1024
+        finally:
+            np.setbufsize(caller)
+        assert seen == [decoder._UFUNC_BUFSIZE] * 2
 
     def test_invalid_progressive_counts(self):
         # a single step leaves no step to spread the progressive removals over
@@ -480,3 +505,87 @@ class TestKeptStepInput:
             step(state, w, SchedulePolicy.confidence())
         assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
         assert state.step_input.tobytes() == rebuilt_input(state, w).tobytes()
+
+
+def buffered_model(kind):
+    """(weights, visual, prompt) of a 3x3-grid model: two two-head layers
+    with norm and FFN, without norm, or without FFN; or the copy model,
+    whose fetch layers run as one tied run."""
+    if kind == "copy":
+        return model_and_segments("copy")
+    cfg = ModelConfig(layers=2, heads=2, embed_dim=8, vision_dim=4, ffn_dim=12,
+                      vocab_size=12, patch_grid=(3, 3), mask_token_id=11)
+    w = init_random_model(cfg, 3)
+    if kind == "no_norm":
+        w = dataclasses.replace(w, norm=False)
+    elif kind == "no_ffn":
+        w = dataclasses.replace(w, layers=[dataclasses.replace(lw, w1=None, w2=None)
+                                           for lw in w.layers])
+    return (w, *tiny_inputs(w))
+
+
+class TestBufferedForward:
+    """A decode's forwards write their intermediates into the state's
+    ``ForwardBuffers``, sized at step 1 and cut to prefixes after a prune,
+    and return bitwise what a forward with fresh buffers returns."""
+
+    @pytest.mark.parametrize("variant", ["once", "progressive", "scored"])
+    @pytest.mark.parametrize("scorer", [ScorerKind.VISUAL, ScorerKind.MASKED])
+    @pytest.mark.parametrize("kind", ["norm_ffn", "no_norm", "no_ffn", "copy"])
+    def test_every_forward_equals_the_unbuffered_one(self, kind, scorer, variant):
+        w, v, p = buffered_model(kind)
+        plan = {"once": PrunePlan.once(0.5, scorer), "progressive": PrunePlan.progressive(
+            0.25, scorer), "scored": None}[variant]
+        score_with = scorer if variant == "scored" else None
+        seen, arrays_seen = [], {}
+
+        def checking_forward(x, weights, capture=False, first_row=0, buffers=None):
+            logits, cap = forward(x, weights, capture, first_row, buffers)
+            want, want_cap = forward(x, weights, capture, first_row)
+            assert logits.tobytes() == want.tobytes()
+            assert (cap is None) == (want_cap is None)
+            if cap is not None:
+                assert cap.maps[0][0].tobytes() == want_cap.maps[0][0].tobytes()
+            arrays = buffer_arrays(buffers)
+            step1 = arrays_seen.setdefault("step 1", arrays)
+            assert [id(a) for a in arrays] == [id(a) for a in step1]  # none new after step 1
+            for a in arrays:
+                assert not np.shares_memory(a, x)
+                assert not np.shares_memory(a, logits)
+                assert cap is None or not np.shares_memory(a, cap.maps[0][0])
+            seen.append((x.shape[0], first_row, capture, buffers))
+            return logits, cap
+
+        with mock.patch.object(decoder, "forward", checking_forward):
+            run_inference(v, p, 6, 4, w, SchedulePolicy.confidence(), plan,
+                          score_with=score_with)
+        lengths = [n for n, _, _, _ in seen]
+        assert len({id(b) for *_, b in seen}) == 1  # one set of buffers per decode
+        assert (lengths[-1] < lengths[0]) == (variant != "scored")
+        assert any(c for _, _, c, _ in seen)
+        # the visual scorer reads from row 0, the masked one the tail
+        first_rows = {r for _, r, c, _ in seen if c}
+        assert first_rows == {0} if scorer == ScorerKind.VISUAL else min(first_rows) > 0
+
+    def test_decodes_of_one_model_share_buffers_one_at_a_time(self):
+        w, v, p = buffered_model("norm_ffn")
+        seen = []
+
+        def recording_forward(x, weights, capture=False, first_row=0, buffers=None):
+            seen.append(buffers)
+            assert buffers not in weights.spare_buffers  # held by this decode alone
+            return forward(x, weights, capture, first_row, buffers)
+
+        with mock.patch.object(decoder, "forward", recording_forward):
+            run_inference(v, p, 6, 4, w, SchedulePolicy.confidence(), PrunePlan.once(0.5))
+            assert w.spare_buffers == [seen[0]]  # released when the decode ends
+            run_inference(v, p, 6, 4, w, SchedulePolicy.confidence(), None)
+            with pytest.raises(EmptyGuidanceSet):  # and when it raises
+                run_inference(v, p, 2, 8, w, SchedulePolicy.confidence(),
+                              PrunePlan.once(0.5, ScorerKind.DECODED))
+        assert len({id(b) for b in seen}) == 1 and w.spare_buffers == [seen[0]]
+        assert dataclasses.replace(w).spare_buffers == []  # a copy of the weights has its own
+        # buffers larger than _SPARE_BYTES are not kept between decodes
+        with mock.patch.object(decoder, "_SPARE_BYTES", seen[0].nbytes - 1):
+            run_inference(v, p, 6, 4, w, SchedulePolicy.confidence(), None)
+        assert w.spare_buffers == []

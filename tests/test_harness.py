@@ -609,6 +609,19 @@ class TestCli:
         assert captured.out == ""
         assert args[-1] in captured.err
 
+    @pytest.mark.parametrize("args", [
+        ["flops", "--r", "0.25", "--out", "/dev/full"],  # ENOSPC
+        ["flops", "--format", "csv", "--out", "/dev/full"],
+        ["run", "--out", "/proc/x.json"],  # ENOENT
+        ["similarity", "--format", "csv", "--out", "/dev/full"]])
+    def test_out_that_fails_to_write_exit_2(self, capsys, args):
+        # these pass the up-front --out check, and fail only when written
+        if not Path(args[-1]).parent.is_dir() or not Path("/dev/full").exists():
+            pytest.skip("needs Linux's /dev/full and /proc")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: --out {args[-1]} cannot be written: ")
+
     def test_invalid_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"prune": {"r": 9}}')

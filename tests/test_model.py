@@ -14,10 +14,18 @@ from dlmprune.decoder import SchedulePolicy, init_state, step
 from dlmprune.model import (DEFAULT_MAX_PROMPT, DEFAULT_MAX_RESPONSE, CopyTaskVocab,
                             HashedPatchTable, LayerWeights, ModelConfig, ModelWeights,
                             build_copy_model, copy_model_config, embed_prompt, embed_response,
-                            encode_image, forward, gelu, init_random_model, layer_runs)
+                            ForwardBuffers, encode_image, forward, gelu, init_random_model,
+                            layer_runs)
 from dlmprune.numerics import SeededRng, layer_norm, softmax_rows
 from dlmprune.pruning import mean_attention
 from test_numerics import ref_gelu, ref_layer_norm, ref_softmax
+
+
+def buffer_arrays(buffers):
+    """The whole arrays that own the views a ``ForwardBuffers`` holds."""
+    views = [buffers.resid, buffers.norm, buffers.work, buffers.tiles] + [
+        a for run in buffers.runs for a in run[2:]]
+    return [a if a.base is None else a.base for a in views if a is not None]
 
 
 def small_config(**overrides):
@@ -582,9 +590,9 @@ class TestTiledForward:
             softmax_rows_seen.append(m.shape[0])
             return softmax_rows(m, out=out)
 
-        def recording_gelu(z):
+        def recording_gelu(z, out=None):
             gelu_seen.append(z.shape)
-            return gelu(z)
+            return gelu(z, out=out)
 
         with mock.patch.object(model, "softmax_rows", recording_softmax), \
                 mock.patch.object(model, "gelu", recording_gelu):
@@ -909,8 +917,9 @@ class TestIdentityProjections:
 
 
 class TestForwardNeverWritesItsInput:
-    """The residual stream is a new array from its first write on: neither
-    ``forward``'s input nor the segments a step builds it from are written."""
+    """The residual stream is copied out of ``x`` at its first write, into
+    the forward's buffers, which never hold ``x``: neither ``forward``'s
+    input nor the segments a step builds it from are written."""
 
     @staticmethod
     def model_input(kind):
@@ -938,9 +947,12 @@ class TestForwardNeverWritesItsInput:
         if kind == "tied_first":
             assert [k for _, k in layer_runs(w)] == [4]
         before = x.tobytes()
-        for first_row in (0, response_start):
-            forward(x, w, capture=capture, first_row=first_row)
-            assert x.tobytes() == before
+        buffers = ForwardBuffers()
+        for first_row in (0, response_start, 0):
+            for kept in (None, buffers):
+                forward(x, w, capture=capture, first_row=first_row, buffers=kept)
+                assert x.tobytes() == before
+        assert not any(np.shares_memory(a, x) for a in buffer_arrays(buffers))
 
     @pytest.mark.parametrize("capture", [False, True])
     @pytest.mark.parametrize("kind", ["tied_first", "copy", "random"])
@@ -954,6 +966,61 @@ class TestForwardNeverWritesItsInput:
             step(state, w, SchedulePolicy.confidence(), capture=capture, first_row=first_row)
             assert state.visual.tobytes() == visual
             assert state.prompt.tobytes() == prompt
+            assert not any(np.shares_memory(a, state.step_input)
+                           for a in buffer_arrays(state.buffers))
+
+
+class TestForwardBuffers:
+    """``ForwardBuffers`` allocates only for new weights or more rows, and
+    cuts one plan of views per (weights, n, first_row); a forward of fewer
+    rows writes into prefixes of the same arrays."""
+
+    @pytest.mark.parametrize("kind", ["random", "copy"])
+    def test_arrays_are_allocated_only_for_new_weights_or_more_rows(self, kind):
+        if kind == "copy":
+            w = build_copy_model((4, 4), ("a", "b", "c"))
+        else:
+            w = init_random_model(small_config(), 0)
+        buffers = ForwardBuffers()
+        buffers.plan(w, 24, 0)
+        arrays = buffer_arrays(buffers)  # held, so no id is reused
+        assert buffers.resid.shape == (24, w.config.embed_dim)
+        assert [lw for lw, *_ in buffers.runs] == [lw for lw, _ in layer_runs(w)]
+        assert all(view is None or view.shape[0] == 24
+                   for _, _, *views in buffers.runs for view in views)
+        for n, first_row in ((17, 0), (24, 20), (3, 2)):
+            plan = buffers.plan(w, n, first_row)
+            assert [id(a) for a in buffer_arrays(buffers)] == [id(a) for a in arrays]
+            assert plan.resid.ctypes.data == buffers.resid.ctypes.data  # a prefix
+        buffers.plan(w, 25, 0)
+        grown = buffer_arrays(buffers)
+        assert {id(a) for a in grown}.isdisjoint(id(a) for a in arrays)
+        buffers.plan(init_random_model(small_config(), 1), 3, 0)
+        assert {id(a) for a in buffer_arrays(buffers)}.isdisjoint(id(a) for a in grown)
+
+    def test_one_plan_is_cut_per_n_and_first_row(self):
+        w = init_random_model(small_config(), 0)
+        buffers = ForwardBuffers()
+        plan = buffers.plan(w, 12, 4)
+        assert buffers.plan(w, 12, 5) is not plan
+        assert buffers.plan(w, 11, 5) is not buffers.plan(w, 12, 5)
+        assert buffers.plan(w, 12, 4) is plan  # kept, not cut again
+        assert buffers.plan(w, 13, 4) is not plan  # more rows: new arrays, new plans
+        last = buffers.plan(w, 12, 5)
+        assert [run[2] for run in last.runs] == [0, 5]  # lo of each run
+        assert last.runs[-1][5].shape == (7, w.layers[1].wq.shape[2])  # q of rows 5..11
+
+    @pytest.mark.parametrize("first_row", [0, 5])
+    @pytest.mark.parametrize("norm", [False, True])
+    def test_a_kept_set_gives_the_fresh_sets_bits(self, norm, first_row):
+        w = dataclasses.replace(init_random_model(small_config(), 0), norm=norm)
+        buffers = ForwardBuffers()
+        for n in (12, 12, 8, 12):
+            x = SeededRng(n).normal(size=(n, 16))
+            logits, cap = forward(x, w, capture=True, first_row=first_row, buffers=buffers)
+            want, want_cap = forward(x, w, capture=True, first_row=first_row)
+            assert logits.tobytes() == want.tobytes()
+            assert cap.maps[0][0].tobytes() == want_cap.maps[0][0].tobytes()
 
 
 class TestForwardAllocations:

@@ -127,6 +127,31 @@ class TestLayerNorm:
         np.testing.assert_array_equal(layer_norm(m), want)
 
 
+class TestUfuncBufferSize:
+    """A decode runs with numpy's ufunc buffer at 512 elements
+    (``decoder._UFUNC_BUFSIZE``); the kernels give the same bits at that
+    size as at numpy's default 8,192, with rows shorter and longer than the
+    buffer, and with ``out=``/``work=`` as without."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 24), cols=st.integers(1, 1100), seed=st.integers(0, 2**16),
+           scale=st.sampled_from([1e-3, 1.0, 30.0]))
+    def test_softmax_and_layer_norm_are_bitwise_at_512_and_8192(self, rows, cols, seed, scale):
+        m = SeededRng(seed).normal(size=(rows, cols), scale=scale)
+        seen = {}
+        for size in (512, 8192):
+            old = np.setbufsize(size)
+            try:
+                seen[size] = [softmax_rows(m), softmax_rows(m, out=np.empty_like(m)),
+                              layer_norm(m), layer_norm(m, out=np.empty_like(m),
+                                                         work=np.empty_like(m))]
+            finally:
+                np.setbufsize(old)
+        softmax = {a.tobytes() for kernels in seen.values() for a in kernels[:2]}
+        norm = {a.tobytes() for kernels in seen.values() for a in kernels[2:]}
+        assert len(softmax) == len(norm) == 1
+
+
 class TestSeededRng:
     def test_reproducible_stream(self):
         a, b = SeededRng(123), SeededRng(123)

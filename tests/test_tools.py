@@ -1,6 +1,7 @@
 """Smoke runs of tools/ab_forward.py and tools/ab_decode.py: each against its
 own checkout, and against a copy whose forward rounds differently or whose
-keep sets differ; and ab_decode's bootstrap interval."""
+keep sets differ; ab_decode's CPU time and fault columns; and its bootstrap
+interval."""
 
 import shutil
 import subprocess
@@ -69,6 +70,9 @@ def test_ab_decode_times_every_variant_against_its_own_checkout():
     for row in rows:
         assert row[4:6] == row[6:8]  # one round: the interval is its quartiles, its ratio
         assert row[8] in ("0/1", "1/1")  # rounds won
+        assert len(row) == 13
+        assert all(float(cpu) > 0 for cpu in row[9:11])  # thread CPU seconds per decode
+        assert all(faults.isdigit() for faults in row[11:13])  # minor faults per decode
     per_step = {row[0]: row[1] for row in (line.split() for line in lines[8:])}
     assert per_step == {"once": "1.00", "random": "1.00", "progressive": "7.00",
                         "scored": "7.00"}

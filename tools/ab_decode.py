@@ -19,8 +19,10 @@ variant, a batch of decodes on each side, alternating which side runs
 first; a batch holds as many decodes as make about 20 ms of the base side's
 baseline, cycling through the inputs. Per workload it prints, per variant,
 each side's median seconds per decode, the median ratio head/base with its
-quartiles and its bootstrap 95% interval (``bootstrap_interval``), and the
-rounds the head side won. Then, per variant that prunes or
+quartiles and its bootstrap 95% interval (``bootstrap_interval``), the
+rounds the head side won, and each side's median thread CPU seconds
+(``time.thread_time``) and minor page faults (``getrusage(RUSAGE_THREAD)``)
+per decode, an integer. Then, per variant that prunes or
 scores, the per-step overhead: the variant's time less the baseline's in the
 same round, divided by its prune or score steps per decode, as the median
 over rounds for each side, and the ratio head/base of those medians where
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import resource
 import sys
 import time
 from pathlib import Path
@@ -60,13 +63,19 @@ class Side:
         return [record_decode(*self.side, self.wl, self.weights, variant, inp)
                 for inp in self.inputs]
 
-    def batch(self, variant: str, reps: int) -> float:
-        """Seconds per decode over ``reps`` decodes, cycling through the inputs."""
+    def batch(self, variant: str, reps: int) -> tuple[float, float, float]:
+        """Wall seconds, thread CPU seconds and minor page faults per decode
+        over ``reps`` decodes, cycling through the inputs."""
         gc.collect()
+        f0 = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        c0 = time.thread_time()
         t0 = time.perf_counter()
         for i in range(reps):
             decode(*self.side, self.wl, self.weights, variant, self.inputs[i % len(self.inputs)])
-        return (time.perf_counter() - t0) / reps
+        t1 = time.perf_counter()
+        c1 = time.thread_time()
+        f1 = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        return (t1 - t0) / reps, (c1 - c0) / reps, (f1 - f0) / reps
 
 
 def differing_fields(base: list, head: list) -> list:
@@ -108,24 +117,30 @@ def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> bool:
         # prune or score steps per decode, over the inputs a batch cycles through
         steps_per_decode[variant] = [len(r[3]) + len(r[4]) for r in records["head"]]
 
-    reps = max(1, round(BATCH_S / pair["base"].batch("baseline", 1)))
+    reps = max(1, round(BATCH_S / pair["base"].batch("baseline", 1)[0]))
     times = {(label, v): [] for label in pair for v in variants}
     for r in range(rounds):
         for variant in variants:
             for label in ("base", "head") if r % 2 == 0 else ("head", "base"):
                 times[label, variant].append(pair[label].batch(variant, reps))
-    times = {key: np.asarray(t) for key, t in times.items()}
+    # (rounds, 3): wall seconds, CPU seconds and faults per decode
+    measured = {key: np.asarray(t) for key, t in times.items()}
+    times = {key: m[:, 0] for key, m in measured.items()}
 
     print(f"{name}: {reps} decodes per batch, {rounds} rounds")
     print(f"  {'variant':12s} {'base s':>10s} {'head s':>10s} {'ratio':>6s} "
-          f"{'[q1, q3]':>15s} {'95% interval':>15s} {'won':>7s}")
+          f"{'[q1, q3]':>15s} {'95% interval':>15s} {'won':>7s} {'base cpu':>9s} "
+          f"{'head cpu':>9s} {'base flt':>8s} {'head flt':>8s}")
     for variant in variants:
         base_s, head_s = times["base", variant], times["head", variant]
         q1, ratio, q3 = np.percentile(head_s / base_s, [25, 50, 75])
         lo, hi = bootstrap_interval(head_s / base_s)
         won = int((head_s < base_s).sum())
+        cpu = {label: np.median(measured[label, variant][:, 1]) for label in pair}
+        faults = {label: round(np.median(measured[label, variant][:, 2])) for label in pair}
         print(f"  {variant:12s} {np.median(base_s):10.3e} {np.median(head_s):10.3e} "
-              f"{ratio:6.3f} [{q1:.3f}, {q3:.3f}] [{lo:.3f}, {hi:.3f}] {won:3d}/{rounds:<3d}")
+              f"{ratio:6.3f} [{q1:.3f}, {q3:.3f}] [{lo:.3f}, {hi:.3f}] {won:3d}/{rounds:<3d} "
+              f"{cpu['base']:9.3e} {cpu['head']:9.3e} {faults['base']:8d} {faults['head']:8d}")
     print(f"  {'per-step':12s} {'steps':>6s} {'base us':>9s} {'head us':>9s} {'ratio':>6s}")
     for variant in variants:
         counts = steps_per_decode[variant]
