@@ -93,7 +93,9 @@ def executed_macs(weights, n: int, first_row: int = 0) -> tuple[int, int, int]:
     (``model.layer_runs``) counts once. Every run computes all n rows except
     the one ending at the last layer, which computes rows ``first_row..n-1``;
     K and V always run over all n rows. For a random model at ``first_row``
-    0 the sum is ``layers * flops_per_pass(n, d, mu)``.
+    0 the sum is ``layers * flops_per_pass(n, d, mu)``. It prices a
+    forward that computes every run: a first run that ``model.forward``
+    reuses from an earlier forward executes none of its products.
     """
     if not 0 <= first_row < n:
         raise ValueError(f"first_row {first_row} outside 0..{n - 1}")

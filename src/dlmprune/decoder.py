@@ -239,7 +239,9 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     the caller's size is restored when the decode returns or raises. The
     decode takes its forward buffers from ``weights.spare_buffers`` when an
     earlier decode left some there, and when it ends puts them back if they
-    hold at most ``_SPARE_BYTES``.
+    hold at most ``_SPARE_BYTES``. The first-run outputs their plans keep
+    (``model.forward``) pass to the next decode with them; that decode's
+    forwards compare their inputs with the kept ones before using any.
     """
     schedule = pruning.keep_schedule(prune_plan, np.asarray(visual).shape[0], total_steps)
     rng = SeededRng(policy.rng_seed) if policy.kind == PolicyKind.STOCHASTIC else None

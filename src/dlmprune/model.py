@@ -180,16 +180,23 @@ class LayerWeights:
 
 
 class HashedPatchTable:
-    """Per-symbol embedding derived from (seed, sha256(symbol)); no fixed alphabet."""
+    """Per-symbol embedding derived from (seed, sha256(symbol)); no fixed
+    alphabet. Each symbol's vector is drawn once per table: later calls
+    return the same read-only array."""
 
     def __init__(self, seed: int, dim: int):
         self.dim = int(dim)
         self._parent = SeededRng(int(seed))  # split() draws nothing, so one parent serves all
+        self._vectors: dict[str, np.ndarray] = {}
 
     def vector(self, symbol: str) -> np.ndarray:
-        digest = hashlib.sha256(symbol.encode("utf-8")).digest()
-        key = int.from_bytes(digest[:8], "little")
-        return self._parent.split(key).normal(size=self.dim)
+        v = self._vectors.get(symbol)
+        if v is None:
+            digest = hashlib.sha256(symbol.encode("utf-8")).digest()
+            key = int.from_bytes(digest[:8], "little")
+            v = self._vectors[symbol] = self._parent.split(key).normal(size=self.dim)
+            v.setflags(write=False)
+        return v
 
 
 class FixedPatchTable:
@@ -361,7 +368,9 @@ class _Plan:
     ``lo`` whose output the run computes, its tile count (``row_tiles``),
     ``LayerWeights.runs_as_span``, its views of q (n - lo rows), k, v,
     ``heads`` (n rows), the increment, the FFN hidden layer and GELU, and
-    ``norm`` and ``work`` (n - lo rows), None where the buffers hold none."""
+    ``norm`` and ``work`` (n - lo rows), None where the buffers hold none.
+    ``hull``, ``kept`` and ``repeat`` serve ``forward``'s reuse of the first
+    run."""
 
     def __init__(self, buffers: "ForwardBuffers", n: int, first_row: int):
         tile_rows = -(-n // row_tiles(n, 0))
@@ -377,6 +386,12 @@ class _Plan:
                               _rows(q, m), _rows(kk, n), v[:n], heads[:n], _rows(inc, m),
                               _rows(hidden, m), _rows(act, m), _rows(norm, m), buffers.work[:m]))
         self.resid = buffers.resid[:n - self.runs[0][2]]  # the rows of the first write
+        first = self.runs[0][0]
+        self.hull = None  # the channels of x the first run's outputs depend on, if only those
+        if not buffers.weights.norm and first.w1 is None:
+            self.hull = slice(min(s.start for s in first.reads), max(s.stop for s in first.reads))
+        self.kept = None  # (x[:, hull] as bytes, the run's increment, its captured rows or None)
+        self.repeat = False  # whether the buffers' last forward ran on this plan too
 
 
 class ForwardBuffers:
@@ -404,12 +419,17 @@ class ForwardBuffers:
     elements for ``_TILE_BYTES`` B, the most a forward of n <= rows rows
     needs: in t tiles it has ceil(n/t)·n <= B/8 + n scores, since t >=
     8n²/B, and one tile only where n² <= B/8. No array holds a forward's
-    input or is returned by it.
+    input or is returned by it. The plan of the last forward also keeps
+    that forward's first layer run, where ``forward`` may reuse it: the
+    copied columns of ``x`` it depends on, its increment and its captured
+    rows, at most (n, d) + (n, d) + (n, n) elements. A forward on another
+    plan drops them.
     """
 
     def __init__(self):
         self.weights: Optional[ModelWeights] = None
         self.rows = self.nbytes = 0
+        self._last: Optional[_Plan] = None
 
     def plan(self, weights: ModelWeights, n: int, first_row: int) -> _Plan:
         if weights is not self.weights or n > self.rows:
@@ -419,6 +439,10 @@ class ForwardBuffers:
             if len(self._plans) >= _PLANS:
                 self._plans.clear()
             p = self._plans[n, first_row] = _Plan(self, n, first_row)
+        last, self._last = self._last, p
+        p.repeat = p is last
+        if last is not None and not p.repeat:  # only the plan in use keeps what forward reuses
+            last.kept = None
         return p
 
     def _allocate(self, weights: ModelWeights, rows: int) -> None:
@@ -519,6 +543,27 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     call. Either way the arithmetic is the same, so the logits and the
     capture are bitwise equal. Only the logits and the capture are new
     arrays.
+
+    A forward on the plan of the same ``buffers``' last forward
+    (``_Plan.repeat``), in a model without ``norm`` whose first run has no
+    FFN, compares the columns of ``x`` that run's q, k and v read (the hull
+    of ``lw.reads``, ``_Plan.hull``), as bytes, with those a forward on
+    this plan kept. The run's increment and captured rows depend on those
+    columns alone, so where they are bitwise equal the run takes the kept
+    increment and rows and skips its products, score tiles, softmax and
+    ``attn·v``; it still copies ``x`` into the residual stream, adds the
+    increment k times and writes the rows into the capture, so the logits
+    and the capture are bitwise those of the full run. Otherwise, or where
+    the kept entry holds no capture and this forward captures, the run is
+    computed and kept: its columns, increment and captured rows. A new plan
+    keeps nothing, and a forward whose buffers ran another plan last keeps
+    nothing and drops what that plan kept: a progressive decode, whose n
+    changes every step, never compares or copies, and neither does a
+    forward with ``norm``, whose first run reads ``layer_norm(x)``. A
+    copy-model commit writes only ``mask_mark``, a channel the broadcast
+    layer does not read, so a baseline decode reuses that layer from its
+    third step on, or its second on buffers an earlier decode of its shape
+    left. ``buffers=None`` keeps nothing.
     """
     cfg = weights.config
     x = np.asarray(x, dtype=np.float64)
@@ -534,32 +579,45 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     h = x
     scores = plan.scores
     total = np.zeros((n - first_row, n)) if capture else None
+    key = kept = None
+    if plan.repeat and plan.hull is not None:  # the first run's inputs against the kept ones
+        key = x[:, plan.hull].tobytes()
+        if plan.kept and plan.kept[0] == key and (plan.kept[2] is not None or not capture):
+            kept = plan.kept
     # lo: the first row whose output the run computes
     for (lw, k, lo, layer_tiles, (same_q, same_k, same_v, same_o), q_out, k_out, v_out, heads,
          inc_out, hidden, act, norm_out, work_out) in plan.runs:
-        a_in = layer_norm(h, out=plan.norm, work=plan.work) if weights.norm else h
-        a_q, a_k, a_v = [a_in[:, s] for s in lw.reads]
-        wq, wk, wv, wo = lw.spanned
-        dv = wv.shape[2]
-        for hd in range(cfg.heads):
-            q = a_q[lo:] if same_q else np.matmul(a_q[lo:], wq[hd], out=q_out)
-            kt = a_k.T if same_k else np.matmul(a_k, wk[hd], out=k_out).T
-            v = a_v if same_v else np.matmul(a_v, wv[hd], out=v_out)
-            c0 = hd * dv
-            r1 = lo
-            for t in range(1, layer_tiles + 1):
-                r0, r1 = r1, lo + t * (n - lo) // layer_tiles
-                tile = scores[:r1 - r0]
-                np.matmul(q[r0 - lo:r1 - lo], kt, out=tile)
-                tile *= scale
-                attn = softmax_rows(tile, out=tile)
-                if capture and r1 > first_row:
-                    c = max(r0, first_row)
-                    rows = total[c - first_row:r1 - first_row]
-                    for _ in range(k):
-                        rows += attn[c - r0:]  # on a view: no copy back into total
-                np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
-        inc = heads[lo:] if same_o else np.matmul(heads[lo:], wo, out=inc_out)
+        if kept:  # the first run's outputs, as an earlier forward computed them
+            inc = kept[1]
+            if capture:
+                total[...] = kept[2]
+        else:
+            a_in = layer_norm(h, out=plan.norm, work=plan.work) if weights.norm else h
+            a_q, a_k, a_v = [a_in[:, s] for s in lw.reads]
+            wq, wk, wv, wo = lw.spanned
+            dv = wv.shape[2]
+            for hd in range(cfg.heads):
+                q = a_q[lo:] if same_q else np.matmul(a_q[lo:], wq[hd], out=q_out)
+                kt = a_k.T if same_k else np.matmul(a_k, wk[hd], out=k_out).T
+                v = a_v if same_v else np.matmul(a_v, wv[hd], out=v_out)
+                c0 = hd * dv
+                r1 = lo
+                for t in range(1, layer_tiles + 1):
+                    r0, r1 = r1, lo + t * (n - lo) // layer_tiles
+                    tile = scores[:r1 - r0]
+                    np.matmul(q[r0 - lo:r1 - lo], kt, out=tile)
+                    tile *= scale
+                    attn = softmax_rows(tile, out=tile)
+                    if capture and r1 > first_row:
+                        c = max(r0, first_row)
+                        rows = total[c - first_row:r1 - first_row]
+                        for _ in range(k):
+                            rows += attn[c - r0:]  # on a view: no copy back into total
+                    np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
+            inc = heads[lo:] if same_o else np.matmul(heads[lo:], wo, out=inc_out)
+            if key is not None:
+                plan.kept = (key, inc.copy(), total.copy() if capture else None)
+        key = kept = None  # the later runs read what the first one wrote
         if h is x:  # the first write copies x, which is never written
             h = plan.resid
             h[...] = x[lo:]

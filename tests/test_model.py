@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlmprune import model
-from dlmprune.decoder import SchedulePolicy, init_state, step
+from dlmprune.decoder import SchedulePolicy, init_state, run_inference, step
+from dlmprune.harness import TaskParams, gen_pointer_task
 from dlmprune.model import (DEFAULT_MAX_PROMPT, DEFAULT_MAX_RESPONSE, CopyTaskVocab,
                             HashedPatchTable, LayerWeights, ModelConfig, ModelWeights,
                             build_copy_model, copy_model_config, embed_prompt, embed_response,
@@ -121,6 +122,15 @@ class TestEncodeImage:
             key = int.from_bytes(digest[:8], "little")
             want = SeededRng(123).split(key).normal(size=5)
             np.testing.assert_array_equal(table.vector(symbol), want)
+
+    def test_hashed_vector_is_drawn_once_and_read_only(self):
+        table = HashedPatchTable(seed=123, dim=5)
+        first = table.vector("s17")
+        assert table.vector("s17") is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert first.tobytes() == HashedPatchTable(seed=123, dim=5).vector("s17").tobytes()
 
 
 class TestEmbedTokens:
@@ -1021,6 +1031,84 @@ class TestForwardBuffers:
             want, want_cap = forward(x, w, capture=True, first_row=first_row)
             assert logits.tobytes() == want.tobytes()
             assert cap.maps[0][0].tobytes() == want_cap.maps[0][0].tobytes()
+
+
+class TestFirstRunReuse:
+    """A forward on the plan of the buffers' last forward reuses the first
+    run's increment and captured rows when the model has no norm, that run
+    has no FFN and the columns of ``x`` it reads are bitwise those it kept."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), layers=st.integers(1, 3), heads=st.integers(1, 2),
+           n=st.integers(2, 12), routing=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_kept_forwards_give_the_fresh_forwards_bits(self, data, layers, heads, n,
+                                                         routing, seed):
+        d = 8
+        rng = SeededRng(seed)
+        w = init_random_model(small_config(layers=layers, heads=heads, embed_dim=d), seed)
+        positions = [dataclasses.replace(lw, w1=None, w2=None) for lw in w.layers]
+        if routing:  # reads channels 2..4, so edits of the others leave its inputs alone
+            positions[0] = routing_layer(rng, heads, d, range(2, 5), range(5, 8), w=3, w_v=2)
+        w = dataclasses.replace(w, layers=positions, norm=False)
+        hull = ForwardBuffers().plan(w, n, 0).hull
+        assert (2 <= hull.start and hull.stop <= 5) if routing else (hull == slice(0, d))
+        x = rng.normal(size=(n, d))
+        buffers = ForwardBuffers()
+        for _ in range(data.draw(st.integers(2, 6), label="forwards")):
+            row = data.draw(st.integers(0, n - 1), label="edited row")
+            column = data.draw(st.sampled_from(["none", "read", "other"]), label="edited column")
+            if column != "none":
+                read = list(range(hull.start, hull.stop))
+                c = data.draw(st.sampled_from(read if column == "read" else
+                                              [c for c in range(d) if c not in read] or read))
+                x[row, c] = data.draw(st.floats(-2, 2), label="value")
+            first_row = data.draw(st.sampled_from([0, n - 1]), label="first_row")
+            capture = data.draw(st.booleans(), label="capture")
+            logits, cap = forward(x, w, capture=capture, first_row=first_row, buffers=buffers)
+            want, want_cap = forward(x, w, capture=capture, first_row=first_row)
+            assert logits.tobytes() == want.tobytes()
+            if capture:
+                assert cap.maps[0][0].tobytes() == want_cap.maps[0][0].tobytes()
+
+    def test_a_copy8x8_baseline_decode_runs_the_broadcast_layer_at_most_twice(self):
+        tasks = TaskParams(grid=(8, 8), alphabet=tuple("abcdefghijklmnop"))
+        w = build_copy_model(tasks.grid, tasks.alphabet)
+        task = gen_pointer_task(tasks.grid, tasks.alphabet, 5)
+        visual, prompt = encode_image(task.image, w), embed_prompt(task.prompt, w)
+        n = visual.shape[0] + prompt.shape[0] + 8
+        with mock.patch.object(model, "softmax_rows", wraps=softmax_rows) as spy:
+            ids, _, _ = run_inference(visual, prompt, 8, 8, w, SchedulePolicy.confidence())
+        broadcast = [c for c in spy.call_args_list if c.args[0].shape[0] == n]  # all n rows
+        assert len(spy.call_args_list) - len(broadcast) == 8  # the fetch run, every step
+        assert 1 <= len(broadcast) <= 2
+        np.testing.assert_array_equal(ids, np.full(8, task.expected))
+
+    def test_only_the_plan_in_use_keeps_an_entry(self):
+        w = build_copy_model((2, 3), ("a", "b", "c"))
+        x, _ = copy_model_input(w, (2, 3), ("a", "b", "c"))
+        buffers = ForwardBuffers()
+        for _ in range(2):
+            forward(x, w, first_row=7, buffers=buffers)
+        plan = buffers.plan(w, len(x), 7)
+        assert plan.kept is not None
+        forward(x, w, first_row=6, buffers=buffers)
+        assert plan.kept is None
+
+    @pytest.mark.parametrize("config", [
+        dict(layers=4, heads=4, embed_dim=128, vision_dim=16, ffn_dim=256, vocab_size=64,
+             patch_grid=(32, 32), mask_token_id=63),
+        dict(layers=1, heads=1, embed_dim=4, vision_dim=2, ffn_dim=4, vocab_size=4,
+             patch_grid=(1, 1), mask_token_id=3)], ids=["vit1024", "tiny16"])
+    def test_a_norm_model_keeps_no_copy(self, config):
+        w = init_random_model(ModelConfig(**config), 0)
+        n = w.config.num_patches + 16 + 32
+        x = SeededRng(1).normal(size=(n, w.config.embed_dim))
+        buffers = ForwardBuffers()
+        for _ in range(3):
+            forward(x, w, capture=True, first_row=n - 32, buffers=buffers)
+        plan = buffers.plan(w, n, n - 32)
+        assert plan.repeat  # the forwards ran on one plan
+        assert plan.hull is None and plan.kept is None
 
 
 class TestForwardAllocations:

@@ -3,10 +3,13 @@ own checkout, and against a copy whose forward rounds differently or whose
 keep sets differ; ab_decode's CPU time and fault columns; and its bootstrap
 interval."""
 
+import functools
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 from ab_decode import bootstrap_interval  # noqa: E402
+from ab_forward import step_call  # noqa: E402
+from checkout import load_side  # noqa: E402
 
 
 def ab_forward(base):
@@ -58,6 +63,52 @@ def test_ab_forward_fails_when_the_logits_differ(tmp_path):
     proc = ab_forward(tmp_path)
     assert proc.returncode == 1
     assert "logits differ on workload vit1024" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def this_side():
+    """(package, workloads) of this checkout, as ab_forward loads a side."""
+    return load_side("dlmprune_tools_test", ROOT)
+
+
+@pytest.mark.parametrize("name,tiles", [("copy8x8", 2), ("tiny16", 1)])
+def test_ab_forward_times_full_forwards_on_kept_buffers(this_side, name, tiles, monkeypatch):
+    # each call runs every tile of a decode-step forward (softmax_rows calls)
+    # on one kept buffer set, and no call sees the input of the call before it
+    package, workloads = this_side
+    model, seen = package.model, []
+
+    @functools.wraps(model.forward)
+    def recording_forward(x, weights, **kwargs):
+        seen.append((x, kwargs.get("buffers")))
+        return forward(x, weights, **kwargs)
+
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", recording_forward)
+    call = step_call(package, workloads, name)
+    calls = 6
+    with mock.patch.object(model, "softmax_rows", wraps=model.softmax_rows) as spy:
+        logits = [call() for _ in range(calls)]
+    assert spy.call_count == tiles * calls
+    assert all(isinstance(buffers, model.ForwardBuffers) for _, buffers in seen)
+    assert len({id(buffers) for _, buffers in seen}) == 1
+    assert all(a.tobytes() != b.tobytes() for (a, _), (b, _) in zip(seen, seen[1:]))
+    assert logits[0].tobytes() == logits[2].tobytes() != logits[1].tobytes()
+
+
+def test_ab_forward_passes_no_buffers_to_a_forward_without_them(this_side):
+    package, workloads = this_side
+    seen = []
+
+    def forward(x, weights, capture=False, first_row=0):
+        seen.append(first_row)
+        return package.model.forward(x, weights, capture=capture, first_row=first_row)
+
+    side = SimpleNamespace(model=SimpleNamespace(forward=forward,
+                                                 embed_response=package.model.embed_response))
+    call = step_call(side, workloads, "copy8x8")
+    call(), call()
+    assert seen == [65, 65]
 
 
 def test_ab_decode_times_every_variant_against_its_own_checkout():

@@ -7,16 +7,20 @@ Imports ``src/dlmprune`` of the given base checkout and of the checkout this
 script lives in under distinct package names (``dlmprune_base`` and
 ``dlmprune_head``), without writing bytecode, with one BLAS thread, pinned
 to one core (``tools/checkout.py``). For each side it builds each
-perfbench workload's model and the input of its first baseline decode step
-(seed 1, the first input: visual, prompt and an all-masked response, outputs
-from the response start on, no capture) through that side's
-``perfbench/workloads.py``.
+perfbench workload's model and the inputs of the first baseline decode step
+of its inputs 0 and 1 (seed 1: visual, prompt and an all-masked response,
+outputs from the response start on, no capture) through that side's
+``perfbench/workloads.py``. Each side's forwards write into one kept
+``ForwardBuffers``, as a decode's do, where its ``forward`` takes
+``buffers``, and alternate the two inputs: no forward sees the input of the
+forward before it, so each runs in full, as a decode's first step does,
+and none reuses the first run of the forward before (``model.forward``).
 
 It exits 1, before timing anything, unless both sides' logits are bitwise
-equal on every workload. Each round then times a batch of forwards of each
-side, alternating which side runs first. A batch holds as many forwards as
-make about 20 ms on the base side, so per-call overhead is timed as well as
-arithmetic. Per workload it prints each side's median seconds per forward,
+equal on both inputs of every workload. Each round then times a batch of
+forwards of each side, alternating which side runs first. A batch holds as
+many forwards as make about 20 ms on the base side, so per-call overhead is
+timed as well as arithmetic. Per workload it prints each side's median seconds per forward,
 the median ratio head/base with its quartiles, the rounds the head side won,
 and each side's median minor page faults per forward (``getrusage``).
 """
@@ -24,6 +28,8 @@ and each side's median minor page faults per forward (``getrusage``).
 from __future__ import annotations
 
 import argparse
+import inspect
+import itertools
 import resource
 import sys
 import time
@@ -35,17 +41,26 @@ BATCH_S = 0.02
 
 
 def step_call(package, workloads, name: str):
-    """A no-argument call of one side's forward on workload ``name``'s first
-    baseline decode-step input."""
+    """A no-argument call of one side's forward that returns its logits, on
+    the first baseline decode-step inputs of workload ``name``'s inputs 0
+    and 1 in turn, with one kept ``ForwardBuffers`` where that side's
+    ``forward`` takes ``buffers``."""
     import numpy as np
     wl = workloads.WORKLOADS[name]
     weights = wl.build_model()
-    inp = wl.make_inputs(np.random.default_rng(1), weights)[0]
     model = package.model
     ids = np.full(wl.tau, weights.config.mask_token_id, dtype=np.int64)
-    x = np.vstack([inp.visual, inp.prompt, model.embed_response(ids, weights)])
-    first_row = inp.visual.shape[0] + inp.prompt.shape[0]
-    return lambda: model.forward(x, weights, first_row=first_row)[0]
+    steps = [(np.vstack([inp.visual, inp.prompt, model.embed_response(ids, weights)]),
+              inp.visual.shape[0] + inp.prompt.shape[0])
+             for inp in wl.make_inputs(np.random.default_rng(1), weights)[:2]]
+    kept = ({"buffers": model.ForwardBuffers()}
+            if "buffers" in inspect.signature(model.forward).parameters else {})
+    turns = itertools.cycle(steps)
+
+    def call():
+        x, first_row = next(turns)
+        return model.forward(x, weights, first_row=first_row, **kept)[0]
+    return call
 
 
 def time_batch(call, reps: int) -> tuple[float, float]:
@@ -81,10 +96,11 @@ def main(argv=None) -> int:
     calls = {name: {side: step_call(*loaded, name) for side, loaded in sides.items()}
              for name in names}
     for name, pair in calls.items():
-        a, b = pair["base"](), pair["head"]()
-        if a.shape != b.shape or a.tobytes() != b.tobytes():
-            print(f"error: base and head logits differ on workload {name}", file=sys.stderr)
-            return 1
+        for _ in range(2):  # inputs 0 and 1
+            a, b = pair["base"](), pair["head"]()
+            if a.shape != b.shape or a.tobytes() != b.tobytes():
+                print(f"error: base and head logits differ on workload {name}", file=sys.stderr)
+                return 1
     print(f"{'workload':8s} {'base s':>10s} {'head s':>10s} {'ratio':>6s} "
           f"{'[q1, q3]':>15s} {'won':>7s} {'base flt':>9s} {'head flt':>9s}")
     for name, pair in calls.items():
