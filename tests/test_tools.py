@@ -1,15 +1,12 @@
-"""Smoke runs of tools/ab_forward.py and tools/ab_decode.py: each against its
-own checkout, and against a copy whose forward rounds differently or whose
-keep sets differ; ab_decode's CPU time and fault columns; and its bootstrap
-interval."""
+"""Runs of tools/ab_decode.py against its own checkout and against a copy
+whose keep sets or logits differ, its CPU time and fault columns, and its
+bootstrap interval; record_decode's check that a forward leaves its input
+unchanged; and the tools' argument errors."""
 
-import functools
 import shutil
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,21 +14,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 from ab_decode import bootstrap_interval  # noqa: E402
-from ab_forward import step_call  # noqa: E402
-from checkout import load_side  # noqa: E402
+from checkout import load_side, record_decode  # noqa: E402
 
 
-def ab_forward(base):
-    return subprocess.run(
-        [sys.executable, "tools/ab_forward.py", str(base), "--rounds", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+def tool(*args):
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
 
 
 def ab_decode(base):
-    return subprocess.run(
-        [sys.executable, "tools/ab_decode.py", str(base), "--workload", "copy8x8",
-         "--rounds", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    return tool("tools/ab_decode.py", str(base), "--workload", "copy8x8", "--rounds", "1")
 
 
 def copy_checkout(dest):
@@ -46,69 +38,6 @@ def edit(path, old, new):
     source = path.read_text()
     assert source.count(old) == 1
     path.write_text(source.replace(old, new))
-
-
-def test_ab_forward_times_every_workload_against_its_own_checkout():
-    proc = ab_forward(ROOT)
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    assert [row[0] for row in rows] == ["vit1024", "copy8x8", "tiny16"]
-    assert all(row[6] in ("0/1", "1/1") for row in rows)  # rounds won
-
-
-def test_ab_forward_fails_when_the_logits_differ(tmp_path):
-    copy_checkout(tmp_path)
-    head = "logits = h @ weights.output_w + weights.output_b"
-    edit(tmp_path / "src" / "dlmprune" / "model.py", head, head + " + 1e-12")
-    proc = ab_forward(tmp_path)
-    assert proc.returncode == 1
-    assert "logits differ on workload vit1024" in proc.stderr
-
-
-@pytest.fixture(scope="module")
-def this_side():
-    """(package, workloads) of this checkout, as ab_forward loads a side."""
-    return load_side("dlmprune_tools_test", ROOT)
-
-
-@pytest.mark.parametrize("name,tiles", [("copy8x8", 2), ("tiny16", 1)])
-def test_ab_forward_times_full_forwards_on_kept_buffers(this_side, name, tiles, monkeypatch):
-    # each call runs every tile of a decode-step forward (softmax_rows calls)
-    # on one kept buffer set, and no call sees the input of the call before it
-    package, workloads = this_side
-    model, seen = package.model, []
-
-    @functools.wraps(model.forward)
-    def recording_forward(x, weights, **kwargs):
-        seen.append((x, kwargs.get("buffers")))
-        return forward(x, weights, **kwargs)
-
-    forward = model.forward
-    monkeypatch.setattr(model, "forward", recording_forward)
-    call = step_call(package, workloads, name)
-    calls = 6
-    with mock.patch.object(model, "softmax_rows", wraps=model.softmax_rows) as spy:
-        logits = [call() for _ in range(calls)]
-    assert spy.call_count == tiles * calls
-    assert all(isinstance(buffers, model.ForwardBuffers) for _, buffers in seen)
-    assert len({id(buffers) for _, buffers in seen}) == 1
-    assert all(a.tobytes() != b.tobytes() for (a, _), (b, _) in zip(seen, seen[1:]))
-    assert logits[0].tobytes() == logits[2].tobytes() != logits[1].tobytes()
-
-
-def test_ab_forward_passes_no_buffers_to_a_forward_without_them(this_side):
-    package, workloads = this_side
-    seen = []
-
-    def forward(x, weights, capture=False, first_row=0):
-        seen.append(first_row)
-        return package.model.forward(x, weights, capture=capture, first_row=first_row)
-
-    side = SimpleNamespace(model=SimpleNamespace(forward=forward,
-                                                 embed_response=package.model.embed_response))
-    call = step_call(side, workloads, "copy8x8")
-    call(), call()
-    assert seen == [65, 65]
 
 
 def test_ab_decode_times_every_variant_against_its_own_checkout():
@@ -139,6 +68,51 @@ def test_ab_decode_fails_when_the_keep_sets_differ(tmp_path):
     assert "decodes differ on workload copy8x8 variant once" in proc.stderr
     assert "keep sets" in proc.stderr
     assert proc.stdout == ""  # nothing is timed
+
+
+def test_ab_decode_fails_when_the_logits_differ(tmp_path):
+    copy_checkout(tmp_path)
+    head = "logits = h @ weights.output_w + weights.output_b"
+    edit(tmp_path / "src" / "dlmprune" / "model.py", head, head + " + 1e-12")
+    proc = ab_decode(tmp_path)
+    assert proc.returncode == 1
+    assert "decodes differ on workload copy8x8 variant baseline" in proc.stderr
+    assert proc.stderr.rstrip().endswith(": logits and captures")  # the only field
+    assert proc.stdout == ""
+
+
+def test_record_decode_fails_when_a_forward_writes_its_input(monkeypatch):
+    package, workloads = load_side("dlmprune_tools_test", ROOT)
+    decoder, pruning = package.decoder, package.pruning
+    forward = decoder.forward
+
+    def writing_forward(x, *args, **kwargs):
+        x[0, 0] += 1.0
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(decoder, "forward", writing_forward)
+    apply_prune = pruning.apply_prune
+    wl = workloads.WORKLOADS["copy8x8"]
+    weights = wl.build_model()
+    inp = wl.make_inputs(np.random.default_rng(1), weights)[0]
+    with pytest.raises(ValueError, match="a forward wrote its input"):
+        record_decode(package, workloads, wl, weights, "once", inp)
+    assert decoder.forward is writing_forward
+    assert pruning.apply_prune is apply_prune
+
+
+@pytest.mark.parametrize("args,problem", [
+    (["tools/ab_decode.py", "{empty}"], "no dlmprune sources"),
+    (["tools/ab_decode.py", ".", "--rounds", "0"], "--rounds must be >= 1"),
+    (["tools/ab_decode.py", ".", "--workload", "nosuch"], "unknown workload 'nosuch'"),
+    (["tools/decode_digest.py"], "usage: decode_digest.py <checkout>"),
+    (["tools/decode_digest.py", "{empty}"], "no dlmprune sources"),
+])
+def test_a_tool_given_bad_arguments_exits_2_and_names_the_problem(tmp_path, args, problem):
+    proc = tool(*(arg.format(empty=tmp_path) for arg in args))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert problem in proc.stderr
 
 
 class TestBootstrapInterval:

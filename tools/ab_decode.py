@@ -3,24 +3,24 @@
 
     python3 tools/ab_decode.py <base-checkout> [--workload W] [--rounds N]
 
-Loads the base checkout and the checkout this script lives in side by side,
-as ``tools/ab_forward.py`` does (``tools/checkout.py``: one BLAS thread, no
-bytecode, one core). For each workload (``all`` by default) each side builds
-its model and the first ``INPUTS`` inputs of seed 1 through its own
-``perfbench/workloads.py``, and decodes them under every variant in
-``workloads.VARIANTS`` as the benchmark does (``checkout.decode``).
+Loads the base checkout and the checkout this script lives in side by side
+(``tools/checkout.py``: one BLAS thread, no bytecode, one core). For each
+workload (``all`` by default) each side builds its model and the first
+``INPUTS`` inputs of seed 1 through its own ``perfbench/workloads.py``, and
+decodes them under every variant in ``workloads.VARIANTS`` as the benchmark
+does (``checkout.decode``).
 
 It exits 1, before timing anything, unless both sides decode every variant
 bitwise alike in the fields ``tools/decode_digest.py`` hashes
 (``checkout.record_decode``): the decoded ids, the positions committed at
-each step, the per-step sequence lengths, the score traces and the keep sets
-applied. Each round then times, per
-variant, a batch of decodes on each side, alternating which side runs
-first; a batch holds as many decodes as make about 20 ms of the base side's
-baseline, cycling through the inputs. Per workload it prints, per variant,
-each side's median seconds per decode, the median ratio head/base with its
-quartiles and its bootstrap 95% interval (``bootstrap_interval``), the
-rounds the head side won, and each side's median thread CPU seconds
+each step, the per-step sequence lengths, the score traces, the keep sets
+applied, and the logits and captured maps of every forward. Each round then
+times, per variant, a batch of decodes on each side, alternating which side
+runs first; a batch holds as many decodes as make about 20 ms of the base
+side's baseline, cycling through the inputs. Per workload it prints, per
+variant, each side's median seconds per decode, the median ratio head/base
+with its quartiles and its bootstrap 95% interval (``bootstrap_interval``),
+the rounds the head side won, and each side's median thread CPU seconds
 (``time.thread_time``) and minor page faults (``getrusage(RUSAGE_THREAD)``)
 per decode, an integer. Then, per variant that prunes or
 scores, the per-step overhead: the variant's time less the baseline's in the

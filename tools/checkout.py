@@ -7,7 +7,9 @@ live in one interpreter, together with that checkout's
 and gives BLAS one thread; it must run before numpy is imported.
 ``pin_to_one_core`` is for the tools that time. ``record_decode`` decodes one
 input under one perfbench variant as the benchmark does and returns what
-``tools/decode_digest.py`` hashes and ``tools/ab_decode.py`` compares.
+``tools/decode_digest.py`` hashes and ``tools/ab_decode.py`` compares: the
+decode's results, the keep sets it applied, and the logits and captured maps
+of every forward it ran.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from pathlib import Path
 
 HEAD = Path(__file__).resolve().parents[1]
 SUBMODULES = ("decoder", "harness", "model", "pruning")  # what workloads.py imports
-FIELDS = ("ids", "committed positions", "step lengths", "score traces", "keep sets")
+FIELDS = ("ids", "committed positions", "step lengths", "score traces", "keep sets",
+          "logits and captures")
 
 
 def check_root(root: Path) -> str | None:
@@ -84,19 +87,34 @@ def decode(package, workloads, wl, weights, variant: str, inp):
 
 def record_decode(package, workloads, wl, weights, variant: str, inp) -> tuple:
     """The ``FIELDS`` of one ``decode``, each a list of arrays. Keep sets are
-    recorded by wrapping ``pruning.apply_prune``, as the benchmark's tracer does."""
+    recorded by wrapping ``pruning.apply_prune``, as the benchmark's tracer
+    does, and each forward's logits and then its captured maps, layer by layer,
+    by wrapping ``decoder.forward``. Since the decoder keeps a forward's input
+    between steps, a forward that writes it raises ``ValueError``."""
     import numpy as np
-    pruning, keeps = package.pruning, []
-    apply_prune = pruning.apply_prune
+    decoder, pruning = package.decoder, package.pruning
+    forward, apply_prune = decoder.forward, pruning.apply_prune
+    keeps, forwards = [], []
 
     def recording_apply_prune(state, keep):
         keeps.append(keep.indices.copy())
         return apply_prune(state, keep)
 
-    pruning.apply_prune = recording_apply_prune
+    def recording_forward(x, *args, **kwargs):
+        before = x.tobytes()
+        logits, capture = result = forward(x, *args, **kwargs)
+        if x.tobytes() != before:
+            raise ValueError("a forward wrote its input")
+        forwards.append(logits.copy())  # the next forward reuses its buffers
+        if capture is not None:
+            forwards.extend(m.copy() for maps in capture.maps for m in maps)
+        return result
+
+    decoder.forward, pruning.apply_prune = recording_forward, recording_apply_prune
     try:
         ids, steps, stats = decode(package, workloads, wl, weights, variant, inp)
     finally:
-        pruning.apply_prune = apply_prune
+        decoder.forward, pruning.apply_prune = forward, apply_prune
     return ([ids], [s.newly_decoded for s in steps],
-            [np.asarray(stats.per_step_lengths, dtype=np.int64)], list(stats.score_trace), keeps)
+            [np.asarray(stats.per_step_lengths, dtype=np.int64)], list(stats.score_trace), keeps,
+            forwards)

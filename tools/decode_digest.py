@@ -15,14 +15,12 @@ leave every decode bitwise the same prints the same digests as its parent.
 A second line per workload, ``<name> inputs``, is one SHA-256 over the
 embedded visual and prompt rows of every input decoded, so a change to the
 embedding path shows directly, not only through the decodes. A third,
-``<name> logits``, is one SHA-256 over the logits of every forward those
-decodes run, and the attention map it captured whenever there is one
-(``decoder.forward`` is wrapped, as ``record_decode`` wraps
-``pruning.apply_prune``), so a change
-to the forward's arithmetic shows even where it flips no decoded id. The
-wrapper also hashes the forward's input before and after the call: a forward
-that writes its input (the decoder keeps that input between steps) ends the
-script with exit code 1 and names the workload.
+``<name> logits``, is one SHA-256 over ``record_decode``'s logits and
+captures: the logits of every forward those decodes run, and the attention
+map it captured whenever there is one, so a change to the forward's
+arithmetic shows even where it flips no decoded id. A forward that writes its
+input (the decoder keeps that input between steps) ends the script with exit
+code 1 and names the workload.
 
 It then runs each command of ``REPORT_COMMANDS`` through the checkout's CLI
 under ``--policy confidence`` and ``--policy stochastic`` and prints one
@@ -74,23 +72,7 @@ def main(argv=None) -> int:
     import dlmprune
     import numpy as np
     import workloads
-    from dlmprune import decoder
 
-    forward = decoder.forward
-
-    def hashing_forward(*args, **kwargs):
-        before = hashlib.sha256(np.ascontiguousarray(args[0]).tobytes()).digest()
-        logits, capture = result = forward(*args, **kwargs)
-        if hashlib.sha256(np.ascontiguousarray(args[0]).tobytes()).digest() != before:
-            sys.exit(f"error: a forward wrote its input on workload {name}")
-        _update(h_logits, logits)
-        if capture is not None:
-            for maps in capture.maps:
-                for m in maps:
-                    _update(h_logits, m)
-        return result
-
-    decoder.forward = hashing_forward
     total = 0
     for name, wl in workloads.WORKLOADS.items():
         h, h_inputs, h_logits = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
@@ -101,8 +83,12 @@ def main(argv=None) -> int:
                 _update(h_inputs, inp.visual)
                 _update(h_inputs, inp.prompt)
                 for variant in workloads.VARIANTS:
-                    ids, committed, lengths, scores, keeps = record_decode(
-                        dlmprune, workloads, wl, weights, variant, inp)
+                    try:
+                        ids, committed, lengths, scores, keeps, forwards = record_decode(
+                            dlmprune, workloads, wl, weights, variant, inp)
+                    except ValueError as error:
+                        print(f"error: {error} on workload {name}", file=sys.stderr)
+                        return 1
                     total += 1
                     h.update(variant.encode())
                     for a in ids + committed + lengths + scores:
@@ -110,11 +96,12 @@ def main(argv=None) -> int:
                     h.update(f"keeps{len(keeps)}".encode())
                     for keep in keeps:
                         _update(h, keep)
+                    for a in forwards:
+                        _update(h_logits, a)
         print(f"{name:8s} {h.hexdigest()}")
         print(f"{name} inputs {h_inputs.hexdigest()}")
         print(f"{name} logits {h_logits.hexdigest()}")
     print(f"decodes  {total}")
-    decoder.forward = forward
     _print_report_digests()
     return 0
 
