@@ -4,10 +4,9 @@ Per layer and step, a forward pass over n tokens of width d with FFN width mu
 costs 4*n*d^2 + 2*n^2*d + 2*n*d*mu floating-point operations (QKV/output
 projections, attention products, FFN), one per multiply-add. Counts are exact
 integers. The copy model is priced at its full width d, FFN width 1 and 12
-layers too, though its heads are narrower, its projections run over only the
-channels they read and write (``model.LayerWeights.spanned``), six of its
-eight are the identity there and run as that span, bitwise, with no product
-(``model.LayerWeights.identity``), its layers have no FFN and a forward runs
+layers too, though its heads are narrower, each of its projections is c
+times the identity on one block of channels and runs no product
+(``model.LayerWeights.scaled``), its layers have no FFN and a forward runs
 its 11 tied fetch layers as one (``model.layer_runs``); ``executed_macs``
 counts the multiply-adds ``model.forward`` actually runs, from the weights.
 """
@@ -84,12 +83,11 @@ def flops_pruned(layers: int, steps: int, n: int, n_r: int, d: int, mu: int) -> 
 def executed_macs(weights, n: int, first_row: int = 0) -> tuple[int, int, int]:
     """(proj, attn, ffn) multiply-adds of one ``model.forward`` over n rows.
 
-    Widths are read from each layer's ``spanned`` weights: q/k width
-    ``wq.shape[2]``, v width ``wv.shape[2]``, the channels q, k and v read
-    and those ``wo`` writes (all d unless the projection routes), and FFN
-    width ``w1.shape[1]``, 0 for a layer with no FFN. A projection that
-    ``forward`` runs as its span (``LayerWeights.runs_as_span``: the
-    identity on its span) counts 0. A run of tied layers
+    Widths are read from each layer's weights: q/k width ``wq.shape[2]``, v
+    width ``wv.shape[2]``, d channels in and out of a dense projection, and
+    FFN width ``w1.shape[1]``, 0 for a layer with no FFN. A projection that
+    is c times the identity on one block (``LayerWeights.scaled``) runs no
+    product and counts 0. A run of tied layers
     (``model.layer_runs``) counts once. Every run computes all n rows except
     the one ending at the last layer, which computes rows ``first_row..n-1``;
     K and V always run over all n rows. For a random model at ``first_row``
@@ -103,16 +101,13 @@ def executed_macs(weights, n: int, first_row: int = 0) -> tuple[int, int, int]:
     end = 0
     for lw, k in layer_runs(weights):
         end += k
-        wq, wk, wv, wo = lw.spanned
-        heads, q_in, w = wq.shape
-        _, v_in, w_v = wv.shape
+        heads, d, w = lw.wq.shape
+        w_v = lw.wv.shape[2]
         lo = first_row if end == len(weights.layers) else 0
         rows = n - lo
-        # Q and the out-projection over the rows computed, K and V over all n,
-        # but none for a projection forward runs as its span
-        macs = (heads * rows * q_in * w, heads * n * wk.shape[1] * w,
-                heads * n * v_in * w_v, rows * heads * w_v * wo.shape[1])
-        proj += sum(m for m, span in zip(macs, lw.runs_as_span(n, lo)) if not span)
+        # Q and the out-projection over the rows computed, K and V over all n
+        macs = (rows * w, n * w, n * w_v, rows * w_v)
+        proj += heads * d * sum(m for m, s in zip(macs, lw.scaled) if s is None)
         attn += heads * rows * n * (w + w_v)
         if lw.w1 is not None:
             ffn += 2 * rows * lw.w1.size

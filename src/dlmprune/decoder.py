@@ -36,7 +36,7 @@ from .numerics import Matrix, SeededRng, softmax_row_max, softmax_rows  # noqa: 
 _UFUNC_BUFSIZE = 512
 # The largest forward buffers (``model.ForwardBuffers``) a finished decode
 # leaves to the next decode of its model. Setting buffers up costs a decode
-# 30 to 45 us: 3 to 10% of a copy8x8 or tiny16 decode (under 300 KiB of
+# 30 to 45 us: 3 to 10% of a copy8x8 or tiny16 decode (320 and 48 KiB of
 # buffers), nothing to speak of in a vit1024 one, whose 7.3 MiB would raise
 # the benchmark's peak RSS by 5% if kept between decodes.
 _SPARE_BYTES = 1 << 20

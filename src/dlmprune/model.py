@@ -76,24 +76,23 @@ class AttentionCapture:
     first_row: int = 0
 
 
-def _span(used: np.ndarray, per_column: np.ndarray) -> slice:
-    """The channel span a projection runs over. For a routing projection,
-    whose every column holds at most one nonzero weight (``per_column``
-    counts them), that is the smallest span holding its ``used`` channels,
-    ``slice(0, 0)`` if it uses none; for any other, all d channels,
-    ``slice(0, d)``."""
-    if (per_column > 1).any():
-        return slice(0, used.size)
-    channels = np.flatnonzero(used)
-    return slice(int(channels[0]), int(channels[-1]) + 1) if channels.size else slice(0, 0)
-
-
-def _is_identity(block: np.ndarray) -> bool:
-    """Whether a projection cut to its span (a (heads, span, w) head stack or
-    an (h·w_v, span) out-projection) is the identity on that span: a square
-    block equal to ``np.eye`` for every head."""
-    w = block.shape[-1]
-    return w == block.shape[-2] and bool((block == np.eye(w)).all())
+def _scaled_identity(m: np.ndarray) -> Optional[tuple[slice, slice, float]]:
+    """``(rows, cols, c)`` where ``m``, a (heads, d, w) q, k or v stack or an
+    (h·w_v, d) out-projection, is c times the identity on one square block
+    in every head, ``m[..., rows, cols] == c·I``, and zero elsewhere. The
+    block holds all w columns of a stack and all h·w_v rows of an
+    out-projection; it is a span of channels on the d side. None for any
+    other projection: ``forward`` runs it dense."""
+    stack = m.T[None] if m.ndim == 2 else m  # (heads, d, w) either way
+    w = stack.shape[2]
+    used = np.flatnonzero(stack.any(axis=(0, 2)))
+    if not w or used.size != w or used[-1] - used[0] != w - 1:
+        return None
+    span, whole = slice(int(used[0]), int(used[0]) + w), slice(0, w)
+    c = float(stack[0, span.start, 0])
+    if not (stack[:, span] == c * np.eye(w)).all():
+        return None
+    return (whole, span, c) if m.ndim == 2 else (span, whole, c)
 
 
 @dataclass
@@ -106,19 +105,11 @@ class LayerWeights:
     neither, and ``forward`` skips its FFN sublayer.
 
     Shapes are checked once, here, and so is what the nonzero weights
-    imply. A channel is read where a row of ``wq``, ``wk`` or ``wv`` is
-    nonzero and written where a column of ``wo`` is. ``reads`` (q, k, v)
-    and ``writes`` (``wo``) are each projection's channel span (``_span``):
-    for a routing projection, whose every column holds at most one nonzero
-    weight, the smallest span holding the channels it reads or writes; all
-    d channels for any other. ``spanned`` holds ``wq``, ``wk``, ``wv`` and
-    ``wo`` cut to their spans, as views. ``identity`` says which of them
-    (q, k, v, wo) is the identity on its span, a square block equal to
-    ``np.eye`` for every head (``_is_identity``): ``forward`` then uses the
-    span itself in place of that product, but for v in a layer with a
-    one-row tile (``runs_as_span``). k is not, where q is the identity on
-    the same span: ``a @ a.T`` would run as numpy's syrk, whose rounding
-    can differ from the product's gemm. ``ties`` says whether consecutive
+    imply. ``scaled`` holds, for q, k, v and ``wo``, ``_scaled_identity``:
+    ``(rows, cols, c)`` where the projection is c times the identity on one
+    block, None where it is dense. ``reads`` (q, k, v) are the channels each
+    reads, ``rows``, and ``writes`` those ``wo`` writes, ``cols``; a dense
+    projection reads or writes all d. ``ties`` says whether consecutive
     positions holding this layer can run as one (``layer_runs``): the layer
     has no FFN and one head, and its ``writes`` span is disjoint from each
     of its ``reads`` spans. Weights are not to be changed in place after
@@ -130,10 +121,10 @@ class LayerWeights:
     wo: np.ndarray  # (heads·w_v, d), applied to the concatenated head outputs
     w1: Optional[np.ndarray] = None  # (d, mu), or None with w2: no FFN
     w2: Optional[np.ndarray] = None  # (mu, d)
+    scaled: tuple[Optional[tuple[slice, slice, float]], ...] = field(
+        init=False, repr=False)  # q, k, v, wo
     reads: tuple[slice, ...] = field(init=False, repr=False)  # q, k, v
     writes: slice = field(init=False, repr=False)
-    spanned: tuple[np.ndarray, ...] = field(init=False, repr=False)  # wq, wk, wv, wo
-    identity: tuple[bool, ...] = field(init=False, repr=False)  # q, k, v, wo
     ties: bool = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -155,28 +146,12 @@ class LayerWeights:
         for name, (array, shape) in wanted.items():
             if np.shape(array) != shape:
                 raise ValueError(f"{name} must be {shape}, got {np.shape(array)}")
-        read = [m != 0 for m in (self.wq, self.wk, self.wv)]
-        written = self.wo != 0
-        self.reads = tuple(_span(nonzero.any(axis=(0, 2)), nonzero.sum(axis=1))
-                           for nonzero in read)
-        self.writes = w = _span(written.any(axis=0), written.sum(axis=0))
-        self.spanned = tuple(m[:, s] for m, s in zip(
-            (self.wq, self.wk, self.wv, self.wo), (*self.reads, w)))
-        same = [_is_identity(m) for m in self.spanned]
-        same[1] = same[1] and not (same[0] and self.reads[0] == self.reads[1])  # no syrk
-        self.identity = tuple(same)
+        self.scaled = tuple(_scaled_identity(m) for m in (self.wq, self.wk, self.wv, self.wo))
+        full = slice(0, d)
+        self.reads = tuple(s[0] if s else full for s in self.scaled[:3])
+        self.writes = w = self.scaled[3][1] if self.scaled[3] else full
         self.ties = self.w1 is None and heads == 1 and all(
             w.stop <= r.start or r.stop <= w.start for r in self.reads)
-
-    def runs_as_span(self, n: int, lo: int) -> tuple[bool, ...]:
-        """Which of q, k, v and wo ``forward`` runs as its span in a layer
-        computing rows ``lo..n-1`` of n: those of ``identity``, but v only
-        where every row tile (``row_tiles``) holds two rows or more. A
-        one-row tile's ``attn·v`` is numpy's vector product, whose rounding
-        depends on the layout of v, a strided span view or the contiguous
-        product."""
-        q, k, v, o = self.identity
-        return q, k, v and (n - lo) // row_tiles(n, lo) > 1, o
 
 
 class HashedPatchTable:
@@ -366,11 +341,11 @@ class _Plan:
     run computes), the (rows, n) score tile ``scores``, and ``runs``, one
     tuple per layer run of ``layer_runs``: the layer, k, the first row
     ``lo`` whose output the run computes, its tile count (``row_tiles``),
-    ``LayerWeights.runs_as_span``, its views of q (n - lo rows), k, v,
-    ``heads`` (n rows), the increment, the FFN hidden layer and GELU, and
-    ``norm`` and ``work`` (n - lo rows), None where the buffers hold none.
-    ``hull``, ``kept`` and ``repeat`` serve ``forward``'s reuse of the first
-    run."""
+    which of q, k, v and ``wo`` run as a view (``forward``), its views of q
+    (n - lo rows), k, v, ``heads`` (n rows), the increment, the FFN hidden
+    layer and GELU, and ``norm`` and ``work`` (n - lo rows), None where the
+    buffers hold none. ``hull``, ``kept`` and ``repeat`` serve ``forward``'s
+    reuse of the first run."""
 
     def __init__(self, buffers: "ForwardBuffers", n: int, first_row: int):
         tile_rows = -(-n // row_tiles(n, 0))
@@ -382,9 +357,12 @@ class _Plan:
             end += k
             lo = first_row if end == len(buffers.weights.layers) else 0
             m = n - lo
-            self.runs.append((lw, k, lo, row_tiles(n, lo), lw.runs_as_span(n, lo),
-                              _rows(q, m), _rows(kk, n), v[:n], heads[:n], _rows(inc, m),
-                              _rows(hidden, m), _rows(act, m), _rows(norm, m), buffers.work[:m]))
+            views = [s is not None and s[2] == 1.0 for s in lw.scaled]
+            views[1] &= not (views[0] and lw.reads[0] == lw.reads[1])  # a @ a.T runs as syrk
+            views[2] &= m // row_tiles(n, lo) > 1  # a one-row tile's attn·v is a gemv
+            self.runs.append((lw, k, lo, row_tiles(n, lo), tuple(views), q[:m], kk[:n], v[:n],
+                              heads[:n], inc[:m], _rows(hidden, m), _rows(act, m),
+                              _rows(norm, m), buffers.work[:m]))
         self.resid = buffers.resid[:n - self.runs[0][2]]  # the rows of the first write
         first = self.runs[0][0]
         self.hull = None  # the channels of x the first run's outputs depend on, if only those
@@ -410,12 +388,10 @@ class ForwardBuffers:
     ``weights.norm``) and ``work``, the flat score array ``tiles``, and per
     layer run of ``layer_runs`` the layer, k and its (rows, ·) views of q,
     k, v, ``heads``, the increment, the FFN hidden layer and GELU; None for
-    a q, k or increment that ``forward`` takes as a span
-    (``LayerWeights.identity``) and for an FFN the layer lacks. ``work``
-    holds the ``layer_norm`` temporary, the increment and the FFN output in
-    turn. All lie in one array of ``nbytes`` bytes, in which the FFN's
-    arrays share one span with q, k, v, ``heads`` and ``tiles``, as no
-    forward needs both at once. ``tiles`` holds min(rows², B/8 + rows)
+    an FFN the layer lacks. ``work`` holds the ``layer_norm`` temporary,
+    the increment and the FFN output in turn. All lie in one array of
+    ``nbytes`` bytes, in which the FFN's arrays share one span with q, k, v,
+    ``heads`` and ``tiles``, as no forward needs both at once. ``tiles`` holds min(rows², B/8 + rows)
     elements for ``_TILE_BYTES`` B, the most a forward of n <= rows rows
     needs: in t tiles it has ceil(n/t)·n <= B/8 + n scores, since t >=
     8n²/B, and one tile only where n² <= B/8. No array holds a forward's
@@ -449,13 +425,10 @@ class ForwardBuffers:
         d = weights.config.embed_dim
         runs = layer_runs(weights)
         # per run: the widths of q, k, v, heads, the increment, the FFN hidden layer
-        # and GELU; None for a q, k or increment that forward takes as a span and for
-        # an FFN the layer lacks
-        widths = [(None if q else lw.wq.shape[2], None if k else lw.wk.shape[2],
-                   lw.wv.shape[2], lw.wo.shape[0], None if o else lw.writes.stop - lw.writes.start,
-                   mu, mu)
-                  for lw, _ in runs for q, k, _, o in [lw.identity]
-                  for mu in [None if lw.w1 is None else lw.w1.shape[1]]]
+        # and GELU; None for an FFN the layer lacks
+        widths = [(lw.wq.shape[2], lw.wk.shape[2], lw.wv.shape[2], lw.wo.shape[0],
+                   lw.writes.stop - lw.writes.start, mu, mu)
+                  for lw, _ in runs for mu in [None if lw.w1 is None else lw.w1.shape[1]]]
         size = dict(zip(_ROLES, (rows * max(c or 0 for c in role) for role in zip(*widths))),
                     resid=rows * d, norm=rows * d if weights.norm else 0,
                     tiles=min(rows * rows, _TILE_BYTES // 8 + rows))
@@ -476,6 +449,15 @@ class ForwardBuffers:
         self.runs = [(lw, k, *[None if c is None else segment[role][:rows * c].reshape(rows, c)
                                for role, c in zip(_ROLES, run_cols)])
                      for (lw, k), run_cols in zip(runs, widths)]
+
+
+def _project(a: np.ndarray, w: np.ndarray, scaled: Optional[tuple[slice, slice, float]],
+             out: np.ndarray) -> np.ndarray:
+    """``a @ w`` into ``out``, or for a scaled identity ``(rows, cols, c)``,
+    ``a[:, rows]`` times c into ``out``."""
+    if scaled is None:
+        return np.matmul(a, w, out=out)
+    return np.multiply(a[:, scaled[0]], scaled[2], out=out)
 
 
 def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
@@ -504,19 +486,17 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     ``buffers`` at its first write and updated in place from then on, so
     ``x`` itself is never written.
 
-    Each projection runs over its channel span (``LayerWeights.spanned``),
-    all d channels unless it routes: q, k and v are ``a_in[:, span] @
-    w[span]``, and the out-projection computes only its written columns,
-    which every run adds k times into the same channels of a new copy of
-    ``h``. Every output of a routing projection holds at most one nonzero
-    term, so this is bitwise the full-width product, and the other channels
-    keep ``h`` itself where the full form adds zeros: bitwise the same
-    unless ``h`` holds -0.0. A projection ``LayerWeights.runs_as_span``
-    names, the identity on its span, is that span: q, k and v are the views
-    ``a_q[lo:]``, ``a_k.T`` and ``a_v`` (of ``x`` itself in layer 1 without
-    norm; nothing writes them), and the increment is ``heads[lo:]``. A
-    product with the identity is its finite input up to the sign of a zero,
-    so this too is bitwise unless the input holds -0.0.
+    A dense projection is a product over all d channels. One that is c
+    times the identity on one block (``LayerWeights.scaled``) runs no
+    product: it is the view ``a[:, rows]`` where c is 1, and otherwise
+    ``a[:, rows]`` times c; the run adds the increment k times into only the
+    channels ``wo`` writes. For finite inputs without -0.0 that is bitwise
+    the product, whose every output holds one nonzero term and whose other
+    channels add zeros. A view is of ``x`` itself in layer 1 without norm;
+    nothing writes it. c = 1 runs as the multiply where a view would change
+    numpy's rounding of what follows: k where q is the view of the same
+    channels (``q @ k.T`` would run as syrk), and v in a layer with a
+    one-row tile (whose ``attn·v`` is a vector product).
 
     Each layer's head widths are its arrays' (``LayerWeights``); scores are
     scaled by ``1/sqrt(cfg.head_dim)`` at any width. A layer with no FFN
@@ -585,7 +565,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
         if plan.kept and plan.kept[0] == key and (plan.kept[2] is not None or not capture):
             kept = plan.kept
     # lo: the first row whose output the run computes
-    for (lw, k, lo, layer_tiles, (same_q, same_k, same_v, same_o), q_out, k_out, v_out, heads,
+    for (lw, k, lo, layer_tiles, (view_q, view_k, view_v, view_o), q_out, k_out, v_out, heads,
          inc_out, hidden, act, norm_out, work_out) in plan.runs:
         if kept:  # the first run's outputs, as an earlier forward computed them
             inc = kept[1]
@@ -593,13 +573,12 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                 total[...] = kept[2]
         else:
             a_in = layer_norm(h, out=plan.norm, work=plan.work) if weights.norm else h
-            a_q, a_k, a_v = [a_in[:, s] for s in lw.reads]
-            wq, wk, wv, wo = lw.spanned
-            dv = wv.shape[2]
+            sq, sk, sv, so = lw.scaled
+            dv = lw.wv.shape[2]
             for hd in range(cfg.heads):
-                q = a_q[lo:] if same_q else np.matmul(a_q[lo:], wq[hd], out=q_out)
-                kt = a_k.T if same_k else np.matmul(a_k, wk[hd], out=k_out).T
-                v = a_v if same_v else np.matmul(a_v, wv[hd], out=v_out)
+                q = a_in[lo:, sq[0]] if view_q else _project(a_in[lo:], lw.wq[hd], sq, q_out)
+                kt = (a_in[:, sk[0]] if view_k else _project(a_in, lw.wk[hd], sk, k_out)).T
+                v = a_in[:, sv[0]] if view_v else _project(a_in, lw.wv[hd], sv, v_out)
                 c0 = hd * dv
                 r1 = lo
                 for t in range(1, layer_tiles + 1):
@@ -614,7 +593,8 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                         for _ in range(k):
                             rows += attn[c - r0:]  # on a view: no copy back into total
                     np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
-            inc = heads[lo:] if same_o else np.matmul(heads[lo:], wo, out=inc_out)
+            # a scaled wo reads every head output: its view is heads[lo:] itself
+            inc = heads[lo:] if view_o else _project(heads[lo:], lw.wo, so, inc_out)
             if key is not None:
                 plan.kept = (key, inc.copy(), total.copy() if capture else None)
         key = kept = None  # the later runs read what the first one wrote
@@ -747,16 +727,13 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
     Each layer is attention-only and stores only the head columns it routes
     through: layer 1 has q/k width n and v width 1, the others q/k width 1
     and v width a, no layer has an FFN, and ``norm`` is unset. Every
-    projection column holds at most one nonzero weight, so every projection
-    routes and ``forward`` runs it over only its channel span
-    (``LayerWeights.reads`` and ``writes``): layer 1's q and k read n
-    channels each, its v one and its ``wo`` writes one (the flag); a fetch
-    layer's q and k read one each, its v the a visual payload channels and
-    its ``wo`` writes the a fetched ones. All but layer 1's v (a gain of
-    20) and a fetch layer's q (20) are the identity on their span
-    (``LayerWeights.identity``), so ``forward`` uses the span itself and
-    runs no product for them; the activations are all >= 0, so that is
-    bitwise the product. Layers 2..L are one
+    projection is c times the identity on one block of channels
+    (``LayerWeights.scaled``), so ``forward`` runs no product for it: layer
+    1's q and k read n channels each, its v one (c = 20) and its ``wo``
+    writes one (the flag); a fetch layer's q (c = 20) and k read one each,
+    its v the a visual payload channels and its ``wo`` writes the a fetched
+    ones. The other six have c = 1 and run as views. The activations are
+    all >= 0, so that is bitwise the product. Layers 2..L are one
     ``LayerWeights`` object whose one head writes a span none of its reads
     meet (``ties``), so ``forward`` runs them as one run (``layer_runs``): a
     forward is the broadcast layer over all n rows, then one fetch layer

@@ -90,21 +90,15 @@ class TestExecutedMacs:
         # n = 64 patches + 1 prompt + 8 response rows, d = 2·64 + 4 + 2·16 =
         # 164; the broadcast layer has q/k width 64 and v width 1, the 11
         # fetch positions hold one layer object with q/k width 1 and v width
-        # 16, and no layer has an FFN. Every projection routes, so it runs
-        # over the channels it reads or writes: broadcast q and k read 64
-        # each, v reads 1 and wo writes 1; fetch q and k read 1 each, v reads
-        # 16 and wo writes 16. All but broadcast v (a gain of 20) and fetch q
-        # (20) are the identity on their span and run no product, but for
-        # fetch v where its one-row tile at first_row 72 keeps the product.
+        # 16, and no layer has an FFN. Every projection is c times the
+        # identity on one block of channels, so none runs a product, not even
+        # fetch v where its one-row tile at first_row 72 makes it a multiply.
         # model.layer_runs gives [broadcast ×1, fetch ×11] at any first_row,
-        # and the fetch run ends at the last layer, so the count is
-        # broadcast + one fetch over rows first_row..72
+        # and the fetch run ends at the last layer, so the attention count
+        # is broadcast + one fetch over rows first_row..72
         w = build_copy_model((8, 8), tuple(f"s{j}" for j in range(16)))
         n, r = 73, 73 - first_row
-        broadcast = (n * 1 * 1, n * n * (64 + 1))
-        fetch = (r * 1 * 1 + (n * 16 * 16 if r == 1 else 0), r * n * (1 + 16))
-        assert executed_macs(w, n, first_row) == (broadcast[0] + fetch[0],
-                                                   broadcast[1] + fetch[1], 0)
+        assert executed_macs(w, n, first_row) == (0, n * n * (64 + 1) + r * n * (1 + 16), 0)
 
     @pytest.mark.parametrize("first_row", [-1, 10])
     def test_first_row_outside_the_rows_rejected(self, first_row):

@@ -182,6 +182,18 @@ def layer_arrays(heads=2, d=8, w=3, w_v=5, mu=4):
                 wv=np.zeros((heads, d, w_v)), wo=np.zeros((heads * w_v, d)), **ffn)
 
 
+def eye_layer(d, starts, gains=(1.0,) * 4, heads=1, w=1, w_v=1):
+    """An attention-only layer whose q, k and v are, in every head, gain
+    times the identity from channels ``starts[i]..`` to their w or w_v
+    columns, and whose ``wo`` is gain times it from the h·w_v head outputs
+    to channels ``starts[3]..``."""
+    arrays = layer_arrays(heads, d, w, w_v, mu=None)
+    for name, start, gain in zip(("wq", "wk", "wv", "wo"), starts, gains):
+        m = arrays[name] if name != "wo" else arrays[name].T[None]  # (heads, d, width)
+        m[:, start:start + m.shape[2]] = gain * np.eye(m.shape[2])
+    return LayerWeights(**arrays)
+
+
 class TestLayerWeights:
     @pytest.mark.parametrize("name,shape", [
         ("wq", (2, 8)), ("wk", (2, 8, 4)), ("wk", (1, 8, 3)), ("wv", (2, 7, 5)),
@@ -201,43 +213,42 @@ class TestLayerWeights:
         lw = LayerWeights(**arrays)
         assert lw.w1 is None and lw.w2 is None
 
-    @pytest.mark.parametrize("read,written,ties", [
-        (None, None, True), (("wq", 0), 1, True), (("wq", 2), 2, False),
-        (("wk", 5), 5, False), (("wv", 7), 7, False), (("wv", 7), 6, True)])
-    def test_ties_compares_the_span_wo_writes_with_those_qkv_read(self, read, written, ties):
-        # one-head attention-only layer: a channel is read where a row of
-        # wq, wk or wv is nonzero, and written where a column of wo is
-        arrays = layer_arrays(heads=1, mu=None)
-        if read is not None:
-            name, channel = read
-            arrays[name][0, channel, 2] = 0.5
-            arrays["wo"][3, written] = -2.0
-        assert LayerWeights(**arrays).ties == ties
+    @pytest.mark.parametrize("starts,ties", [
+        ((0, 1, 2, 3), True), ((0, 1, 2, 7), True), ((0, 1, 2, 2), False), ((5, 0, 1, 5), False),
+        ((0, 4, 2, 3), True), ((0, 4, 2, 4), False)])
+    def test_ties_compares_the_span_wo_writes_with_those_qkv_read(self, starts, ties):
+        # one-head attention-only layer of width 1: q, k and v read channels
+        # starts[:3] and wo writes channel starts[3]
+        lw = eye_layer(8, starts, gains=(0.5, 1.0, -2.0, 3.0))
+        assert lw.reads == tuple(slice(c, c + 1) for c in starts[:3])
+        assert lw.writes == slice(starts[3], starts[3] + 1)
+        assert lw.ties == ties
 
     @pytest.mark.parametrize("case,ties", [
-        ("ffn", False), ("two_heads", False), ("dense_wo", False), ("zero_qkv", True)])
+        ("ffn", False), ("two_heads", False), ("dense_wo", False), ("dense_q", False),
+        ("none", True)])
     def test_ties_needs_no_ffn_one_head_and_a_write_span_no_read_span_meets(self, case, ties):
-        # q reads channel 0 and wo writes channel 6 (which ties on its
-        # own), but for the case named
+        # q, k and v read channels 0..1 and wo writes channels 6.. (which
+        # ties on its own), but for the case named
         rng = SeededRng(1)
-        arrays = layer_arrays(heads=2 if case == "two_heads" else 1,
-                              mu=4 if case == "ffn" else None)
-        arrays["wq"][0, 0, 2] = 0.5
-        arrays["wo"][3, 6] = -2.0
-        if case == "dense_wo":  # every wo column takes all 5 head rows: all 8 channels
-            arrays["wo"] = rng.normal(size=arrays["wo"].shape)
-        if case == "zero_qkv":  # spans of no channel meet nothing, even all d written
-            arrays["wq"][:] = 0.0
-            arrays["wo"] = rng.normal(size=arrays["wo"].shape)
-        lw = LayerWeights(**arrays)
-        assert lw.writes == (slice(0, 8) if case in ("dense_wo", "zero_qkv") else slice(6, 7))
+        heads = 2 if case == "two_heads" else 1
+        lw = eye_layer(8, (0, 0, 0, 6), heads=heads, w=2, w_v=1)
+        if case == "ffn":
+            lw = dataclasses.replace(lw, w1=rng.normal(size=(8, 4)), w2=rng.normal(size=(4, 8)))
+        if case == "dense_wo":  # every wo column takes the head row: all 8 channels
+            lw = dataclasses.replace(lw, wo=rng.normal(size=lw.wo.shape))
+        if case == "dense_q":
+            lw = dataclasses.replace(lw, wq=rng.normal(size=lw.wq.shape))
+        assert lw.writes == (slice(0, 8) if case == "dense_wo" else slice(6, 6 + heads))
+        assert lw.reads[0] == (slice(0, 8) if case == "dense_q" else slice(0, 2))
         assert lw.ties == ties
 
     @pytest.mark.parametrize("grid,num_symbols", [((2, 3), 3), ((8, 8), 16)])
     def test_copy_layers_span_the_channels_they_read_and_write(self, grid, num_symbols):
         # channel plan of build_copy_model: position codes [0, n), pointer
         # codes [n, 2n), flag 2n, index mark 2n+1, mask mark 2n+2, ramp
-        # 2n+3, visual payload [2n+4, 2n+4+a), fetched payload after it
+        # 2n+3, visual payload [2n+4, 2n+4+a), fetched payload after it;
+        # broadcast v and fetch q have gain 20, the other six gain 1
         w = build_copy_model(grid, tuple(f"s{j}" for j in range(num_symbols)))
         n, a = w.config.num_patches, num_symbols
         broadcast, fetch = w.layers[:2]
@@ -246,87 +257,90 @@ class TestLayerWeights:
         assert fetch.reads == (slice(2 * n + 2, 2 * n + 3), slice(2 * n, 2 * n + 1),
                                slice(2 * n + 4, 2 * n + 4 + a))
         assert fetch.writes == slice(2 * n + 4 + a, 2 * n + 4 + 2 * a)
-        for lw in (broadcast, fetch):
-            spans = (*lw.reads, lw.writes)
-            for narrow, m, s in zip(lw.spanned, (lw.wq, lw.wk, lw.wv, lw.wo), spans):
-                assert np.shares_memory(narrow, m)
-                np.testing.assert_array_equal(narrow, m[:, s])
+        for lw, gains in ((broadcast, (1.0, 1.0, 20.0, 1.0)), (fetch, (20.0, 1.0, 1.0, 1.0))):
+            assert [c for _, _, c in lw.scaled] == list(gains)
+            for m, (rows, cols, c) in zip((lw.wq, lw.wk, lw.wv, lw.wo), lw.scaled):
+                assert rows.stop - rows.start == cols.stop - cols.start
+                np.testing.assert_array_equal(m[..., rows, cols],
+                                              np.broadcast_to(c * np.eye(rows.stop - rows.start),
+                                                              m[..., rows, cols].shape))
 
     def test_a_dense_layer_spans_every_channel(self):
         lw = init_random_model(small_config(), 1).layers[0]
         assert (*lw.reads, lw.writes) == (slice(0, 16),) * 4
-        for narrow, m in zip(lw.spanned, (lw.wq, lw.wk, lw.wv, lw.wo)):
-            assert np.shares_memory(narrow, m)
-            np.testing.assert_array_equal(narrow, m)
+        assert lw.scaled == (None,) * 4
 
     @pytest.mark.parametrize("name", ["wq", "wk", "wv", "wo"])
     def test_a_column_with_two_nonzeros_spans_every_channel(self, name):
-        # one nonzero per column on channels 2 and 4 spans [2, 5), gap and all
-        arrays = layer_arrays()  # heads 2, d 8, q/k width 3, v width 5
-        for m in ("wq", "wk", "wv"):
-            arrays[m][1, 2, 0] = 1.0
-            arrays[m][0, 4, 1] = -1.0
-        arrays["wo"][3, 2] = 1.0
-        arrays["wo"][7, 4] = -1.0
-        lw = LayerWeights(**arrays)
-        assert (*lw.reads, lw.writes) == (slice(2, 5),) * 4
-        if name == "wo":
-            arrays["wo"][5, 2] = 0.5  # wo column 2 now takes head rows 3 and 5
-        else:
-            arrays[name][1, 3, 0] = 0.5  # column 0 of head 1 now reads channels 2 and 3
-        lw = LayerWeights(**arrays)
-        spans = dict(zip(["wq", "wk", "wv", "wo"], (*lw.reads, lw.writes)))
-        assert spans.pop(name) == slice(0, 8)
-        assert list(spans.values()) == [slice(2, 5)] * 3
-        narrow = lw.spanned[["wq", "wk", "wv", "wo"].index(name)]
-        assert np.shares_memory(narrow, arrays[name])
-        np.testing.assert_array_equal(narrow, arrays[name])
-
-    def test_an_all_zero_projection_spans_no_channel(self):
-        lw = LayerWeights(**layer_arrays())
-        assert (*lw.reads, lw.writes) == (slice(0, 0),) * 4
-        assert [m.shape for m in lw.spanned] == [(2, 0, 3), (2, 0, 3), (2, 0, 5), (10, 0)]
+        # q, k and v read channels 0..1, 2..3 and 4, and wo writes channel 6;
+        # a second nonzero in column 0 of the named projection, at channel 5,
+        # makes it dense and leaves the other three as they were
+        names = ["wq", "wk", "wv", "wo"]
+        lw = eye_layer(8, (0, 2, 4, 6), w=2, w_v=1)
+        m = getattr(lw, name).copy()
+        (m.T[None] if name == "wo" else m)[0, 5, 0] = 0.5
+        dense = dataclasses.replace(lw, **{name: m})
+        i = names.index(name)
+        spans = [*dense.reads, dense.writes]
+        assert spans.pop(i) == slice(0, 8)
+        assert spans == [s for j, s in enumerate((*lw.reads, lw.writes)) if j != i]
+        assert dense.scaled[i] is None
+        assert dense.scaled[:i] + dense.scaled[i + 1:] == lw.scaled[:i] + lw.scaled[i + 1:]
+        assert lw.ties and not dense.ties
 
     @pytest.mark.parametrize("name", ["wq", "wk", "wv", "wo"])
-    @pytest.mark.parametrize("block,identity", [
-        ([[1.0]], True), (np.eye(3), True), ([[20.0]], False),
-        ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], False), (np.zeros((0, 1)), False)])
-    def test_a_projection_is_the_identity_where_its_span_block_is_eye(self, name, block,
-                                                                       identity):
+    @pytest.mark.parametrize("block,gain", [
+        ([[1.0]], 1.0), (np.eye(3), 1.0), ([[20.0]], 20.0), (-2.5 * np.eye(3), -2.5),
+        (np.eye(3)[[1, 2, 0]], None)])  # a permutation
+    def test_each_projection_keeps_its_own_rule(self, name, block, gain):
         # one head, d 8: the named projection holds `block` at channels 2..,
-        # the others are all zero; np.zeros((0, 1)) is a width-1 projection
-        # that reads or writes no channel, a zero-width span
+        # the other three are all zero, so dense, and read or write all 8
+        names = ["wq", "wk", "wv", "wo"]
         block = np.asarray(block)
-        span, width = block.shape
+        rows, width = block.shape
         arrays = layer_arrays(heads=1, w=width, w_v=width, mu=None)
         if name == "wo":
-            arrays["wo"][:, 2:2 + span] = block.T
+            arrays["wo"][:, 2:2 + rows] = block.T
         else:
-            arrays[name][0, 2:2 + span] = block
-        names = ["wq", "wk", "wv", "wo"]
-        assert LayerWeights(**arrays).identity == tuple(identity and m == name for m in names)
+            arrays[name][0, 2:2 + rows] = block
+        lw = LayerWeights(**arrays)
+        span, whole = slice(2, 2 + width), slice(0, width)
+        want = (whole, span, gain) if name == "wo" else (span, whole, gain)
+        scaled = gain is not None
+        assert lw.scaled == tuple(want if m == name and scaled else None for m in names)
+        assert (*lw.reads, lw.writes) == tuple(span if m == name and scaled else slice(0, 8)
+                                               for m in names)
 
-    @pytest.mark.parametrize("second,identity", [
-        (np.eye(2), True), ([[0.0, 1.0], [1.0, 0.0]], False), (2.0 * np.eye(2), False)])
-    def test_every_head_must_be_eye(self, second, identity):
-        # two heads of width 2: q and v read channels 2..3, k 4..5, and wo
-        # writes 2..5
-        arrays = layer_arrays(heads=2, w=2, w_v=2, mu=None)
-        for name, start in (("wq", 2), ("wk", 4), ("wv", 2)):
-            arrays[name][0, start:start + 2] = np.eye(2)
-            arrays[name][1, start:start + 2] = second
-        arrays["wo"][:2, 2:4] = np.eye(2)
-        arrays["wo"][2:, 4:6] = second
-        assert LayerWeights(**arrays).identity == (identity,) * 4
+    @pytest.mark.parametrize("block,gain", [
+        (np.eye(3), 1.0), (-2.5 * np.eye(3), -2.5), ([[20.0]], 20.0),
+        (np.eye(3)[[1, 2, 0]], None),  # a permutation
+        ([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], None),  # column 0 reads two
+        (np.zeros((3, 3)), None),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], None),  # 4 x 3
+        (np.eye(2, 3), None),  # column 2 reads nothing
+        (np.zeros((3, 0)), None)])  # no column at all
+    def test_a_projection_is_scaled_where_its_block_is_c_times_eye(self, block, gain):
+        # d 8: two equal heads of a q stack hold `block` at channels 2..,
+        # and an out-projection holds its transpose at those channels
+        block = np.asarray(block)
+        rows, width = block.shape
+        stack, wo = np.zeros((2, 8, width)), np.zeros((width, 8))
+        stack[:, 2:2 + rows] = block
+        wo[:, 2:2 + rows] = block.T
+        span, whole = slice(2, 2 + width), slice(0, width)
+        assert model._scaled_identity(stack) == (None if gain is None else (span, whole, gain))
+        assert model._scaled_identity(wo) == (None if gain is None else (whole, span, gain))
 
-    @pytest.mark.parametrize("k_start,identity", [(2, (True, False)), (3, (True, True))])
-    def test_k_keeps_its_product_where_q_is_the_identity_on_the_same_span(self, k_start,
-                                                                          identity):
-        # a_q @ a_k.T with a_k the same view as a_q runs as numpy's syrk
-        arrays = layer_arrays(heads=1, w=2, mu=None)
-        arrays["wq"][0, 2:4] = np.eye(2)
-        arrays["wk"][0, k_start:k_start + 2] = np.eye(2)
-        assert LayerWeights(**arrays).identity[:2] == identity
+    @pytest.mark.parametrize("second,scaled", [
+        (np.eye(2), True), ([[0.0, 1.0], [1.0, 0.0]], False), (2.0 * np.eye(2), False),
+        (np.zeros((2, 2)), False)])
+    def test_every_head_must_be_the_same_c_times_eye(self, second, scaled):
+        # two heads of width 2 reading channels 2..3: head 0 is the identity
+        stack = np.zeros((2, 8, 2))
+        stack[0, 2:4] = np.eye(2)
+        stack[1, 2:4] = second
+        want = (slice(2, 4), slice(0, 2), 1.0) if scaled else None
+        assert model._scaled_identity(stack) == want
 
     @pytest.mark.parametrize("missing,given", [("w1", "w2"), ("w2", "w1")])
     def test_ffn_given_in_part_rejected(self, missing, given):
@@ -643,21 +657,19 @@ def disjoint_layer(rng, heads, d, read, w=3, w_v=2):
     return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo)
 
 
-def routing_layer(rng, heads, d, read, written, w, w_v):
-    """A layer whose q, k and v columns each hold one nonzero weight, in a
-    channel drawn from ``read``, and whose ``wo`` writes each channel of
-    ``written`` from at most one head output: routing projections whose
-    spans can hold gaps."""
-    wq, wk, wv = (np.zeros((heads, d, width)) for width in (w, w, w_v))
-    for m in (wq, wk, wv):
-        for hd in range(heads):
-            rows = np.asarray(read)[rng.integers(0, len(read), size=m.shape[2])]
-            m[hd, rows, np.arange(m.shape[2])] = rng.normal(size=m.shape[2])
-    wo = np.zeros((heads * w_v, d))
-    rows = rng.integers(0, heads * w_v + 1, size=len(written))
-    kept = rows < heads * w_v  # row heads·w_v: the channel is left unwritten
-    wo[rows[kept], np.asarray(written)[kept]] = rng.normal(size=int(kept.sum()))
-    return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo)
+def eye_block_layer(data, rng, heads, d, read, written, w, w_v):
+    """An attention-only layer whose q, k and v blocks sit at drawn offsets
+    in channels ``read`` and whose ``wo`` block sits in ``written``
+    (``eye_layer``): each the identity in every head, or, where drawn so, a
+    random gain times it. k may be drawn onto q's channels."""
+    starts = [data.draw(st.integers(span.start, span.stop - width), label=f"{what} offset")
+              for span, width, what in ((read, w, "q"), (read, w, "k"), (read, w_v, "v"),
+                                        (written, heads * w_v, "wo"))]
+    if data.draw(st.booleans(), label="k on q's channels"):
+        starts[1] = starts[0]
+    gains = [1.0 if data.draw(st.booleans(), label=f"{what} is the identity") else rng.normal()
+             for what in ("q", "k", "v", "wo")]
+    return eye_layer(d, starts, gains, heads, w, w_v)
 
 
 def copy_model_input(w, grid, symbols):
@@ -681,7 +693,7 @@ def softmax_calls(w, x, **kwargs):
 
 class TestTiedRuns:
     """A run of positions holding one one-head attention-only layer object
-    whose routing out-projection writes a span none of its reads meet
+    whose out-projection writes a span none of its reads meet
     (``LayerWeights.ties``), in a model without norm, runs once per
     forward."""
 
@@ -725,11 +737,11 @@ class TestTiedRuns:
         heads = 2 if case == "two_heads" else 1
         cfg = small_config(layers=layers, heads=heads, embed_dim=8)
         rng = SeededRng(3)
-        if case == "dense":  # writes no channel it reads, but not by routing
+        if case == "dense":  # writes no channel it reads, but densely
             lw = disjoint_layer(rng, heads, 8, read=4)
-        else:
-            read = range(4, 8) if case == "reads_writes" else range(4)
-            lw = routing_layer(rng, heads, 8, read, range(4, 8), w=3, w_v=2)
+        else:  # q, k and v read channels 0..3 (4..7 in case reads_writes), wo writes 4..
+            starts = (4, 5, 6, 4) if case == "reads_writes" else (0, 1, 2, 4)
+            lw = eye_layer(8, starts, (1.5, 1.0, -2.0, 1.0), heads, w=3, w_v=2)
         if case == "ffn":
             lw = dataclasses.replace(lw, w1=rng.normal(size=(8, 5)), w2=rng.normal(size=(5, 8)))
         assert lw.ties == (case in ("routing", "norm"))
@@ -761,11 +773,11 @@ class TestTiedRuns:
         k = data.draw(st.integers(2, layers - start), label="run length")
         first_row = data.draw(st.integers(0, n - 1), label="first_row")
         read = data.draw(st.integers(1, d - 1), label="channels read")
-        width = data.draw(st.integers(1, 5), label="q/k width")
-        v_width = data.draw(st.integers(1, 5), label="v width")
+        width = data.draw(st.integers(1, read), label="q/k width")
+        v_width = data.draw(st.integers(1, min(read, d - read)), label="v width")
         cfg = small_config(layers=layers, heads=1, embed_dim=d)
         rng = SeededRng(seed)
-        tied = routing_layer(rng, 1, d, range(read), range(read, d), width, v_width)
+        tied = eye_block_layer(data, rng, 1, d, range(read), range(read, d), width, v_width)
         w = init_random_model(cfg, seed)
         positions = [dataclasses.replace(lw, w1=None, w2=None) for lw in w.layers]
         positions[start:start + k] = [tied] * k
@@ -793,100 +805,28 @@ def assert_matches_the_layer_by_layer_forward(x, w, first_row, last_run, logits,
             check(cap.maps[0][0], head_mean([m[len(m) - (n - first_row):] for m in maps]))
 
 
-class TestChannelSpans:
-    """A routing projection runs over the channels it reads or writes. Each
-    output is then a single product, so that is bitwise the full-width
-    product for an input without -0.0."""
-
-    @pytest.mark.parametrize("read,v_width,n", [(1, 2, 1), (3, 1, 5)])
-    def test_columns_with_several_nonzeros_run_full_width(self, read, v_width, n):
-        # (1, 2, 1): q, k and v read channel 0 alone, but wo's two head rows
-        # both write channels 1..3; (3, 1, 5): wo writes channel 3 from one
-        # head row, but q, k and v columns read channels 0..2. Cut to its
-        # span, the projection with several nonzeros per column rounds
-        # differently from the full-width one at some of these seeds
-        spans = (((slice(0, 1),) * 3, slice(0, 4)) if read == 1
-                 else ((slice(0, 4),) * 3, slice(3, 4)))
-        for seed in range(20):
-            rng = SeededRng(seed)
-            lw = disjoint_layer(rng, 1, 4, read, w_v=v_width)
-            assert (lw.reads, lw.writes) == spans
-            w = dataclasses.replace(
-                init_random_model(small_config(layers=2, heads=1, embed_dim=4), seed),
-                layers=[lw] * 2, norm=False)
-            x = np.abs(rng.normal(size=(n, 4)))
-            np.testing.assert_array_equal(forward(x, w)[0], reference_forward(x, w)[0])
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), layers=st.integers(2, 5), heads=st.integers(1, 3),
-           n=st.integers(1, 16), capture=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_routing_layers_are_bitwise_the_full_width_forward(self, data, layers, heads, n,
-                                                               capture, seed):
-        # positions start..start+k-1 hold one layer that reads channels
-        # below `split` and writes those above it, so with one head they run
-        # as one tied run and with more layer by layer; every other
-        # position reads and writes anywhere
-        d = heads * data.draw(st.integers(2, 6), label="head_dim")
-        split = data.draw(st.integers(1, d - 1), label="split")
-        start = data.draw(st.integers(0, layers - 2), label="run start")
-        k = data.draw(st.integers(2, layers - start), label="run length")
-        first_row = data.draw(st.sampled_from([0, n - 1, n // 2]), label="first_row")
-        rng = SeededRng(seed)
-
-        def layer(read, written):
-            return routing_layer(rng, heads, d, read, written, data.draw(st.integers(1, 5)),
-                                 data.draw(st.integers(1, 5)))
-
-        tied = layer(range(split), range(split, d))
-        positions = [tied if start <= i < start + k else layer(range(d), range(d))
-                     for i in range(layers)]
-        cfg = small_config(layers=layers, heads=heads, embed_dim=d)
-        w = dataclasses.replace(init_random_model(cfg, seed), layers=positions, norm=False)
-        runs = [kk for _, kk in layer_runs(w)]
-        assert (k in runs) == (heads == 1)
-        x = np.abs(rng.normal(size=(n, d)))  # no -0.0, whose sign a skipped add would flip
-        logits, cap = forward(x, w, capture=capture, first_row=first_row)
-        assert_matches_the_layer_by_layer_forward(x, w, first_row, runs[-1], logits, cap)
-
-
-def eye_block_layer(data, rng, heads, d, read_to, write_from, w, w_v):
-    """A layer whose q, k and v blocks sit at drawn offsets in channels
-    [0, read_to) and whose ``wo`` block sits in [write_from, d): each the
-    identity in every head, or, where drawn so, a random gain times it."""
-    def block(width, lo, hi, what):
-        start = data.draw(st.integers(lo, hi - width), label=f"{what} offset")
-        gain = 1.0 if data.draw(st.booleans(), label=f"{what} is the identity") else rng.normal()
-        return slice(start, start + width), gain * np.eye(width)
-
-    wq, wk, wv = (np.zeros((heads, d, width)) for width in (w, w, w_v))
-    for m, what in ((wq, "q"), (wk, "k"), (wv, "v")):
-        span, eye = block(m.shape[2], 0, read_to, what)
-        m[:, span] = eye
-    wo = np.zeros((heads * w_v, d))
-    span, eye = block(heads * w_v, write_from, d, "wo")
-    wo[:, span] = eye
-    return LayerWeights(wq=wq, wk=wk, wv=wv, wo=wo)
-
-
 def with_every_product(lw):
-    """A copy of ``lw`` whose ``identity`` is cleared, so ``forward`` runs
-    every product. (Zero-padding a block to make it non-square would also
-    widen ``attn·v``, and BLAS rounds an (n, n)·(n, w) product differently
-    from the first w columns of an (n, n)·(n, w+1) one at some shapes.)"""
+    """A copy of ``lw`` whose ``scaled`` is cleared and whose ``writes`` are
+    all d channels, so ``forward`` runs every projection as a dense product.
+    (Zero-padding a block to make it non-square would also widen
+    ``attn·v``, and BLAS rounds an (n, n)·(n, w) product differently from
+    the first w columns of an (n, n)·(n, w+1) one at some shapes.)"""
     lw = copy.copy(lw)
-    lw.identity = (False,) * 4
+    lw.scaled = (None,) * 4
+    lw.writes = slice(0, lw.wq.shape[1])
     return lw
 
 
-class TestIdentityProjections:
-    """A projection that is the identity on its span runs as that span
-    (``LayerWeights.runs_as_span``). For finite inputs without -0.0 that is
-    bitwise the product it replaces, at any tiling and ``first_row``."""
+class TestScaledIdentities:
+    """A projection that is c times the identity on one block
+    (``LayerWeights.scaled``) runs no product: a view of its input where c
+    is 1, a multiply by c otherwise. For finite inputs without -0.0 that is
+    bitwise the dense product, at any tiling and ``first_row``."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data(), layers=st.integers(1, 4), heads=st.integers(1, 3),
            n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-    def test_identity_spans_are_bitwise_the_products(self, data, layers, heads, n, seed):
+    def test_scaled_identities_are_bitwise_the_products(self, data, layers, heads, n, seed):
         # with `disjoint` q, k and v read channels below `read_to` and wo
         # writes those above, so one-head attention-only positions repeating
         # one object tie; otherwise every block may sit anywhere
@@ -903,8 +843,8 @@ class TestIdentityProjections:
             if positions and data.draw(st.booleans(), label="repeat the layer before"):
                 positions.append(positions[-1])
                 continue
-            lw = eye_block_layer(data, rng, heads, d, read_to if disjoint else d,
-                                 read_to if disjoint else 0, w, w_v)
+            lw = eye_block_layer(data, rng, heads, d, range(read_to if disjoint else d),
+                                 range(read_to if disjoint else 0, d), w, w_v)
             if data.draw(st.booleans(), label="ffn"):
                 lw = dataclasses.replace(lw, w1=rng.normal(size=(d, 3)),
                                          w2=rng.normal(size=(3, d), scale=0.1))
@@ -941,10 +881,10 @@ class TestForwardNeverWritesItsInput:
             return w, x, w.config.num_patches + 1
         w = init_random_model(small_config(layers=4, embed_dim=8), 5)
         if kind == "tied_first":
-            # one one-head routing write-disjoint attention-only layer at
+            # one one-head write-disjoint attention-only layer at
             # every position: the run starts at layer 1, so it adds into x's rows
             w = init_random_model(small_config(layers=4, heads=1, embed_dim=8), 5)
-            lw = routing_layer(SeededRng(5), 1, 8, range(4), range(4, 8), w=3, w_v=2)
+            lw = eye_layer(8, (0, 1, 2, 4), (1.5, 1.0, -2.0, 1.0), w=3, w_v=2)
             w = dataclasses.replace(w, layers=[lw] * 4, norm=False)
         x = np.vstack([encode_image([["a", "b"], ["c", "d"]], w), embed_prompt([1, 2], w),
                        embed_response([11, 3, 11], w)])
@@ -1020,6 +960,21 @@ class TestForwardBuffers:
         assert [run[2] for run in last.runs] == [0, 5]  # lo of each run
         assert last.runs[-1][5].shape == (7, w.layers[1].wq.shape[2])  # q of rows 5..11
 
+    @pytest.mark.parametrize("gains,k_start,first_row,views", [
+        ((1.0, 1.0, 1.0, 1.0), 3, 0, (True, True, True, True)),
+        ((1.0, 1.0, 1.0, 1.0), 2, 0, (True, False, True, True)),
+        ((2.0, 1.0, 1.0, -1.0), 2, 0, (False, True, True, False)),
+        ((1.0, 1.0, 1.0, 1.0), 3, 9, (True, True, False, True))])
+    def test_c_1_runs_as_a_view_but_where_numpy_would_round_it_differently(
+            self, gains, k_start, first_row, views):
+        # q reads channels 2..3: k on the same channels as a view of them
+        # would make q @ k.T numpy's syrk, and a one-row tile (rows 9..9)
+        # would make attn·v a vector product over a view
+        lw = eye_layer(8, (2, k_start, 4, 6), gains, w=2, w_v=1)
+        w = dataclasses.replace(init_random_model(small_config(layers=1, heads=1, embed_dim=8), 0),
+                                layers=[lw], norm=False)
+        assert ForwardBuffers().plan(w, 10, first_row).runs[0][4] == views
+
     @pytest.mark.parametrize("first_row", [0, 5])
     @pytest.mark.parametrize("norm", [False, True])
     def test_a_kept_set_gives_the_fresh_sets_bits(self, norm, first_row):
@@ -1048,7 +1003,8 @@ class TestFirstRunReuse:
         w = init_random_model(small_config(layers=layers, heads=heads, embed_dim=d), seed)
         positions = [dataclasses.replace(lw, w1=None, w2=None) for lw in w.layers]
         if routing:  # reads channels 2..4, so edits of the others leave its inputs alone
-            positions[0] = routing_layer(rng, heads, d, range(2, 5), range(5, 8), w=3, w_v=2)
+            positions[0] = eye_block_layer(data, rng, heads, d, range(2, 5), range(5, 8), w=3,
+                                           w_v=1)
         w = dataclasses.replace(w, layers=positions, norm=False)
         hull = ForwardBuffers().plan(w, n, 0).hull
         assert (2 <= hull.start and hull.stop <= 5) if routing else (hull == slice(0, d))

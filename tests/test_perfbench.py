@@ -65,7 +65,7 @@ def test_random_workload_layers_span_every_channel_and_never_tie(name, monkeypat
     for lw in w.layers:
         assert (*lw.reads, lw.writes) == (full,) * 4
         assert not lw.ties
-        assert lw.identity == (False,) * 4  # no projection runs as its span
+        assert lw.scaled == (None,) * 4  # every projection is dense
 
 
 def test_copy_workload_layers_span_the_channels_they_route(monkeypatch):
@@ -82,7 +82,7 @@ def test_copy_workload_layers_span_the_channels_they_route(monkeypatch):
     assert fetch.writes == slice(2 * n + 4 + a, d)
     assert broadcast.ties and fetch.ties
     assert all(lw is fetch for lw in w.layers[1:])
-    # forward runs these as their spans: all but broadcast v and fetch q,
-    # whose gains are 20
-    assert broadcast.identity == (True, True, False, True)
-    assert fetch.identity == (False, True, True, True)
+    # every projection is c times the identity on its block: c = 20 for
+    # broadcast v and fetch q, c = 1 for the other six
+    assert [s[2] for s in broadcast.scaled] == [1.0, 1.0, 20.0, 1.0]
+    assert [s[2] for s in fetch.scaled] == [20.0, 1.0, 1.0, 1.0]

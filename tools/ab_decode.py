@@ -10,23 +10,25 @@ workload (``all`` by default) each side builds its model and the first
 decodes them under every variant in ``workloads.VARIANTS`` as the benchmark
 does (``checkout.decode``).
 
-It exits 1, before timing anything, unless both sides decode every variant
-bitwise alike in the fields ``tools/decode_digest.py`` hashes
-(``checkout.record_decode``): the decoded ids, the positions committed at
-each step, the per-step sequence lengths, the score traces, the keep sets
-applied, and the logits and captured maps of every forward. Each round then
-times, per variant, a batch of decodes on each side, alternating which side
-runs first; a batch holds as many decodes as make about 20 ms of the base
-side's baseline, cycling through the inputs. Per workload it prints, per
-variant, each side's median seconds per decode, the median ratio head/base
-with its quartiles and its bootstrap 95% interval (``bootstrap_interval``),
-the rounds the head side won, and each side's median thread CPU seconds
-(``time.thread_time``) and minor page faults (``getrusage(RUSAGE_THREAD)``)
-per decode, an integer. Then, per variant that prunes or
-scores, the per-step overhead: the variant's time less the baseline's in the
-same round, divided by its prune or score steps per decode, as the median
-over rounds for each side, and the ratio head/base of those medians where
-the base's is positive (a prune that saves more than it costs reads negative).
+It exits 1, before timing anything, unless both sides decode every input
+under every variant bitwise alike in the fields ``tools/decode_digest.py``
+hashes (``checkout.record_decode``): the decoded ids, the positions
+committed at each step, the per-step sequence lengths, the score traces, the
+keep sets applied, and the logits and captured maps of every forward. It
+records and compares one input on both sides at a time, so it holds one
+input's records per side. Each round then times, per variant, a batch of
+decodes on each side, alternating which side runs first; a batch holds as
+many decodes as make about 20 ms of the base side's baseline, cycling
+through the inputs. Per workload it prints, per variant, each side's median
+seconds per decode, the median ratio head/base with its quartiles and its
+bootstrap 95% interval (``bootstrap_interval``), the rounds the head side
+won, and each side's median thread CPU seconds (``time.thread_time``) and
+minor page faults (``getrusage(RUSAGE_THREAD)``) per decode, an integer.
+Then, per variant that prunes or scores, the per-step overhead: the
+variant's time less the baseline's in the same round, divided by its prune
+or score steps per decode, as the median over rounds for each side, and the
+ratio head/base of those medians where the base's is positive (a prune that
+saves more than it costs reads negative).
 The exit code reports only the bitwise check, never a timing.
 """
 
@@ -58,10 +60,9 @@ class Side:
         self.weights = self.wl.build_model()
         self.inputs = self.wl.make_inputs(np.random.default_rng(SEED), self.weights)[:INPUTS]
 
-    def record(self, variant: str) -> list:
-        """Per input, ``record_decode``'s fields."""
-        return [record_decode(*self.side, self.wl, self.weights, variant, inp)
-                for inp in self.inputs]
+    def record(self, variant: str, i: int) -> tuple:
+        """``record_decode``'s fields for input ``i``."""
+        return record_decode(*self.side, self.wl, self.weights, variant, self.inputs[i])
 
     def batch(self, variant: str, reps: int) -> tuple[float, float, float]:
         """Wall seconds, thread CPU seconds and minor page faults per decode
@@ -78,17 +79,13 @@ class Side:
         return (t1 - t0) / reps, (c1 - c0) / reps, (f1 - f0) / reps
 
 
-def differing_fields(base: list, head: list) -> list:
+def differing_fields(base: tuple, head: tuple) -> list:
     """Names of the ``FIELDS`` in which two ``Side.record`` results differ."""
-    if len(base) != len(head):
-        return list(FIELDS)
-
     def same(a, b):
         return len(a) == len(b) and all(
             x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
             for x, y in zip(a, b))
-    return [name for f, name in enumerate(FIELDS)
-            if not all(same(b[f], h[f]) for b, h in zip(base, head))]
+    return [name for name, b, h in zip(FIELDS, base, head) if not same(b, h)]
 
 
 def bootstrap_interval(ratios, seed: int = 0) -> tuple[float, float]:
@@ -106,16 +103,22 @@ def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> bool:
     """Check and time one workload; False if the decodes differ."""
     import numpy as np
     pair = {label: Side(*loaded, name) for label, loaded in sides.items()}
-    steps_per_decode = {}
+    inputs = len(pair["head"].inputs)
+    if len(pair["base"].inputs) != inputs:
+        print(f"error: base and head make different inputs on workload {name}", file=sys.stderr)
+        return False
+    # per variant, prune or score steps per decode of each input a batch cycles through
+    steps_per_decode = {variant: [] for variant in variants}
     for variant in variants:
-        records = {label: side.record(variant) for label, side in pair.items()}
-        differ = differing_fields(records["base"], records["head"])
-        if differ:
-            print(f"error: base and head decodes differ on workload {name} variant "
-                  f"{variant}: {', '.join(differ)}", file=sys.stderr)
-            return False
-        # prune or score steps per decode, over the inputs a batch cycles through
-        steps_per_decode[variant] = [len(r[3]) + len(r[4]) for r in records["head"]]
+        for i in range(inputs):
+            base, head = pair["base"].record(variant, i), pair["head"].record(variant, i)
+            differ = differing_fields(base, head)
+            if differ:
+                print(f"error: base and head decodes differ on workload {name} variant "
+                      f"{variant} input {i}: {', '.join(differ)}", file=sys.stderr)
+                return False
+            steps_per_decode[variant].append(len(head[3]) + len(head[4]))
+            del base, head  # hold one input's records per side, not two
 
     reps = max(1, round(BATCH_S / pair["base"].batch("baseline", 1)[0]))
     times = {(label, v): [] for label in pair for v in variants}
