@@ -109,7 +109,7 @@ class SequenceState:
         return self.num_visual + self.prompt_len + self.response_len
 
     def masked_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.masked)
+        return self.masked.nonzero()[0]
 
 
 @dataclass
@@ -204,15 +204,15 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
     else:
         quota = min(decode_quota(k, state.response_len, state.total_steps), entry_masked.size)
         conf = softmax_row_max(resp_logits[entry_masked])
-        order = np.argsort(-conf, kind="stable")  # ties -> lower position index
+        order = (-conf).argsort(kind="stable")  # ties -> lower position index
         commit = entry_masked[order[:quota]]
 
     state.response_ids[commit] = resp_logits[commit].argmax(axis=1)
     state.masked[commit] = False
     x[resp_start + commit] = response_rows(state.response_ids, commit, weights)
     state.step = k + 1
-
-    return state, StepOutcome(newly_decoded=np.sort(commit), attention=cap)
+    commit.sort()  # a new array in either branch: both index entry_masked
+    return state, StepOutcome(newly_decoded=commit, attention=cap)
 
 
 def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
@@ -258,8 +258,6 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
     bufsize = np.setbufsize(_UFUNC_BUFSIZE)
     try:
         for k in range(1, total_steps + 1):
-            if not state.masked.any():
-                break
             prune_next = k < total_steps and schedule[k] < state.num_visual
             scored = prune_next and prune_plan.scored
             # the first row this step reads: the response logits' or a scorer's
@@ -273,7 +271,8 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
                                   capture=scored or score_with is not None, first_row=first_row)
             # No forward pass follows once decoding completes, so late scores and
             # prunes would be dead work (and masked-row guidance is gone).
-            if state.masked.any():
+            masked_left = state.masked.any()
+            if masked_left:
                 if score_with is not None:
                     stats.score_trace.append(pruning.step_scores(state, outcome.attention,
                                                                  score_with))
@@ -281,6 +280,8 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
                     pruning.prune_to(state, prune_plan, schedule[k], outcome.attention)
             outcome.attention = None
             trace.append(outcome)
+            if not masked_left:
+                break
     finally:
         np.setbufsize(bufsize)
         if state.buffers.nbytes <= _SPARE_BYTES:

@@ -395,11 +395,12 @@ class ForwardBuffers:
     elements for ``_TILE_BYTES`` B, the most a forward of n <= rows rows
     needs: in t tiles it has ceil(n/t)·n <= B/8 + n scores, since t >=
     8n²/B, and one tile only where n² <= B/8. No array holds a forward's
-    input or is returned by it. The plan of the last forward also keeps
-    that forward's first layer run, where ``forward`` may reuse it: the
-    copied columns of ``x`` it depends on, its increment and its captured
-    rows, at most (n, d) + (n, d) + (n, n) elements. A forward on another
-    plan drops them.
+    input or is returned by it, nor the stacks a tied run reduces
+    (``_add_times``), which ``forward`` allocates per call. The plan of the
+    last forward also keeps that forward's first layer run, where
+    ``forward`` may reuse it: the copied columns of ``x`` it depends on, its
+    increment and its captured rows, at most (n, d) + (n, d) + (n, n)
+    elements. A forward on another plan drops them.
     """
 
     def __init__(self):
@@ -451,6 +452,23 @@ class ForwardBuffers:
                      for (lw, k), run_cols in zip(runs, widths)]
 
 
+def _add_times(target: np.ndarray, addend: np.ndarray, k: int) -> None:
+    """``target += addend`` k times in a row, bitwise. For k > 1 it is one
+    ``np.add.reduce`` over axis 0 of a new (k + 1, ...) stack of ``target``
+    and k copies of ``addend``, which numpy adds slice by slice in order, one
+    call where the loop makes k. It starts from -0.0, which any x adds to
+    as x (numpy's default start, 0.0, turns a -0.0 sum into 0.0). A
+    one-element target keeps the loop: numpy sums its reduction pairwise."""
+    if k == 1 or target.size == 1:
+        for _ in range(k):
+            target += addend
+        return
+    stack = np.empty((k + 1, *target.shape))
+    stack[0] = target
+    stack[1:] = addend
+    np.add.reduce(stack, axis=0, out=target, initial=-0.0)
+
+
 def _project(a: np.ndarray, w: np.ndarray, scaled: Optional[tuple[slice, slice, float]],
              out: np.ndarray) -> np.ndarray:
     """``a @ w`` into ``out``, or for a scaled identity ``(rows, cols, c)``,
@@ -474,9 +492,10 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     ``first_row..n-1`` only, and its keys and values over all n rows; with
     ``first_row = 0`` that is the full forward. A run of k positions
     computes its attention and its increment ``heads @ wo`` once, then adds
-    the increment k times into the channels ``wo`` writes and, with
-    ``capture``, each captured tile k times in a row: it has one head, so
-    that is the order of k layer-by-layer positions. Its q, k and v read
+    the increment k times in a row into the channels ``wo`` writes and, with
+    ``capture``, each captured tile k times in a row, for k > 1 each as one
+    reduction (``_add_times``): it has one head, so that is the order of k
+    layer-by-layer positions. Its q, k and v read
     none of those channels and the output head reads only rows
     ``first_row..n-1``, so no row above ``first_row`` that a last run would
     write is ever read. For finite activations a run is bitwise
@@ -489,7 +508,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     A dense projection is a product over all d channels. One that is c
     times the identity on one block (``LayerWeights.scaled``) runs no
     product: it is the view ``a[:, rows]`` where c is 1, and otherwise
-    ``a[:, rows]`` times c; the run adds the increment k times into only the
+    ``a[:, rows]`` times c; the run adds the increment into only the
     channels ``wo`` writes. For finite inputs without -0.0 that is bitwise
     the product, whose every output holds one nonzero term and whose other
     channels add zeros. A view is of ``x`` itself in layer 1 without norm;
@@ -521,8 +540,10 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     ``out=`` into the views of ``buffers.plan(weights, n, first_row)``
     (``ForwardBuffers``); ``buffers=None`` allocates a fresh set for this
     call. Either way the arithmetic is the same, so the logits and the
-    capture are bitwise equal. Only the logits and the capture are new
-    arrays.
+    capture are bitwise equal. Only the logits, the capture and, in a run
+    of k > 1, the stacks ``_add_times`` reduces are new arrays: (k + 1)
+    copies of the rows added, 56 KiB for a copy8x8 tile whose 8 response
+    rows are captured.
 
     A forward on the plan of the same ``buffers``' last forward
     (``_Plan.repeat``), in a model without ``norm`` whose first run has no
@@ -588,10 +609,8 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                     tile *= scale
                     attn = softmax_rows(tile, out=tile)
                     if capture and r1 > first_row:
-                        c = max(r0, first_row)
-                        rows = total[c - first_row:r1 - first_row]
-                        for _ in range(k):
-                            rows += attn[c - r0:]  # on a view: no copy back into total
+                        c = max(r0, first_row)  # on a view: no copy back into total
+                        _add_times(total[c - first_row:r1 - first_row], attn[c - r0:], k)
                     np.matmul(attn, v, out=heads[r0:r1, c0:c0 + dv])
             # a scaled wo reads every head output: its view is heads[lo:] itself
             inc = heads[lo:] if view_o else _project(heads[lo:], lw.wo, so, inc_out)
@@ -603,9 +622,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
             h[...] = x[lo:]
         else:
             h = h[lo:]
-        written = h[:, lw.writes]  # only these channels change
-        for _ in range(k):
-            written += inc
+        _add_times(h[:, lw.writes], inc, k)  # only these channels change
         if lw.w1 is not None:
             f_in = layer_norm(h, out=norm_out, work=work_out) if weights.norm else h
             f = gelu(np.matmul(f_in, lw.w1, out=hidden), out=act)

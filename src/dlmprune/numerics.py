@@ -4,7 +4,9 @@ Matrices are plain 2-D ``numpy.float64`` arrays in row-major order. All
 functions are pure unless given ``out=`` (or ``work=``); without it nothing
 here mutates its inputs. The kernels work in place on the array they return,
 so they allocate few temporaries of their input's size, and given ``out=``
-and ``work=`` none: only per-row reductions of one column.
+and ``work=`` none: only per-row reductions of one column. Those call
+``np.add.reduce`` and ``np.maximum.reduce``, the functions ``ndarray.sum``
+and ``ndarray.max`` reach through a Python frame, so the bits are theirs.
 """
 
 from __future__ import annotations
@@ -24,20 +26,21 @@ def softmax_rows(m: Matrix, out: Optional[Matrix] = None) -> Matrix:
     ``softmax_rows(m, out=m)`` normalises a float64 array in place.
     """
     m = np.asarray(m, dtype=np.float64)
-    e = np.subtract(m, m.max(axis=-1, keepdims=True), out=out)
+    e = np.subtract(m, np.maximum.reduce(m, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
 def softmax_row_max(m: Matrix) -> np.ndarray:
     """The largest entry of each row of ``softmax_rows(m)``, bitwise, without
     dividing every entry: that entry is ``exp(0) / s = 1 / s`` for the row's
-    sum ``s``, since division by ``s`` is monotone."""
+    sum ``s``, since division by ``s`` is monotone. ``m`` is 2-D."""
     m = np.asarray(m, dtype=np.float64)
-    e = np.subtract(m, m.max(axis=-1, keepdims=True))
+    e = np.subtract(m, np.maximum.reduce(m, axis=-1, keepdims=True))
     np.exp(e, out=e)
-    return 1.0 / e.sum(axis=-1)
+    s = np.add.reduce(e, axis=-1)
+    return np.divide(1.0, s, out=s)
 
 
 def layer_norm(v: np.ndarray, out: Optional[np.ndarray] = None,
@@ -52,8 +55,11 @@ def layer_norm(v: np.ndarray, out: Optional[np.ndarray] = None,
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[-1]
-    c = np.subtract(v, v.sum(axis=-1, keepdims=True) / n, out=out)
-    var = np.multiply(c, c, out=work).sum(axis=-1, keepdims=True) / n
+    mean = np.add.reduce(v, axis=-1, keepdims=True)
+    mean /= n
+    c = np.subtract(v, mean, out=out)
+    var = np.add.reduce(np.multiply(c, c, out=work), axis=-1, keepdims=True)
+    var /= n
     var += 1e-5
     c /= np.sqrt(var, out=var)
     return c

@@ -789,6 +789,55 @@ class TestTiedRuns:
         assert_matches_the_layer_by_layer_forward(x, w, first_row, runs[-1], logits, cap)
 
 
+def edge_values(rng, shape):
+    """Normal draws at magnitudes from 1e-8 to 1e8, about a tenth of them
+    0.0, -0.0, inf or -inf."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    pick = rng.random(size=shape)
+    for i, special in enumerate((0.0, -0.0, np.inf, -np.inf)):
+        v[(pick >= 0.025 * i) & (pick < 0.025 * (i + 1))] = special
+    return v
+
+
+class TestTiedRunAdds:
+    """A tied run of k positions adds its increment into the residual stream
+    and each captured tile into the capture k times in a row, as one
+    ``np.add.reduce`` over a stack (``model._add_times``). These tests pin
+    numpy's order for that reduction: a numpy that stops adding a leading
+    axis slice by slice fails here before it moves a digest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 12), rows=st.integers(1, 12), cols=st.integers(1, 80),
+           start=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_one_reduction_is_bitwise_k_adds_on_a_strided_view(self, k, rows, cols, start,
+                                                                 seed):
+        rng = np.random.default_rng(seed)
+        stream = edge_values(rng, (rows, cols + 5))  # the target is a span of its columns
+        addend = edge_values(rng, (rows, cols + 3))[:, 1:cols + 1]
+        seen = set()
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            for size in (512, 8192):
+                old = np.setbufsize(size)
+                try:
+                    want = stream.copy()
+                    for _ in range(k):
+                        want[:, start:start + cols] += addend
+                    got = stream.copy()
+                    model._add_times(got[:, start:start + cols], addend, k)
+                finally:
+                    np.setbufsize(old)
+                seen |= {want.tobytes(), got.tobytes()}
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_a_one_element_target_adds_in_order(self, k):
+        # 1 + 1e-16 rounds to 1 every time; from k = 7 on, numpy's pairwise sum of
+        # a one-element reduction would add 1e-16 to itself first and round up
+        target = np.ones((1, 1))
+        model._add_times(target, np.full((1, 1), 1e-16), k)
+        assert target[0, 0] == 1.0
+
+
 def assert_matches_the_layer_by_layer_forward(x, w, first_row, last_run, logits, cap):
     """``forward``'s outputs, ``logits`` and the map ``cap``, against the
     reference forward: bitwise against the one whose positions from the last

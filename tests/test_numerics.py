@@ -131,7 +131,9 @@ class TestUfuncBufferSize:
     """A decode runs with numpy's ufunc buffer at 512 elements
     (``decoder._UFUNC_BUFSIZE``); the kernels give the same bits at that
     size as at numpy's default 8,192, with rows shorter and longer than the
-    buffer, and with ``out=``/``work=`` as without."""
+    buffer, and with ``out=``/``work=`` as without. That includes
+    ``softmax_row_max``, the decoder's confidence, which stays the row
+    maximum of ``softmax_rows``."""
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 24), cols=st.integers(1, 1100), seed=st.integers(0, 2**16),
@@ -144,12 +146,15 @@ class TestUfuncBufferSize:
             try:
                 seen[size] = [softmax_rows(m), softmax_rows(m, out=np.empty_like(m)),
                               layer_norm(m), layer_norm(m, out=np.empty_like(m),
-                                                         work=np.empty_like(m))]
+                                                         work=np.empty_like(m)),
+                              softmax_row_max(m)]
             finally:
                 np.setbufsize(old)
         softmax = {a.tobytes() for kernels in seen.values() for a in kernels[:2]}
-        norm = {a.tobytes() for kernels in seen.values() for a in kernels[2:]}
-        assert len(softmax) == len(norm) == 1
+        norm = {a.tobytes() for kernels in seen.values() for a in kernels[2:4]}
+        row_max = {kernels[4].tobytes() for kernels in seen.values()}
+        assert len(softmax) == len(norm) == len(row_max) == 1
+        assert row_max == {seen[512][0].max(axis=1).tobytes()}
 
 
 class TestSeededRng:

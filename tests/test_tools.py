@@ -1,8 +1,9 @@
 """Runs of tools/ab_decode.py against its own checkout and against a copy
-whose keep sets or logits differ, its CPU time and fault columns, and its
-bootstrap interval; record_decode's check that a forward leaves its input
+whose keep sets or logits differ, its CPU time and fault columns, its JSON
+record and its bootstrap interval; record_decode's check that a forward leaves its input
 unchanged; and the tools' argument errors."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -58,6 +59,39 @@ def test_ab_decode_times_every_variant_against_its_own_checkout():
                         "scored": "7.00"}
 
 
+def test_ab_decode_writes_what_it_prints_as_json(tmp_path):
+    path = tmp_path / "ab.json"
+    proc = tool("tools/ab_decode.py", str(ROOT), "--workload", "tiny16", "--rounds", "1",
+                "--json", str(path))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(path.read_text())
+    assert report["base"] == report["head"] == str(ROOT)
+    assert list(report["workloads"]) == ["tiny16"]
+    record = report["workloads"]["tiny16"]
+    assert record["rounds"] == 1 and record["decodes_per_batch"] >= 1
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"tiny16: {record['decodes_per_batch']} decodes per batch, 1 rounds"
+    variants = record["variants"]
+    assert list(variants) == ["baseline", "once", "random", "progressive", "scored"]
+    for line, (variant, row) in zip(lines[2:7], variants.items()):
+        assert set(row) == {"base_s", "head_s", "ratio", "ratio_q1", "ratio_q3", "interval_95",
+                            "won", "base_cpu_s", "head_cpu_s", "base_faults", "head_faults"}
+        lo, hi = row["interval_95"]
+        assert line.split()[:6] == [variant, f"{row['base_s']:.3e}", f"{row['head_s']:.3e}",
+                                    f"{row['ratio']:.3f}", f"[{row['ratio_q1']:.3f},",
+                                    f"{row['ratio_q3']:.3f}]"]
+        assert lo == hi == row["ratio"]  # one round
+        assert row["won"] in (0, 1)
+        assert isinstance(row["base_faults"], int) and isinstance(row["head_faults"], int)
+    per_step = record["per_step"]
+    assert list(per_step) == [line.split()[0] for line in lines[8:]]
+    assert "scored" in per_step  # tiny16's other variants prune no step before the last
+    for line, (variant, row) in zip(lines[8:], per_step.items()):
+        assert set(row) == {"steps", "base_us", "head_us", "ratio"}
+        assert line.split()[:4] == [variant, f"{row['steps']:.2f}", f"{row['base_us']:.1f}",
+                                    f"{row['head_us']:.1f}"]
+
+
 def test_ab_decode_fails_when_the_keep_sets_differ(tmp_path):
     copy_checkout(tmp_path)
     # keep the lowest-scoring tokens instead of the highest
@@ -105,6 +139,9 @@ def test_record_decode_fails_when_a_forward_writes_its_input(monkeypatch):
     (["tools/ab_decode.py", "{empty}"], "no dlmprune sources"),
     (["tools/ab_decode.py", ".", "--rounds", "0"], "--rounds must be >= 1"),
     (["tools/ab_decode.py", ".", "--workload", "nosuch"], "unknown workload 'nosuch'"),
+    (["tools/ab_decode.py", ".", "--json", "{empty}/no/such/dir/ab.json"],
+     "ab.json cannot be written: No such file or directory"),
+    (["tools/ab_decode.py", ".", "--json", "{empty}"], "cannot be written: Is a directory"),
     (["tools/decode_digest.py"], "usage: decode_digest.py <checkout>"),
     (["tools/decode_digest.py", "{empty}"], "no dlmprune sources"),
 ])

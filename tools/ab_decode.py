@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved in-process A/B of whole perfbench decodes between two checkouts.
 
-    python3 tools/ab_decode.py <base-checkout> [--workload W] [--rounds N]
+    python3 tools/ab_decode.py <base-checkout> [--workload W] [--rounds N] [--json PATH]
 
 Loads the base checkout and the checkout this script lives in side by side
 (``tools/checkout.py``: one BLAS thread, no bytecode, one core). For each
@@ -28,7 +28,11 @@ Then, per variant that prunes or scores, the per-step overhead: the
 variant's time less the baseline's in the same round, divided by its prune
 or score steps per decode, as the median over rounds for each side, and the
 ratio head/base of those medians where the base's is positive (a prune that
-saves more than it costs reads negative).
+saves more than it costs reads negative). ``--json PATH`` also writes all
+of that to PATH, per workload (``ab_workload``'s record; a per-step ratio
+the table prints as ``-`` is null), for the workloads timed before any
+whose decodes differ. A PATH that cannot be opened for writing exits 2
+before anything is decoded.
 The exit code reports only the bitwise check, never a timing.
 """
 
@@ -36,13 +40,14 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import resource
 import sys
 import time
 from pathlib import Path
 
-from checkout import (FIELDS, check_root, decode, isolate, load_sides, pin_to_one_core,
-                      record_decode)
+from checkout import (FIELDS, HEAD, check_root, decode, isolate, load_sides,
+                      pin_to_one_core, record_decode)
 
 INPUTS = 16
 SEED = 1
@@ -99,14 +104,15 @@ def bootstrap_interval(ratios, seed: int = 0) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> bool:
-    """Check and time one workload; False if the decodes differ."""
+def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> dict | None:
+    """Check and time one workload and print what was measured; that record,
+    or None if the decodes differ."""
     import numpy as np
     pair = {label: Side(*loaded, name) for label, loaded in sides.items()}
     inputs = len(pair["head"].inputs)
     if len(pair["base"].inputs) != inputs:
         print(f"error: base and head make different inputs on workload {name}", file=sys.stderr)
-        return False
+        return None
     # per variant, prune or score steps per decode of each input a batch cycles through
     steps_per_decode = {variant: [] for variant in variants}
     for variant in variants:
@@ -116,7 +122,7 @@ def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> bool:
             if differ:
                 print(f"error: base and head decodes differ on workload {name} variant "
                       f"{variant} input {i}: {', '.join(differ)}", file=sys.stderr)
-                return False
+                return None
             steps_per_decode[variant].append(len(head[3]) + len(head[4]))
             del base, head  # hold one input's records per side, not two
 
@@ -130,21 +136,19 @@ def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> bool:
     measured = {key: np.asarray(t) for key, t in times.items()}
     times = {key: m[:, 0] for key, m in measured.items()}
 
-    print(f"{name}: {reps} decodes per batch, {rounds} rounds")
-    print(f"  {'variant':12s} {'base s':>10s} {'head s':>10s} {'ratio':>6s} "
-          f"{'[q1, q3]':>15s} {'95% interval':>15s} {'won':>7s} {'base cpu':>9s} "
-          f"{'head cpu':>9s} {'base flt':>8s} {'head flt':>8s}")
+    # numpy's float64 is a float, so the record goes to JSON as it is
+    record = {"decodes_per_batch": reps, "rounds": rounds, "variants": {}, "per_step": {}}
     for variant in variants:
         base_s, head_s = times["base", variant], times["head", variant]
         q1, ratio, q3 = np.percentile(head_s / base_s, [25, 50, 75])
-        lo, hi = bootstrap_interval(head_s / base_s)
-        won = int((head_s < base_s).sum())
         cpu = {label: np.median(measured[label, variant][:, 1]) for label in pair}
         faults = {label: round(np.median(measured[label, variant][:, 2])) for label in pair}
-        print(f"  {variant:12s} {np.median(base_s):10.3e} {np.median(head_s):10.3e} "
-              f"{ratio:6.3f} [{q1:.3f}, {q3:.3f}] [{lo:.3f}, {hi:.3f}] {won:3d}/{rounds:<3d} "
-              f"{cpu['base']:9.3e} {cpu['head']:9.3e} {faults['base']:8d} {faults['head']:8d}")
-    print(f"  {'per-step':12s} {'steps':>6s} {'base us':>9s} {'head us':>9s} {'ratio':>6s}")
+        record["variants"][variant] = {
+            "base_s": np.median(base_s), "head_s": np.median(head_s), "ratio": ratio,
+            "ratio_q1": q1, "ratio_q3": q3, "interval_95": bootstrap_interval(head_s / base_s),
+            "won": int((head_s < base_s).sum()), "base_cpu_s": cpu["base"],
+            "head_cpu_s": cpu["head"], "base_faults": faults["base"],
+            "head_faults": faults["head"]}
     for variant in variants:
         counts = steps_per_decode[variant]
         steps = float(np.mean([counts[i % len(counts)] for i in range(reps)]))
@@ -152,9 +156,31 @@ def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> bool:
             continue
         over = {label: 1e6 * float(np.median(times[label, variant] - times[label, "baseline"]))
                 / steps for label in pair}
-        ratio = f"{over['head'] / over['base']:6.3f}" if over["base"] > 0 else f"{'-':>6s}"
-        print(f"  {variant:12s} {steps:6.2f} {over['base']:9.1f} {over['head']:9.1f} {ratio}")
-    return True
+        record["per_step"][variant] = {
+            "steps": steps, "base_us": over["base"], "head_us": over["head"],
+            "ratio": over["head"] / over["base"] if over["base"] > 0 else None}
+    print_workload(name, record)
+    return record
+
+
+def print_workload(name: str, record: dict) -> None:
+    """Print ``ab_workload``'s record of workload ``name`` as two tables."""
+    rounds = record["rounds"]
+    print(f"{name}: {record['decodes_per_batch']} decodes per batch, {rounds} rounds")
+    print(f"  {'variant':12s} {'base s':>10s} {'head s':>10s} {'ratio':>6s} "
+          f"{'[q1, q3]':>15s} {'95% interval':>15s} {'won':>7s} {'base cpu':>9s} "
+          f"{'head cpu':>9s} {'base flt':>8s} {'head flt':>8s}")
+    for variant, row in record["variants"].items():
+        lo, hi = row["interval_95"]
+        print(f"  {variant:12s} {row['base_s']:10.3e} {row['head_s']:10.3e} "
+              f"{row['ratio']:6.3f} [{row['ratio_q1']:.3f}, {row['ratio_q3']:.3f}] "
+              f"[{lo:.3f}, {hi:.3f}] {row['won']:3d}/{rounds:<3d} {row['base_cpu_s']:9.3e} "
+              f"{row['head_cpu_s']:9.3e} {row['base_faults']:8d} {row['head_faults']:8d}")
+    print(f"  {'per-step':12s} {'steps':>6s} {'base us':>9s} {'head us':>9s} {'ratio':>6s}")
+    for variant, row in record["per_step"].items():
+        ratio = f"{'-':>6s}" if row["ratio"] is None else f"{row['ratio']:6.3f}"
+        print(f"  {variant:12s} {row['steps']:6.2f} {row['base_us']:9.1f} {row['head_us']:9.1f} "
+              f"{ratio}")
 
 
 def main(argv=None) -> int:
@@ -163,6 +189,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all",
                         help="a perfbench workload name, or all (the default)")
     parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--json", type=Path, help="also write what is printed here, as JSON")
     args = parser.parse_args(argv)
     base = args.base.resolve()
     error = check_root(base)
@@ -180,10 +207,28 @@ def main(argv=None) -> int:
     if any(name not in workloads.WORKLOADS for name in names):
         print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
         return 2
-    for name in names:
-        if not ab_workload(name, sides, tuple(workloads.VARIANTS), args.rounds):
-            return 1
-    return 0
+    try:
+        out = open(args.json, "w") if args.json else None
+    except OSError as exc:
+        print(f"error: --json {args.json} cannot be written: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    report = {"base": str(base), "head": str(HEAD), "workloads": {}}
+    status = 0
+    try:
+        for name in names:
+            record = ab_workload(name, sides, tuple(workloads.VARIANTS), args.rounds)
+            if record is None:
+                status = 1
+                break
+            report["workloads"][name] = record
+        if out:
+            json.dump(report, out, indent=1)
+            out.write("\n")
+    finally:
+        if out:
+            out.close()
+    return status
 
 
 if __name__ == "__main__":
