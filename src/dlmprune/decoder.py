@@ -24,7 +24,8 @@ import numpy as np
 from . import pruning
 from .model import (AttentionCapture, ForwardBuffers, ModelWeights, embed_response, forward,
                     response_rows)
-# softmax_rows stays importable here: perfbench traces it under this module's name
+# step reads its confidence with softmax_row_max; softmax_rows is imported only so that
+# perfbench's tracer can patch the name in this module
 from .numerics import Matrix, SeededRng, softmax_row_max, softmax_rows  # noqa: F401
 
 
@@ -34,11 +35,10 @@ from .numerics import Matrix, SeededRng, softmax_row_max, softmax_rows  # noqa: 
 # than a few rows, which costs a vit1024 forward, whose score rows are 1,072
 # wide, about 7% (README). Elementwise results are the same at any size.
 _UFUNC_BUFSIZE = 512
-# The largest forward buffers (``model.ForwardBuffers``) a finished decode
-# leaves to the next decode of its model. Setting buffers up costs a decode
-# 30 to 45 us: 3 to 10% of a copy8x8 or tiny16 decode (320 and 48 KiB of
-# buffers), nothing to speak of in a vit1024 one, whose 7.3 MiB would raise
-# the benchmark's peak RSS by 5% if kept between decodes.
+# The largest ``model.ForwardBuffers`` a finished decode leaves to the next
+# decode of its model. Setting buffers up costs a decode 30 to 45 us: 3 to 10%
+# of a copy8x8 or tiny16 decode (320 and 48 KiB), nothing to speak of in a
+# vit1024 one, whose 7.3 MiB, kept, raise perfbench's peak_rss_mb by 9%.
 _SPARE_BYTES = 1 << 20
 
 
@@ -75,11 +75,7 @@ class SequenceState:
     response rows into it in place (``model.response_rows``), and
     ``pruning.apply_prune`` gathers its kept rows. Code that changes
     ``visual``, ``prompt`` or ``response_ids`` in any other way sets it to None.
-
-    ``buffers`` are the arrays every step's forward writes its intermediates
-    into (``model.ForwardBuffers``), allocated at the first step's n unless
-    they already hold as many rows; after a prune the forwards use prefixes
-    of them. They never hold ``step_input``.
+    ``buffers`` are the arrays its forwards write into (``model.ForwardBuffers``).
     """
 
     visual: Matrix                 # current visual rows (original or pruned)
@@ -172,11 +168,8 @@ def step(state: SequenceState, weights: ModelWeights, policy: SchedulePolicy,
     this step's maps, one (n - first_row, n) map; by default the whole (n, n)
     map. ``capture=False`` skips it (logits are unaffected).
 
-    The forward input is ``state.step_input``, built from ``visual``,
-    ``prompt`` and ``embed_response`` when it is None (before the first step).
-    After committing, the step writes only the committed response rows into
-    it, in place, so the next step's input is ready without rebuilding it.
-    The forward writes its intermediates into ``state.buffers``.
+    The forward reads ``state.step_input``, built when it is None, and
+    writes into ``state.buffers`` (``SequenceState``).
     """
     k = state.step
     if k > state.total_steps:
@@ -237,11 +230,8 @@ def run_inference(visual: Matrix, prompt: Matrix, tau: int, total_steps: int,
 
     The steps run with numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` elements;
     the caller's size is restored when the decode returns or raises. The
-    decode takes its forward buffers from ``weights.spare_buffers`` when an
-    earlier decode left some there, and when it ends puts them back if they
-    hold at most ``_SPARE_BYTES``. The first-run outputs their plans keep
-    (``model.forward``) pass to the next decode with them; that decode's
-    forwards compare their inputs with the kept ones before using any.
+    decode takes and leaves forward buffers in ``weights.spare_buffers``
+    (``model.ForwardBuffers``).
     """
     schedule = pruning.keep_schedule(prune_plan, np.asarray(visual).shape[0], total_steps)
     rng = SeededRng(policy.rng_seed) if policy.kind == PolicyKind.STOCHASTIC else None

@@ -190,11 +190,9 @@ class FixedPatchTable:
 class ModelWeights:
     """A whole model. With ``norm``, ``forward`` applies ``layer_norm`` (no
     gain or bias) before each sublayer and before the output head.
-    ``spare_buffers`` holds the ``ForwardBuffers`` that finished decodes of
-    this model released (``decoder.run_inference``), for later decodes to
-    take instead of allocating their own. Their views are cut for the layers
-    they first saw, so weights are not to be changed in place once a decode
-    has run."""
+    ``spare_buffers`` holds the ``ForwardBuffers`` finished decodes left for
+    later ones. Their views are cut for the layers they first saw, so weights
+    are not to be changed in place once a decode has run."""
 
     config: ModelConfig
     patch_embed: object  # anything with .vector(symbol) -> (vision_dim,)
@@ -323,90 +321,94 @@ def row_tiles(n: int, lo: int) -> int:
     return -(-(n - lo) * -(-8 * n * n // _TILE_BYTES) // n)
 
 
-# The per-run arrays of ``ForwardBuffers``, in the order of its run tuples.
-_ROLES = ("q", "k", "v", "heads", "work", "hidden", "act")
 # The most (n, first_row) plans one ``ForwardBuffers`` keeps: a progressive
 # copy8x8 decode cuts 8, at a few microseconds each.
 _PLANS = 64
 
 
-def _rows(view: Optional[np.ndarray], stop: int) -> Optional[np.ndarray]:
-    return None if view is None else view[:stop]
-
-
 class _Plan:
-    """What an n-row forward from ``first_row`` writes into, cut from
-    ``ForwardBuffers`` once per (n, first_row): ``norm`` (None without
-    ``weights.norm``) and ``work`` of n rows, ``resid`` (the rows the first
-    run computes), the (rows, n) score tile ``scores``, and ``runs``, one
-    tuple per layer run of ``layer_runs``: the layer, k, the first row
-    ``lo`` whose output the run computes, its tile count (``row_tiles``),
-    which of q, k, v and ``wo`` run as a view (``forward``), its views of q
-    (n - lo rows), k, v, ``heads`` (n rows), the increment, the FFN hidden
-    layer and GELU, and ``norm`` and ``work`` (n - lo rows), None where the
-    buffers hold none. ``hull``, ``kept`` and ``repeat`` serve ``forward``'s
-    reuse of the first run."""
+    """The views an n-row forward from ``first_row`` writes into, cut from
+    ``ForwardBuffers.segments``: ``resid``, ``norm`` (None without norm) and
+    ``work`` of n rows, the score tile ``scores``, and per layer run of
+    ``layer_runs`` (``runs``) the layer, k, the first row ``lo`` whose
+    output it computes, its tile count (``row_tiles``), which of q, k, v and
+    ``wo`` run as a view (``forward``), and its views of q (n - lo rows), k,
+    v, ``heads`` (n rows), the increment, the FFN hidden layer and GELU, and
+    ``norm`` and ``work`` (n - lo rows), None for what the model lacks.
+    ``hull``: the input channels the first run's outputs depend on, if only
+    those; else None."""
 
     def __init__(self, buffers: "ForwardBuffers", n: int, first_row: int):
+        weights, d = buffers.weights, buffers.weights.config.embed_dim
+
+        def cut(role: str, rows: int, cols: int) -> np.ndarray:
+            return buffers.segments[role][:rows * cols].reshape(rows, cols)
+
         tile_rows = -(-n // row_tiles(n, 0))
-        self.scores = buffers.tiles[:tile_rows * n].reshape(tile_rows, n)
-        norm = buffers.norm
-        self.norm, self.work = _rows(norm, n), buffers.work[:n]
+        self.scores = cut("tiles", tile_rows, n)
+        self.resid, self.work = cut("resid", n, d), cut("work", n, d)
+        self.norm = cut("norm", n, d) if weights.norm else None
         self.runs, end = [], 0
-        for lw, k, q, kk, v, heads, inc, hidden, act in buffers.runs:
+        for lw, k in layer_runs(weights):
             end += k
-            lo = first_row if end == len(buffers.weights.layers) else 0
+            lo = first_row if end == len(weights.layers) else 0
             m = n - lo
             views = [s is not None and s[2] == 1.0 for s in lw.scaled]
             views[1] &= not (views[0] and lw.reads[0] == lw.reads[1])  # a @ a.T runs as syrk
             views[2] &= m // row_tiles(n, lo) > 1  # a one-row tile's attn·v is a gemv
-            self.runs.append((lw, k, lo, row_tiles(n, lo), tuple(views), q[:m], kk[:n], v[:n],
-                              heads[:n], inc[:m], _rows(hidden, m), _rows(act, m),
-                              _rows(norm, m), buffers.work[:m]))
-        self.resid = buffers.resid[:n - self.runs[0][2]]  # the rows of the first write
+            mu = 0 if lw.w1 is None else lw.w1.shape[1]
+            self.runs.append((
+                lw, k, lo, row_tiles(n, lo), tuple(views), cut("q", m, lw.wq.shape[2]),
+                cut("k", n, lw.wk.shape[2]), cut("v", n, lw.wv.shape[2]),
+                cut("heads", n, lw.wo.shape[0]), cut("work", m, lw.writes.stop - lw.writes.start),
+                cut("hidden", m, mu) if mu else None, cut("act", m, mu) if mu else None,
+                None if self.norm is None else self.norm[:m], self.work[:m]))
         first = self.runs[0][0]
-        self.hull = None  # the channels of x the first run's outputs depend on, if only those
-        if not buffers.weights.norm and first.w1 is None:
+        self.hull = None
+        if not weights.norm and first.w1 is None:
             self.hull = slice(min(s.start for s in first.reads), max(s.stop for s in first.reads))
-        self.kept = None  # (x[:, hull] as bytes, the run's increment, its captured rows or None)
-        self.repeat = False  # whether the buffers' last forward ran on this plan too
 
 
 class ForwardBuffers:
-    """Arrays ``forward`` writes its intermediates into, kept by a decode
-    between its steps (``SequenceState.buffers``) and, when small, passed
-    to the next decode of its model (``ModelWeights.spare_buffers``). Freed
-    after each forward, they were trimmed from the heap and faulted back by
-    the next: 2,628 minor page faults per vit1024 decode-step forward.
+    """The arrays ``forward`` writes its intermediates into, and the one
+    first-run result it may reuse.
 
-    ``plan(weights, n, first_row)`` returns the views a forward of n rows
-    from ``first_row`` writes into (``_Plan``), cut once per (n, first_row)
-    and kept, up to ``_PLANS`` of them. Arrays are allocated only for new
-    weights or more rows than they hold, so after a prune a decode writes
-    into prefixes of its step-1 arrays. They are (rows, d) ``resid`` (the
-    residual stream), ``norm`` (the ``layer_norm`` output, None without
-    ``weights.norm``) and ``work``, the flat score array ``tiles``, and per
-    layer run of ``layer_runs`` the layer, k and its (rows, ·) views of q,
-    k, v, ``heads``, the increment, the FFN hidden layer and GELU; None for
-    an FFN the layer lacks. ``work`` holds the ``layer_norm`` temporary,
-    the increment and the FFN output in turn. All lie in one array of
-    ``nbytes`` bytes, in which the FFN's arrays share one span with q, k, v,
-    ``heads`` and ``tiles``, as no forward needs both at once. ``tiles`` holds min(rows², B/8 + rows)
-    elements for ``_TILE_BYTES`` B, the most a forward of n <= rows rows
-    needs: in t tiles it has ceil(n/t)·n <= B/8 + n scores, since t >=
+    A decode keeps one set between its steps (``SequenceState.buffers``) and
+    leaves one of at most ``decoder._SPARE_BYTES`` to the next decode of its
+    model (``ModelWeights.spare_buffers``); decodes running at once never
+    share one. Freed after each forward, the arrays were trimmed from the
+    heap and faulted back by the next: 2,628 minor page faults per vit1024
+    decode-step forward. ``forward(buffers=None)`` allocates a fresh set.
+
+    They are one float64 array of ``nbytes`` bytes, allocated only for new
+    weights or more rows than ``rows``, so after a prune a decode writes
+    into prefixes of its step-1 arrays. ``segments`` cuts it, each segment
+    on a 64-byte line, into ``resid`` (the residual stream, a copy of the
+    input), ``norm`` (the ``layer_norm`` output, empty without
+    ``weights.norm``), ``work`` (the ``layer_norm`` temporary, the increment
+    and the FFN output in turn, rows·d wide), q, k, v and ``heads`` (each as
+    wide as the widest layer's), the score ``tiles``, and the FFN's
+    ``hidden`` and GELU ``act``, which share one span with q to ``tiles``:
+    no forward needs both sets at once. ``tiles`` holds min(rows², B/8 +
+    rows) elements for ``_TILE_BYTES`` B, the most a forward of n <= rows
+    rows needs: in t tiles it has ceil(n/t)·n <= B/8 + n scores, since t >=
     8n²/B, and one tile only where n² <= B/8. No array holds a forward's
-    input or is returned by it, nor the stacks a tied run reduces
-    (``_add_times``), which ``forward`` allocates per call. The plan of the
-    last forward also keeps that forward's first layer run, where
-    ``forward`` may reuse it: the copied columns of ``x`` it depends on, its
-    increment and its captured rows, at most (n, d) + (n, d) + (n, n)
-    elements. A forward on another plan drops them.
+    input or output, nor the stacks a tied run reduces (``_add_times``).
+    ``plan(weights, n, first_row)`` cuts the views a forward writes into
+    (``_Plan``) once per (n, first_row) and keeps up to ``_PLANS`` of them.
+
+    ``last`` is the plan of the last forward, and ``kept`` the one kept
+    first-run result, ``(plan, key, increment, captured rows or None)``, its
+    key the bytes of the input columns that run read: at most (n, d) + (n,
+    d) + (n, n) elements. ``forward`` says when it is reused. New weights or
+    more rows clear both, so no old plan keeps an outgrown array alive.
     """
 
     def __init__(self):
         self.weights: Optional[ModelWeights] = None
         self.rows = self.nbytes = 0
-        self._last: Optional[_Plan] = None
+        self.kept: Optional[tuple] = None
+        self.last: Optional[_Plan] = None
 
     def plan(self, weights: ModelWeights, n: int, first_row: int) -> _Plan:
         if weights is not self.weights or n > self.rows:
@@ -416,40 +418,28 @@ class ForwardBuffers:
             if len(self._plans) >= _PLANS:
                 self._plans.clear()
             p = self._plans[n, first_row] = _Plan(self, n, first_row)
-        last, self._last = self._last, p
-        p.repeat = p is last
-        if last is not None and not p.repeat:  # only the plan in use keeps what forward reuses
-            last.kept = None
         return p
 
     def _allocate(self, weights: ModelWeights, rows: int) -> None:
-        d = weights.config.embed_dim
-        runs = layer_runs(weights)
-        # per run: the widths of q, k, v, heads, the increment, the FFN hidden layer
-        # and GELU; None for an FFN the layer lacks
-        widths = [(lw.wq.shape[2], lw.wk.shape[2], lw.wv.shape[2], lw.wo.shape[0],
-                   lw.writes.stop - lw.writes.start, mu, mu)
-                  for lw, _ in runs for mu in [None if lw.w1 is None else lw.w1.shape[1]]]
-        size = dict(zip(_ROLES, (rows * max(c or 0 for c in role) for role in zip(*widths))),
-                    resid=rows * d, norm=rows * d if weights.norm else 0,
-                    tiles=min(rows * rows, _TILE_BYTES // 8 + rows))
-        size["work"] = max(size["work"], rows * d)  # the increment's segment is work's
+        d, layers = weights.config.embed_dim, weights.layers
+        mu = max((lw.w1.shape[1] for lw in layers if lw.w1 is not None), default=0)
+        size = dict(resid=rows * d, norm=rows * d if weights.norm else 0, work=rows * d,
+                    q=rows * max(lw.wq.shape[2] for lw in layers),
+                    k=rows * max(lw.wk.shape[2] for lw in layers),
+                    v=rows * max(lw.wv.shape[2] for lw in layers),
+                    heads=rows * max(lw.wo.shape[0] for lw in layers),
+                    tiles=min(rows * rows, _TILE_BYTES // 8 + rows), hidden=rows * mu,
+                    act=rows * mu)
         start, at = {}, 0
-        for role in ("resid", "norm", "work", "q", "k", "v", "heads", "tiles", "hidden", "act"):
+        for role in size:
             if role == "hidden":  # never live with the attention's arrays: share their span
                 end, at = at, start["q"]
             start[role], at = at, at + -(-size[role] // 8) * 8  # on a 64-byte line
         flat = np.empty(max(end, at))
-        segment = {role: flat[s:s + size[role]] for role, s in start.items()}
-        self.weights, self.rows, self.tiles = weights, rows, segment["tiles"]
-        self.nbytes = flat.nbytes
+        self.weights, self.rows, self.nbytes = weights, rows, flat.nbytes
+        self.segments = {role: flat[s:s + size[role]] for role, s in start.items()}
         self._plans: dict[tuple[int, int], _Plan] = {}
-        self.resid = segment["resid"].reshape(rows, d)
-        self.norm = segment["norm"].reshape(rows, d) if weights.norm else None
-        self.work = segment["work"][:rows * d].reshape(rows, d)
-        self.runs = [(lw, k, *[None if c is None else segment[role][:rows * c].reshape(rows, c)
-                               for role, c in zip(_ROLES, run_cols)])
-                     for (lw, k), run_cols in zip(runs, widths)]
+        self.kept = self.last = None
 
 
 def _add_times(target: np.ndarray, addend: np.ndarray, k: int) -> None:
@@ -482,89 +472,44 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
             first_row: int = 0, buffers: Optional[ForwardBuffers] = None
             ) -> tuple[Matrix, Optional[AttentionCapture]]:
     """Bidirectional self-attention over all n rows, returning the outputs of
-    rows ``first_row..n-1``, the rows the caller reads: their logits as an
-    (n - first_row, vocab) array and, with ``capture``, the layer/head mean
-    of their attention maps as one (n - first_row, n) map.
+    rows ``first_row..n-1``: their logits, (n - first_row, vocab), and with
+    ``capture`` the layer/head mean of their attention maps, one (n -
+    first_row, n) map. Intermediates go by ``out=`` into ``buffers``
+    (``ForwardBuffers``), fresh or kept alike; ``x`` is never written.
 
-    Layers are walked in the runs of ``layer_runs``. Every run computes all
-    n rows but the one ending at the last layer, which computes its queries,
-    attention, out-projection, FFN, final norm and output head over rows
-    ``first_row..n-1`` only, and its keys and values over all n rows; with
-    ``first_row = 0`` that is the full forward. A run of k positions
-    computes its attention and its increment ``heads @ wo`` once, then adds
-    the increment k times in a row into the channels ``wo`` writes and, with
-    ``capture``, each captured tile k times in a row, for k > 1 each as one
-    reduction (``_add_times``): it has one head, so that is the order of k
-    layer-by-layer positions. Its q, k and v read
-    none of those channels and the output head reads only rows
-    ``first_row..n-1``, so no row above ``first_row`` that a last run would
-    write is ever read. For finite activations a run is bitwise
-    the layer-by-layer forward whose positions from the run's start on
-    compute the run's rows, up to the sign of a zero (the copy model's
-    activations are all >= 0). The residual stream is copied into
-    ``buffers`` at its first write and updated in place from then on, so
-    ``x`` itself is never written.
+    Layers run in the runs of ``layer_runs``. Each run computes all n rows
+    but one ending at the last layer, which computes its keys and values
+    over all n rows and all else over rows ``first_row..n-1``, the only rows
+    the output head reads. A run of k positions computes its attention and
+    increment once, then adds the increment and each captured tile k times
+    in a row (``_add_times``). With one head that is the order of k
+    layer-by-layer positions, and q, k and v read none of the channels the
+    run writes, so for finite activations it is bitwise the layer-by-layer
+    forward, up to the sign of a zero (the copy model's are all >= 0).
 
-    A dense projection is a product over all d channels. One that is c
-    times the identity on one block (``LayerWeights.scaled``) runs no
-    product: it is the view ``a[:, rows]`` where c is 1, and otherwise
-    ``a[:, rows]`` times c; the run adds the increment into only the
-    channels ``wo`` writes. For finite inputs without -0.0 that is bitwise
-    the product, whose every output holds one nonzero term and whose other
-    channels add zeros. A view is of ``x`` itself in layer 1 without norm;
-    nothing writes it. c = 1 runs as the multiply where a view would change
-    numpy's rounding of what follows: k where q is the view of the same
-    channels (``q @ k.T`` would run as syrk), and v in a layer with a
-    one-row tile (whose ``attn·v`` is a vector product).
+    A projection that is c times the identity on one block
+    (``LayerWeights.scaled``) runs no product: it is the view ``a[:, rows]``
+    where c is 1, else ``a[:, rows]`` times c, and the increment is added
+    into only the channels ``wo`` writes. Each output of the dense product
+    holds one nonzero term, so for finite inputs without -0.0 that is
+    bitwise. c = 1 runs as the multiply where a view would change numpy's
+    rounding: k where q is the view of the same channels (``q @ k.T`` would
+    be syrk), and v in a layer with a one-row tile (``attn·v`` a gemv).
+    Scores are scaled by ``1/sqrt(cfg.head_dim)`` at any head width. Each
+    head works through its rows in tiles of at most ``_TILE_BYTES`` of
+    scores; BLAS can round a product over a row slice differently, so a
+    tiled forward agrees with a one-tile one, and a ``first_row`` forward
+    with the tail of a full one, to about 1e-15. Captured rows are summed in
+    (layer, head) order as ``pruning.mean_attention`` sums maps. Capture is
+    observation-only: the logits are identical with it on or off.
 
-    Each layer's head widths are its arrays' (``LayerWeights``); scores are
-    scaled by ``1/sqrt(cfg.head_dim)`` at any width. A layer with no FFN
-    (``w1`` None) runs attention only: its FFN sublayer, norm included, is
-    skipped, not run on zero weights. Each head works through its rows in tiles
-    (``_TILE_BYTES``): the tile's ``q·kᵀ`` rows are scaled
-    and normalised in place in one reused score buffer, and the tile's
-    ``attn·v`` goes into that head's columns of the layer's (n, heads·w_v)
-    buffer. At n ≤ 362 there is one tile; the last layer's rows are
-    cut into proportionally fewer tiles of the same bound. Tiles differ in
-    size by at most one row. BLAS can round a product over a row slice
-    differently from the product over all rows, so a tiled forward agrees
-    with a one-tile one, and a ``first_row`` forward with the tail of a full
-    one, to about 1e-15, and bitwise only at some shapes. Captured rows are
-    summed in (layer, head) order as ``pruning.mean_attention`` sums maps,
-    and are not kept. Capture is observation-only: logits are identical with
-    it on or off.
-
-    Every intermediate of n rows or more (the norm output and its
-    temporary, q, k, v, the score tile, ``heads``, the increment, the FFN
-    hidden layer, its GELU and its output, the residual stream) goes by
-    ``out=`` into the views of ``buffers.plan(weights, n, first_row)``
-    (``ForwardBuffers``); ``buffers=None`` allocates a fresh set for this
-    call. Either way the arithmetic is the same, so the logits and the
-    capture are bitwise equal. Only the logits, the capture and, in a run
-    of k > 1, the stacks ``_add_times`` reduces are new arrays: (k + 1)
-    copies of the rows added, 56 KiB for a copy8x8 tile whose 8 response
-    rows are captured.
-
-    A forward on the plan of the same ``buffers``' last forward
-    (``_Plan.repeat``), in a model without ``norm`` whose first run has no
-    FFN, compares the columns of ``x`` that run's q, k and v read (the hull
-    of ``lw.reads``, ``_Plan.hull``), as bytes, with those a forward on
-    this plan kept. The run's increment and captured rows depend on those
-    columns alone, so where they are bitwise equal the run takes the kept
-    increment and rows and skips its products, score tiles, softmax and
-    ``attn·v``; it still copies ``x`` into the residual stream, adds the
-    increment k times and writes the rows into the capture, so the logits
-    and the capture are bitwise those of the full run. Otherwise, or where
-    the kept entry holds no capture and this forward captures, the run is
-    computed and kept: its columns, increment and captured rows. A new plan
-    keeps nothing, and a forward whose buffers ran another plan last keeps
-    nothing and drops what that plan kept: a progressive decode, whose n
-    changes every step, never compares or copies, and neither does a
-    forward with ``norm``, whose first run reads ``layer_norm(x)``. A
-    copy-model commit writes only ``mask_mark``, a channel the broadcast
-    layer does not read, so a baseline decode reuses that layer from its
-    third step on, or its second on buffers an earlier decode of its shape
-    left. ``buffers=None`` keeps nothing.
+    The first run takes the increment and captured rows of ``buffers.kept``
+    instead of computing them when: the model has no ``norm`` and the run no
+    FFN (``_Plan.hull``), so they depend on the columns of ``x`` it reads
+    alone; ``buffers.last`` is this plan; the entry is this plan's; those
+    columns are bitwise its key; and it holds a capture if this forward
+    captures. Where the first two hold and the others do not, the run is
+    computed and kept. Either way the logits and capture are bitwise equal.
     """
     cfg = weights.config
     x = np.asarray(x, dtype=np.float64)
@@ -575,23 +520,26 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
         raise ValueError("need at least one input row")
     if not 0 <= first_row < n:
         raise ValueError(f"first_row {first_row} outside 0..{n - 1}")
-    plan = (buffers or ForwardBuffers()).plan(weights, n, first_row)
+    buffers = buffers or ForwardBuffers()
+    plan = buffers.plan(weights, n, first_row)
+    key = kept = None
+    if buffers.last is plan and plan.hull is not None:  # compare with the kept first run
+        key = x[:, plan.hull].tobytes()
+        entry = buffers.kept
+        if entry and entry[0] is plan and entry[1] == key and (entry[3] is not None or not capture):
+            kept = entry
+    buffers.last = plan
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    h = x
     scores = plan.scores
     total = np.zeros((n - first_row, n)) if capture else None
-    key = kept = None
-    if plan.repeat and plan.hull is not None:  # the first run's inputs against the kept ones
-        key = x[:, plan.hull].tobytes()
-        if plan.kept and plan.kept[0] == key and (plan.kept[2] is not None or not capture):
-            kept = plan.kept
-    # lo: the first row whose output the run computes
+    h = plan.resid
+    h[...] = x  # layer 1's views alias this copy: its run adds into it after its attention
     for (lw, k, lo, layer_tiles, (view_q, view_k, view_v, view_o), q_out, k_out, v_out, heads,
          inc_out, hidden, act, norm_out, work_out) in plan.runs:
         if kept:  # the first run's outputs, as an earlier forward computed them
-            inc = kept[1]
+            inc = kept[2]
             if capture:
-                total[...] = kept[2]
+                total[...] = kept[3]
         else:
             a_in = layer_norm(h, out=plan.norm, work=plan.work) if weights.norm else h
             sq, sk, sv, so = lw.scaled
@@ -615,13 +563,9 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
             # a scaled wo reads every head output: its view is heads[lo:] itself
             inc = heads[lo:] if view_o else _project(heads[lo:], lw.wo, so, inc_out)
             if key is not None:
-                plan.kept = (key, inc.copy(), total.copy() if capture else None)
+                buffers.kept = (plan, key, inc.copy(), total.copy() if capture else None)
         key = kept = None  # the later runs read what the first one wrote
-        if h is x:  # the first write copies x, which is never written
-            h = plan.resid
-            h[...] = x[lo:]
-        else:
-            h = h[lo:]
+        h = h[lo:]
         _add_times(h[:, lw.writes], inc, k)  # only these channels change
         if lw.w1 is not None:
             f_in = layer_norm(h, out=norm_out, work=work_out) if weights.norm else h
@@ -743,20 +687,12 @@ def build_copy_model(patch_grid: tuple[int, int], patch_symbols: Sequence[str]) 
 
     Each layer is attention-only and stores only the head columns it routes
     through: layer 1 has q/k width n and v width 1, the others q/k width 1
-    and v width a, no layer has an FFN, and ``norm`` is unset. Every
-    projection is c times the identity on one block of channels
-    (``LayerWeights.scaled``), so ``forward`` runs no product for it: layer
-    1's q and k read n channels each, its v one (c = 20) and its ``wo``
-    writes one (the flag); a fetch layer's q (c = 20) and k read one each,
-    its v the a visual payload channels and its ``wo`` writes the a fetched
-    ones. The other six have c = 1 and run as views. The activations are
-    all >= 0, so that is bitwise the product. Layers 2..L are one
-    ``LayerWeights`` object whose one head writes a span none of its reads
-    meet (``ties``), so ``forward`` runs them as one run (``layer_runs``): a
-    forward is the broadcast layer over all n rows, then one fetch layer
-    over rows ``first_row..n-1`` and L - 2 more adds of its increment into
-    those rows. The config keeps ``ffn_dim = 1``, which ``analysis``
-    prices; the weights carry none. Scores are still scaled by
+    and v width a; ``norm`` is unset. Every projection is c times the
+    identity on one block of channels (``LayerWeights.scaled``), with c = 20
+    for layer 1's v and a fetch layer's q and c = 1 for the other six.
+    Layers 2..L are one ``LayerWeights`` object, which ``forward`` runs as
+    one tied run (``layer_runs``). The config keeps ``ffn_dim = 1``, which
+    ``analysis`` prices; the weights carry none. Scores are still scaled by
     ``1/sqrt(d)``, the config's head width. The logits are bitwise those of
     the same weights zero-padded to width d with an all-zero FFN in every
     layer.

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -23,10 +24,9 @@ from test_numerics import ref_gelu, ref_layer_norm, ref_softmax
 
 
 def buffer_arrays(buffers):
-    """The whole arrays that own the views a ``ForwardBuffers`` holds."""
-    views = [buffers.resid, buffers.norm, buffers.work, buffers.tiles] + [
-        a for run in buffers.runs for a in run[2:]]
-    return [a if a.base is None else a.base for a in views if a is not None]
+    """The one flat array every segment of a ``ForwardBuffers`` is cut from."""
+    (flat,) = {id(s.base): s.base for s in buffers.segments.values()}.values()
+    return [flat]
 
 
 def small_config(**overrides):
@@ -981,16 +981,18 @@ class TestForwardBuffers:
         else:
             w = init_random_model(small_config(), 0)
         buffers = ForwardBuffers()
-        buffers.plan(w, 24, 0)
+        plan = buffers.plan(w, 24, 0)
         arrays = buffer_arrays(buffers)  # held, so no id is reused
-        assert buffers.resid.shape == (24, w.config.embed_dim)
-        assert [lw for lw, *_ in buffers.runs] == [lw for lw, _ in layer_runs(w)]
+        assert plan.resid.shape == (24, w.config.embed_dim)
+        assert [run[0] for run in plan.runs] == [lw for lw, _ in layer_runs(w)]
         assert all(view is None or view.shape[0] == 24
-                   for _, _, *views in buffers.runs for view in views)
+                   for run in plan.runs for view in run[5:])
         for n, first_row in ((17, 0), (24, 20), (3, 2)):
             plan = buffers.plan(w, n, first_row)
             assert [id(a) for a in buffer_arrays(buffers)] == [id(a) for a in arrays]
-            assert plan.resid.ctypes.data == buffers.resid.ctypes.data  # a prefix
+            assert plan.resid.ctypes.data == arrays[0].ctypes.data  # a prefix
+            assert all(view is None or np.shares_memory(view, arrays[0])
+                       for run in plan.runs for view in run[5:])
         buffers.plan(w, 25, 0)
         grown = buffer_arrays(buffers)
         assert {id(a) for a in grown}.isdisjoint(id(a) for a in arrays)
@@ -1088,16 +1090,36 @@ class TestFirstRunReuse:
         assert 1 <= len(broadcast) <= 2
         np.testing.assert_array_equal(ids, np.full(8, task.expected))
 
-    def test_only_the_plan_in_use_keeps_an_entry(self):
+    def test_one_slot_serves_forwards_on_plans_a_a_b_a_a(self):
+        w = build_copy_model((2, 3), ("a", "b", "c"))
+        x, _ = copy_model_input(w, (2, 3), ("a", "b", "c"))
+        n = len(x)
+        buffers = ForwardBuffers()
+        ran, held = [], []
+        for first_row in (7, 7, 6, 7, 7):
+            with mock.patch.object(model, "softmax_rows", wraps=softmax_rows) as spy:
+                logits, cap = forward(x, w, capture=True, first_row=first_row, buffers=buffers)
+            want, want_cap = forward(x, w, capture=True, first_row=first_row)
+            assert logits.tobytes() == want.tobytes()
+            assert cap.maps[0][0].tobytes() == want_cap.maps[0][0].tobytes()
+            ran.append(any(c.args[0].shape[0] == n for c in spy.call_args_list))  # all n rows
+            a = buffers.plan(w, n, 7)
+            assert buffers.kept is None or (len(buffers.kept) == 4 and buffers.kept[0] is a)
+            held.append(buffers.kept is not None)
+        # kept at the second forward on A, and reused after B only once A runs twice again
+        assert ran == [True, True, True, True, False]
+        assert held == [False, True, True, True, True]
+
+    def test_a_grown_set_frees_its_old_array(self):
         w = build_copy_model((2, 3), ("a", "b", "c"))
         x, _ = copy_model_input(w, (2, 3), ("a", "b", "c"))
         buffers = ForwardBuffers()
         for _ in range(2):
-            forward(x, w, first_row=7, buffers=buffers)
-        plan = buffers.plan(w, len(x), 7)
-        assert plan.kept is not None
-        forward(x, w, first_row=6, buffers=buffers)
-        assert plan.kept is None
+            forward(x[:-1], w, capture=True, first_row=6, buffers=buffers)
+        assert buffers.kept is not None  # its plan's views are of the old array
+        old = weakref.ref(buffer_arrays(buffers)[0])
+        forward(x, w, first_row=7, buffers=buffers)  # one row more: a new array
+        assert old() is None
 
     @pytest.mark.parametrize("config", [
         dict(layers=4, heads=4, embed_dim=128, vision_dim=16, ffn_dim=256, vocab_size=64,
@@ -1112,8 +1134,8 @@ class TestFirstRunReuse:
         for _ in range(3):
             forward(x, w, capture=True, first_row=n - 32, buffers=buffers)
         plan = buffers.plan(w, n, n - 32)
-        assert plan.repeat  # the forwards ran on one plan
-        assert plan.hull is None and plan.kept is None
+        assert buffers.last is plan  # the forwards ran on one plan
+        assert plan.hull is None and buffers.kept is None
 
 
 class TestForwardAllocations:

@@ -1,5 +1,5 @@
 """Runs of tools/ab_decode.py against its own checkout and against a copy
-whose keep sets or logits differ, its CPU time and fault columns, its JSON
+whose keep sets or logits differ, its CPU time, fault and per-step columns, its JSON
 record and its bootstrap interval; record_decode's check that a forward leaves its input
 unchanged; and the tools' argument errors."""
 
@@ -54,9 +54,12 @@ def test_ab_decode_times_every_variant_against_its_own_checkout():
         assert len(row) == 13
         assert all(float(cpu) > 0 for cpu in row[9:11])  # thread CPU seconds per decode
         assert all(faults.isdigit() for faults in row[11:13])  # minor faults per decode
-    per_step = {row[0]: row[1] for row in (line.split() for line in lines[8:])}
-    assert per_step == {"once": "1.00", "random": "1.00", "progressive": "7.00",
-                        "scored": "7.00"}
+    per_step = [line.split() for line in lines[8:]]
+    assert {row[0]: row[1] for row in per_step} == {"once": "1.00", "random": "1.00",
+                                                   "progressive": "7.00", "scored": "7.00"}
+    for row in per_step:
+        assert len(row) == 7
+        assert row[5:7] == [f"[{row[4]},", f"{row[4]}]"]  # one round: the interval is the diff
 
 
 def test_ab_decode_writes_what_it_prints_as_json(tmp_path):
@@ -87,9 +90,10 @@ def test_ab_decode_writes_what_it_prints_as_json(tmp_path):
     assert list(per_step) == [line.split()[0] for line in lines[8:]]
     assert "scored" in per_step  # tiny16's other variants prune no step before the last
     for line, (variant, row) in zip(lines[8:], per_step.items()):
-        assert set(row) == {"steps", "base_us", "head_us", "ratio"}
-        assert line.split()[:4] == [variant, f"{row['steps']:.2f}", f"{row['base_us']:.1f}",
-                                    f"{row['head_us']:.1f}"]
+        assert set(row) == {"steps", "base_us", "head_us", "diff_us", "diff_interval_95"}
+        assert line.split()[:5] == [variant, f"{row['steps']:.2f}", f"{row['base_us']:.1f}",
+                                    f"{row['head_us']:.1f}", f"{row['diff_us']:.1f}"]
+        assert tuple(row["diff_interval_95"]) == (row["diff_us"], row["diff_us"])  # one round
 
 
 def test_ab_decode_fails_when_the_keep_sets_differ(tmp_path):

@@ -24,15 +24,15 @@ seconds per decode, the median ratio head/base with its quartiles and its
 bootstrap 95% interval (``bootstrap_interval``), the rounds the head side
 won, and each side's median thread CPU seconds (``time.thread_time``) and
 minor page faults (``getrusage(RUSAGE_THREAD)``) per decode, an integer.
-Then, per variant that prunes or scores, the per-step overhead: the
-variant's time less the baseline's in the same round, divided by its prune
-or score steps per decode, as the median over rounds for each side, and the
-ratio head/base of those medians where the base's is positive (a prune that
-saves more than it costs reads negative). ``--json PATH`` also writes all
-of that to PATH, per workload (``ab_workload``'s record; a per-step ratio
-the table prints as ``-`` is null), for the workloads timed before any
-whose decodes differ. A PATH that cannot be opened for writing exits 2
-before anything is decoded.
+Then, per variant that prunes or scores, the per-step overhead in
+microseconds: the variant's time less the baseline's in the same round,
+divided by its prune or score steps per decode (a prune that saves more
+than it costs reads negative). It prints each side's median over rounds,
+and the median over rounds of head's less base's with its bootstrap 95%
+interval. ``--json PATH`` also writes all of that to PATH, per workload
+(``ab_workload``'s record), for the workloads timed before any whose
+decodes differ. A PATH that cannot be opened for writing exits 2 before
+anything is decoded.
 The exit code reports only the bitwise check, never a timing.
 """
 
@@ -93,14 +93,14 @@ def differing_fields(base: tuple, head: tuple) -> list:
     return [name for name, b, h in zip(FIELDS, base, head) if not same(b, h)]
 
 
-def bootstrap_interval(ratios, seed: int = 0) -> tuple[float, float]:
-    """Bootstrap 95% interval of the median of ``ratios``, one per round: the
+def bootstrap_interval(values, seed: int = 0) -> tuple[float, float]:
+    """Bootstrap 95% interval of the median of ``values``, one per round: the
     2.5th and 97.5th percentiles of the medians of ``RESAMPLES`` resamplings
     of the rounds with replacement, drawn from ``default_rng(seed)``."""
     import numpy as np
-    ratios = np.asarray(ratios, dtype=np.float64)
-    picks = np.random.default_rng(seed).integers(0, ratios.size, (RESAMPLES, ratios.size))
-    lo, hi = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
+    values = np.asarray(values, dtype=np.float64)
+    picks = np.random.default_rng(seed).integers(0, values.size, (RESAMPLES, values.size))
+    lo, hi = np.percentile(np.median(values[picks], axis=1), [2.5, 97.5])
     return float(lo), float(hi)
 
 
@@ -154,11 +154,14 @@ def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> dict | 
         steps = float(np.mean([counts[i % len(counts)] for i in range(reps)]))
         if variant == "baseline" or steps == 0:
             continue
-        over = {label: 1e6 * float(np.median(times[label, variant] - times[label, "baseline"]))
-                / steps for label in pair}
+        # per round and side, microseconds per step over the baseline decode
+        over = {label: 1e6 * (times[label, variant] - times[label, "baseline"]) / steps
+                for label in pair}
+        diff = over["head"] - over["base"]
         record["per_step"][variant] = {
-            "steps": steps, "base_us": over["base"], "head_us": over["head"],
-            "ratio": over["head"] / over["base"] if over["base"] > 0 else None}
+            "steps": steps, "base_us": float(np.median(over["base"])),
+            "head_us": float(np.median(over["head"])), "diff_us": float(np.median(diff)),
+            "diff_interval_95": bootstrap_interval(diff)}
     print_workload(name, record)
     return record
 
@@ -176,11 +179,12 @@ def print_workload(name: str, record: dict) -> None:
               f"{row['ratio']:6.3f} [{row['ratio_q1']:.3f}, {row['ratio_q3']:.3f}] "
               f"[{lo:.3f}, {hi:.3f}] {row['won']:3d}/{rounds:<3d} {row['base_cpu_s']:9.3e} "
               f"{row['head_cpu_s']:9.3e} {row['base_faults']:8d} {row['head_faults']:8d}")
-    print(f"  {'per-step':12s} {'steps':>6s} {'base us':>9s} {'head us':>9s} {'ratio':>6s}")
+    print(f"  {'per-step':12s} {'steps':>6s} {'base us':>9s} {'head us':>9s} {'diff us':>9s} "
+          f"{'95% interval':>19s}")
     for variant, row in record["per_step"].items():
-        ratio = f"{'-':>6s}" if row["ratio"] is None else f"{row['ratio']:6.3f}"
+        lo, hi = row["diff_interval_95"]
         print(f"  {variant:12s} {row['steps']:6.2f} {row['base_us']:9.1f} {row['head_us']:9.1f} "
-              f"{ratio}")
+              f"{row['diff_us']:9.1f} [{lo:.1f}, {hi:.1f}]")
 
 
 def main(argv=None) -> int:
