@@ -38,7 +38,7 @@ _UFUNC_BUFSIZE = 512
 # The largest ``model.ForwardBuffers`` a finished decode leaves to the next
 # decode of its model. Setting buffers up costs a decode 30 to 45 us: 3 to 10%
 # of a copy8x8 or tiny16 decode (320 and 48 KiB), nothing to speak of in a
-# vit1024 one, whose 7.3 MiB, kept, raise perfbench's peak_rss_mb by 9%.
+# vit1024 one, whose 5.98 MiB, kept, raise perfbench's peak_rss_mb by 10%.
 _SPARE_BYTES = 1 << 20
 
 

@@ -308,9 +308,12 @@ def layer_runs(weights: ModelWeights) -> list[tuple[LayerWeights, int]]:
     return runs
 
 
-# Budget of one head's score tile in bytes, sized to a 4 MiB L2 cache. A
-# forward whose (n, n) float64 scores would exceed it splits its rows evenly
-# into ceil(8·n² / _TILE_BYTES) tiles, so no (n, n) array is allocated.
+# Budget of one head's score tile in bytes. A forward whose (n, n) float64
+# scores would exceed it splits its rows evenly into ceil(8·n² / _TILE_BYTES)
+# tiles, which its FFN runs in too, so no (n, n) or (n, mu) array is
+# allocated. A vit1024 decode-step forward times alike at 512 KiB, 1 MiB and
+# 2 MiB (README); 256 KiB tiles change its logits at n = 1,072, and 512 KiB
+# tiles the logits of other vit1024 decode forwards.
 _TILE_BYTES = 1 << 20
 
 
@@ -332,11 +335,13 @@ class _Plan:
     ``work`` of n rows, the score tile ``scores``, and per layer run of
     ``layer_runs`` (``runs``) the layer, k, the first row ``lo`` whose
     output it computes, its tile count (``row_tiles``), which of q, k, v and
-    ``wo`` run as a view (``forward``), and its views of q (n - lo rows), k,
-    v, ``heads`` (n rows), the increment, the FFN hidden layer and GELU, and
-    ``norm`` and ``work`` (n - lo rows), None for what the model lacks.
-    ``hull``: the input channels the first run's outputs depend on, if only
-    those; else None."""
+    ``wo`` run as a view (``forward``), its views of q (n - lo rows), k, v,
+    ``heads`` (n rows), the increment, and ``norm`` and ``work`` (n - lo
+    rows), None for what the model lacks, and its FFN tiles: per row tile,
+    the FFN input rows (of ``norm``, or of ``resid`` without norm), the
+    hidden layer and GELU, and the ``work`` and ``resid`` rows it writes;
+    none without an FFN. ``hull``: the input channels the first run's
+    outputs depend on, if only those; else None."""
 
     def __init__(self, buffers: "ForwardBuffers", n: int, first_row: int):
         weights, d = buffers.weights, buffers.weights.config.embed_dim
@@ -352,17 +357,22 @@ class _Plan:
         for lw, k in layer_runs(weights):
             end += k
             lo = first_row if end == len(weights.layers) else 0
-            m = n - lo
+            m, tiles = n - lo, row_tiles(n, lo)
             views = [s is not None and s[2] == 1.0 for s in lw.scaled]
             views[1] &= not (views[0] and lw.reads[0] == lw.reads[1])  # a @ a.T runs as syrk
-            views[2] &= m // row_tiles(n, lo) > 1  # a one-row tile's attn·v is a gemv
-            mu = 0 if lw.w1 is None else lw.w1.shape[1]
+            views[2] &= m // tiles > 1  # a one-row tile's attn·v is a gemv
+            ffn = []
+            if lw.w1 is not None:
+                mu, f_in = lw.w1.shape[1], self.resid[lo:] if self.norm is None else self.norm
+                bounds = [t * m // tiles for t in range(tiles + 1)]
+                ffn = [(f_in[r0:r1], cut("hidden", r1 - r0, mu), cut("act", r1 - r0, mu),
+                        self.work[r0:r1], self.resid[lo + r0:lo + r1])
+                       for r0, r1 in zip(bounds, bounds[1:])]
             self.runs.append((
-                lw, k, lo, row_tiles(n, lo), tuple(views), cut("q", m, lw.wq.shape[2]),
+                lw, k, lo, tiles, tuple(views), cut("q", m, lw.wq.shape[2]),
                 cut("k", n, lw.wk.shape[2]), cut("v", n, lw.wv.shape[2]),
                 cut("heads", n, lw.wo.shape[0]), cut("work", m, lw.writes.stop - lw.writes.start),
-                cut("hidden", m, mu) if mu else None, cut("act", m, mu) if mu else None,
-                None if self.norm is None else self.norm[:m], self.work[:m]))
+                None if self.norm is None else self.norm[:m], self.work[:m], ffn))
         first = self.runs[0][0]
         self.hull = None
         if not weights.norm and first.w1 is None:
@@ -388,12 +398,16 @@ class ForwardBuffers:
     ``weights.norm``), ``work`` (the ``layer_norm`` temporary, the increment
     and the FFN output in turn, rows·d wide), q, k, v and ``heads`` (each as
     wide as the widest layer's), the score ``tiles``, and the FFN's
-    ``hidden`` and GELU ``act``, which share one span with q to ``tiles``:
-    no forward needs both sets at once. ``tiles`` holds min(rows², B/8 +
-    rows) elements for ``_TILE_BYTES`` B, the most a forward of n <= rows
-    rows needs: in t tiles it has ceil(n/t)·n <= B/8 + n scores, since t >=
-    8n²/B, and one tile only where n² <= B/8. No array holds a forward's
-    input or output, nor the stacks a tied run reduces (``_add_times``).
+    ``hidden`` and GELU ``act`` of one row tile, which share one span with q
+    to ``tiles``: no forward needs both sets at once. ``tiles`` holds
+    min(rows², B/8 + rows) elements for ``_TILE_BYTES`` B, the most a
+    forward of n <= rows rows needs: in t tiles it has ceil(n/t)·n <= B/8 +
+    n scores, since t >= 8n²/B, and one tile only where n² <= B/8. So no
+    tile has more than min(rows, isqrt(B/8)) rows (362 at 1 MiB), and
+    ``hidden`` and ``act`` hold that many rows of the widest FFN: at n >
+    isqrt(B/8), ceil(n/t) > isqrt(B/8) would make B/8 >= (isqrt(B/8) + 1)².
+    A vit1024 set (1,072 rows) is 5.98 MiB. No array holds a forward's input
+    or output, nor the stacks a tied run reduces (``_add_times``).
     ``plan(weights, n, first_row)`` cuts the views a forward writes into
     (``_Plan``) once per (n, first_row) and keeps up to ``_PLANS`` of them.
 
@@ -423,13 +437,13 @@ class ForwardBuffers:
     def _allocate(self, weights: ModelWeights, rows: int) -> None:
         d, layers = weights.config.embed_dim, weights.layers
         mu = max((lw.w1.shape[1] for lw in layers if lw.w1 is not None), default=0)
+        ffn = min(rows, math.isqrt(_TILE_BYTES // 8)) * mu  # the most rows of one tile
         size = dict(resid=rows * d, norm=rows * d if weights.norm else 0, work=rows * d,
                     q=rows * max(lw.wq.shape[2] for lw in layers),
                     k=rows * max(lw.wk.shape[2] for lw in layers),
                     v=rows * max(lw.wv.shape[2] for lw in layers),
                     heads=rows * max(lw.wo.shape[0] for lw in layers),
-                    tiles=min(rows * rows, _TILE_BYTES // 8 + rows), hidden=rows * mu,
-                    act=rows * mu)
+                    tiles=min(rows * rows, _TILE_BYTES // 8 + rows), hidden=ffn, act=ffn)
         start, at = {}, 0
         for role in size:
             if role == "hidden":  # never live with the attention's arrays: share their span
@@ -496,12 +510,12 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     rounding: k where q is the view of the same channels (``q @ k.T`` would
     be syrk), and v in a layer with a one-row tile (``attn·v`` a gemv).
     Scores are scaled by ``1/sqrt(cfg.head_dim)`` at any head width. Each
-    head works through its rows in tiles of at most ``_TILE_BYTES`` of
-    scores; BLAS can round a product over a row slice differently, so a
-    tiled forward agrees with a one-tile one, and a ``first_row`` forward
-    with the tail of a full one, to about 1e-15. Captured rows are summed in
-    (layer, head) order as ``pruning.mean_attention`` sums maps. Capture is
-    observation-only: the logits are identical with it on or off.
+    head, then the FFN, works through its rows in tiles of at most
+    ``_TILE_BYTES`` of scores; BLAS can round a product over a row slice
+    differently, so a tiled forward agrees with a one-tile one, and a
+    ``first_row`` forward with the tail of a full one, to about 1e-15.
+    Captured rows are summed in (layer, head) order as
+    ``pruning.mean_attention`` sums maps. Capture is observation-only.
 
     The first run takes the increment and captured rows of ``buffers.kept``
     instead of computing them when: the model has no ``norm`` and the run no
@@ -535,7 +549,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     h = plan.resid
     h[...] = x  # layer 1's views alias this copy: its run adds into it after its attention
     for (lw, k, lo, layer_tiles, (view_q, view_k, view_v, view_o), q_out, k_out, v_out, heads,
-         inc_out, hidden, act, norm_out, work_out) in plan.runs:
+         inc_out, norm_out, work_out, ffn) in plan.runs:
         if kept:  # the first run's outputs, as an earlier forward computed them
             inc = kept[2]
             if capture:
@@ -567,10 +581,10 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
         key = kept = None  # the later runs read what the first one wrote
         h = h[lo:]
         _add_times(h[:, lw.writes], inc, k)  # only these channels change
-        if lw.w1 is not None:
-            f_in = layer_norm(h, out=norm_out, work=work_out) if weights.norm else h
-            f = gelu(np.matmul(f_in, lw.w1, out=hidden), out=act)
-            h += np.matmul(f, lw.w2, out=work_out)
+        if ffn and weights.norm:
+            layer_norm(h, out=norm_out, work=work_out)  # the FFN tiles' input rows
+        for f_in, hidden, act, f_out, rows in ffn:  # in the attention's row tiles
+            rows += np.matmul(gelu(np.matmul(f_in, lw.w1, out=hidden), out=act), lw.w2, out=f_out)
     if weights.norm:
         h = layer_norm(h, out=norm_out, work=work_out)
     logits = h @ weights.output_w + weights.output_b

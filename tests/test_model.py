@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 import weakref
 from unittest import mock
@@ -638,12 +639,25 @@ class TestTiledForward:
     def test_last_layer_runs_only_the_rows_the_caller_reads(self, n, first_row, first_tiles,
                                                             last_tiles):
         # layer 1 tiles all n rows; the last layer tiles rows first_row..n-1
-        # only, in proportionally fewer tiles of the same bound, and its FFN
-        # runs on those rows alone
+        # only, in proportionally fewer tiles of the same bound, and each
+        # layer's FFN runs once per tile of its attention, on those rows alone
         mu = 8
         seen, gelu_shapes = self.recorded_work(n, first_row, layers=2, heads=2, ffn_dim=mu)
         assert seen == first_tiles * 2 + last_tiles * 2
-        assert gelu_shapes == [(n, mu), (n - first_row, mu)]
+        assert gelu_shapes == [(rows, mu) for rows in first_tiles + last_tiles]
+
+    @pytest.mark.parametrize("tile_bytes", [1 << 20, 8 * 40 * 7, 8 * 40 * 13])
+    @pytest.mark.parametrize("n,first_row", [(1072, 0), (1072, 1040), (363, 1), (40, 0),
+                                             (40, 33)])
+    def test_no_gelu_call_covers_more_rows_than_one_tile_holds(self, tile_bytes, n, first_row):
+        # the FFN's buffers hold min(rows, isqrt(B / 8)) rows, the most any
+        # tile of any plan has; a call over more rows would not fit them
+        with mock.patch.object(model, "_TILE_BYTES", tile_bytes):
+            seen, gelu_shapes = self.recorded_work(n, first_row, layers=2, heads=1, ffn_dim=8)
+        cap = min(n, math.isqrt(tile_bytes // 8))
+        assert max(seen) <= cap
+        assert sum(rows for rows, _ in gelu_shapes) == 2 * n - first_row
+        assert max(rows for rows, _ in gelu_shapes) <= cap
 
 
 def disjoint_layer(rng, heads, d, read, w=3, w_v=2):
@@ -986,18 +1000,33 @@ class TestForwardBuffers:
         assert plan.resid.shape == (24, w.config.embed_dim)
         assert [run[0] for run in plan.runs] == [lw for lw, _ in layer_runs(w)]
         assert all(view is None or view.shape[0] == 24
-                   for run in plan.runs for view in run[5:])
+                   for run in plan.runs for view in run[5:-1])
+        assert all(not run[-1] or sum(len(rows) for *_, rows in run[-1]) == 24
+                   for run in plan.runs)
         for n, first_row in ((17, 0), (24, 20), (3, 2)):
             plan = buffers.plan(w, n, first_row)
             assert [id(a) for a in buffer_arrays(buffers)] == [id(a) for a in arrays]
             assert plan.resid.ctypes.data == arrays[0].ctypes.data  # a prefix
             assert all(view is None or np.shares_memory(view, arrays[0])
-                       for run in plan.runs for view in run[5:])
+                       for run in plan.runs for view in (*run[5:-1], *sum(run[-1], ())))
         buffers.plan(w, 25, 0)
         grown = buffer_arrays(buffers)
         assert {id(a) for a in grown}.isdisjoint(id(a) for a in arrays)
         buffers.plan(init_random_model(small_config(), 1), 3, 0)
         assert {id(a) for a in buffer_arrays(buffers)}.isdisjoint(id(a) for a in grown)
+
+    def test_a_vit1024_set_holds_one_tile_of_ffn_rows(self):
+        # vit1024's shape: n = 1,072, d = 128, four heads of width 32, mu = 256
+        cfg = ModelConfig(layers=4, heads=4, embed_dim=128, vision_dim=16, ffn_dim=256,
+                          vocab_size=64, patch_grid=(32, 32), mask_token_id=63)
+        buffers = ForwardBuffers()
+        buffers.plan(init_random_model(cfg, 0), 1072, 1040)
+        n, d, mu = 1072, 128, 256
+        assert buffers.segments["hidden"].size == buffers.segments["act"].size == 362 * mu
+        # resid, norm and work, then q, k, v, heads and the score tiles, whose
+        # span the FFN's two 362-row buffers share: 5.98 MiB
+        assert buffers.nbytes == 8 * (3 * n * d + 3 * n * 32 + n * d + (1 << 17) + n)
+        assert buffers.nbytes <= 6 << 20
 
     def test_one_plan_is_cut_per_n_and_first_row(self):
         w = init_random_model(small_config(), 0)
