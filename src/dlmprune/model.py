@@ -317,13 +317,6 @@ def layer_runs(weights: ModelWeights) -> list[tuple[LayerWeights, int]]:
 _TILE_BYTES = 1 << 20
 
 
-def row_tiles(n: int, lo: int) -> int:
-    """How many tiles ``forward`` cuts rows ``lo..n-1`` of an n-row layer
-    into: ceil(8·n² / _TILE_BYTES) for all n rows, proportionally fewer for
-    fewer rows."""
-    return -(-(n - lo) * -(-8 * n * n // _TILE_BYTES) // n)
-
-
 # The most (n, first_row) plans one ``ForwardBuffers`` keeps: a progressive
 # copy8x8 decode cuts 8, at a few microseconds each.
 _PLANS = 64
@@ -334,8 +327,10 @@ class _Plan:
     ``ForwardBuffers.segments``: ``resid``, ``norm`` (None without norm) and
     ``work`` of n rows, the score tile ``scores``, and per layer run of
     ``layer_runs`` (``runs``) the layer, k, the first row ``lo`` whose
-    output it computes, its tile count (``row_tiles``), which of q, k, v and
-    ``wo`` run as a view (``forward``), its views of q (n - lo rows), k, v,
+    output it computes, its row tiles (r0, r1) (rows ``lo..n-1`` cut evenly,
+    into ceil(8·n² / _TILE_BYTES) tiles for all n rows and proportionally
+    fewer for fewer rows), which of q, k, v and ``wo`` run as a view
+    (``forward``), its views of q (n - lo rows), k, v,
     ``heads`` (n rows), the increment, and ``norm`` and ``work`` (n - lo
     rows), None for what the model lacks, and its FFN tiles: per row tile,
     the FFN input rows (of ``norm``, or of ``resid`` without norm), the
@@ -349,27 +344,26 @@ class _Plan:
         def cut(role: str, rows: int, cols: int) -> np.ndarray:
             return buffers.segments[role][:rows * cols].reshape(rows, cols)
 
-        tile_rows = -(-n // row_tiles(n, 0))
-        self.scores = cut("tiles", tile_rows, n)
+        whole = -(-8 * n * n // _TILE_BYTES)  # the tiles of all n rows
+        self.scores = cut("tiles", -(-n // whole), n)
         self.resid, self.work = cut("resid", n, d), cut("work", n, d)
         self.norm = cut("norm", n, d) if weights.norm else None
         self.runs, end = [], 0
         for lw, k in layer_runs(weights):
             end += k
             lo = first_row if end == len(weights.layers) else 0
-            m, tiles = n - lo, row_tiles(n, lo)
+            m, tiles = n - lo, -(-(n - lo) * whole // n)
+            spans = [(lo + t * m // tiles, lo + (t + 1) * m // tiles) for t in range(tiles)]
             views = [s is not None and s[2] == 1.0 for s in lw.scaled]
             views[1] &= not (views[0] and lw.reads[0] == lw.reads[1])  # a @ a.T runs as syrk
-            views[2] &= m // tiles > 1  # a one-row tile's attn·v is a gemv
+            views[2] &= min(r1 - r0 for r0, r1 in spans) > 1  # a one-row tile's attn·v is a gemv
             ffn = []
             if lw.w1 is not None:
                 mu, f_in = lw.w1.shape[1], self.resid[lo:] if self.norm is None else self.norm
-                bounds = [t * m // tiles for t in range(tiles + 1)]
-                ffn = [(f_in[r0:r1], cut("hidden", r1 - r0, mu), cut("act", r1 - r0, mu),
-                        self.work[r0:r1], self.resid[lo + r0:lo + r1])
-                       for r0, r1 in zip(bounds, bounds[1:])]
+                ffn = [(f_in[r0 - lo:r1 - lo], cut("hidden", r1 - r0, mu), cut("act", r1 - r0, mu),
+                        self.work[r0 - lo:r1 - lo], self.resid[r0:r1]) for r0, r1 in spans]
             self.runs.append((
-                lw, k, lo, tiles, tuple(views), cut("q", m, lw.wq.shape[2]),
+                lw, k, lo, spans, tuple(views), cut("q", m, lw.wq.shape[2]),
                 cut("k", n, lw.wk.shape[2]), cut("v", n, lw.wv.shape[2]),
                 cut("heads", n, lw.wo.shape[0]), cut("work", m, lw.writes.stop - lw.writes.start),
                 None if self.norm is None else self.norm[:m], self.work[:m], ffn))
@@ -548,7 +542,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
     total = np.zeros((n - first_row, n)) if capture else None
     h = plan.resid
     h[...] = x  # layer 1's views alias this copy: its run adds into it after its attention
-    for (lw, k, lo, layer_tiles, (view_q, view_k, view_v, view_o), q_out, k_out, v_out, heads,
+    for (lw, k, lo, spans, (view_q, view_k, view_v, view_o), q_out, k_out, v_out, heads,
          inc_out, norm_out, work_out, ffn) in plan.runs:
         if kept:  # the first run's outputs, as an earlier forward computed them
             inc = kept[2]
@@ -563,9 +557,7 @@ def forward(x: Matrix, weights: ModelWeights, capture: bool = False,
                 kt = (a_in[:, sk[0]] if view_k else _project(a_in, lw.wk[hd], sk, k_out)).T
                 v = a_in[:, sv[0]] if view_v else _project(a_in, lw.wv[hd], sv, v_out)
                 c0 = hd * dv
-                r1 = lo
-                for t in range(1, layer_tiles + 1):
-                    r0, r1 = r1, lo + t * (n - lo) // layer_tiles
+                for r0, r1 in spans:
                     tile = scores[:r1 - r0]
                     np.matmul(q[r0 - lo:r1 - lo], kt, out=tile)
                     tile *= scale

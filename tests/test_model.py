@@ -659,6 +659,24 @@ class TestTiledForward:
         assert sum(rows for rows, _ in gelu_shapes) == 2 * n - first_row
         assert max(rows for rows, _ in gelu_shapes) <= cap
 
+    @pytest.mark.parametrize("tile_bytes", [1 << 20, 8 * 40 * 7, 8 * 40 * 13])
+    @pytest.mark.parametrize("n,first_row", [(1072, 0), (1072, 1040), (363, 1), (40, 0),
+                                             (40, 33)])
+    def test_each_layers_gelu_calls_cover_the_rows_of_one_heads_tiles(self, tile_bytes, n,
+                                                                       first_row):
+        # layer 1's FFN runs in the tiles each of its heads cuts from all n
+        # rows, the last layer's in those of rows first_row..n-1, in order
+        heads = 2
+        with mock.patch.object(model, "_TILE_BYTES", tile_bytes):
+            seen, gelu_shapes = self.recorded_work(n, first_row, layers=2, heads=heads,
+                                                   ffn_dim=8)
+        first = next(t for t in range(len(seen)) if sum(seen[:t]) == n)  # layer 1's, per head
+        last = len(seen) // heads - first
+        first_tiles, last_tiles = seen[:first], seen[heads * first:heads * first + last]
+        assert seen == first_tiles * heads + last_tiles * heads
+        assert sum(last_tiles) == n - first_row
+        assert [rows for rows, _ in gelu_shapes] == first_tiles + last_tiles
+
 
 def disjoint_layer(rng, heads, d, read, w=3, w_v=2):
     """A random attention-only layer whose q, k and v read channels [0, read)

@@ -1,9 +1,11 @@
 """Runs of tools/ab_decode.py against its own checkout and against a copy
 whose keep sets or logits differ, its CPU time, fault and per-step columns, its JSON
-record and its bootstrap interval; record_decode's check that a forward leaves its input
-unchanged; and the tools' argument errors."""
+record, its bootstrap interval and the process it loads the base checkout in;
+record_decode's check that a forward leaves its input unchanged; and the tools'
+argument errors."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 from ab_decode import bootstrap_interval  # noqa: E402
-from checkout import load_side, record_decode  # noqa: E402
+from checkout import load, record_decode  # noqa: E402
 
 
 def tool(*args):
@@ -119,8 +121,28 @@ def test_ab_decode_fails_when_the_logits_differ(tmp_path):
     assert proc.stdout == ""
 
 
+def test_ab_decode_loads_the_base_checkout_in_one_worker_process(tmp_path):
+    copy_checkout(tmp_path)
+    with open(tmp_path / "src" / "dlmprune" / "__init__.py", "a") as init:
+        init.write("\nimport os\nwith open(os.environ['PID_FILE'], 'a') as f:\n"
+                   "    f.write(f'{os.getpid()}\\n')\n")
+    pids = tmp_path / "pids"
+    proc = subprocess.Popen([sys.executable, "tools/ab_decode.py", str(tmp_path), "--workload",
+                             "tiny16", "--rounds", "1"], cwd=ROOT, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "PID_FILE": str(pids)})
+    try:
+        _, stderr = proc.communicate(timeout=300)
+    finally:
+        proc.kill()  # a no-op once it has exited
+    assert proc.returncode == 0, stderr
+    loaded_in = [int(pid) for pid in pids.read_text().split()]
+    assert len(loaded_in) == 1  # one process imported the copy
+    assert loaded_in[0] != proc.pid  # and not the tool's own
+
+
 def test_record_decode_fails_when_a_forward_writes_its_input(monkeypatch):
-    package, workloads = load_side("dlmprune_tools_test", ROOT)
+    package, workloads = load(ROOT)
     decoder, pruning = package.decoder, package.pruning
     forward = decoder.forward
 

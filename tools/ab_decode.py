@@ -1,29 +1,30 @@
 #!/usr/bin/env python3
-"""Interleaved in-process A/B of whole perfbench decodes between two checkouts.
+"""Interleaved A/B of whole perfbench decodes between two checkouts, one process each.
 
     python3 tools/ab_decode.py <base-checkout> [--workload W] [--rounds N] [--json PATH]
 
-Loads the base checkout and the checkout this script lives in side by side
-(``tools/checkout.py``: one BLAS thread, no bytecode, one core). For each
-workload (``all`` by default) each side builds its model and the first
-``INPUTS`` inputs of seed 1 through its own ``perfbench/workloads.py``, and
-decodes them under every variant in ``workloads.VARIANTS`` as the benchmark
-does (``checkout.decode``).
+For each workload (``all`` by default), the base checkout and the checkout
+this script lives in each run in a spawned worker process that loads only
+that checkout (``tools/checkout.py``: one BLAS thread, no bytecode), on the
+one core this process is pinned to. Each side builds its model and the
+first ``INPUTS`` inputs of seed 1 through its own ``perfbench/workloads.py``
+and decodes them under every variant in ``workloads.VARIANTS`` as the
+benchmark does (``checkout.decode``).
 
 It exits 1, before timing anything, unless both sides decode every input
 under every variant bitwise alike in the fields ``tools/decode_digest.py``
 hashes (``checkout.record_decode``): the decoded ids, the positions
 committed at each step, the per-step sequence lengths, the score traces, the
-keep sets applied, and the logits and captured maps of every forward. It
-records and compares one input on both sides at a time, so it holds one
-input's records per side. Each round then times, per variant, a batch of
-decodes on each side, alternating which side runs first; a batch holds as
-many decodes as make about 20 ms of the base side's baseline, cycling
-through the inputs. Per workload it prints, per variant, each side's median
-seconds per decode, the median ratio head/base with its quartiles and its
-bootstrap 95% interval (``bootstrap_interval``), the rounds the head side
-won, and each side's median thread CPU seconds (``time.thread_time``) and
-minor page faults (``getrusage(RUSAGE_THREAD)``) per decode, an integer.
+keep sets applied, and the logits and captured maps of every forward. Each
+side sends one SHA-256 per field and input (``checkout.update_digest``).
+Each round then times, per variant, a batch of decodes on each side,
+alternating which side runs first; a batch holds as many decodes as make
+about 20 ms of the base side's baseline, cycling through the inputs. Per
+workload it prints, per variant, each side's median seconds per decode, the
+median ratio head/base with its quartiles and its bootstrap 95% interval
+(``bootstrap_interval``), the rounds the head side won, and each side's
+median thread CPU seconds (``time.thread_time``) and minor page faults
+(``getrusage(RUSAGE_THREAD)``, in its own process) per decode, an integer.
 Then, per variant that prunes or scores, the per-step overhead in
 microseconds: the variant's time less the baseline's in the same round,
 divided by its prune or score steps per decode (a prune that saves more
@@ -32,22 +33,25 @@ and the median over rounds of head's less base's with its bootstrap 95%
 interval. ``--json PATH`` also writes all of that to PATH, per workload
 (``ab_workload``'s record), for the workloads timed before any whose
 decodes differ. A PATH that cannot be opened for writing exits 2 before
-anything is decoded.
-The exit code reports only the bitwise check, never a timing.
+anything is decoded. The exit code reports only the bitwise check, never a
+timing.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
+import multiprocessing
 import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from checkout import (FIELDS, HEAD, check_root, decode, isolate, load_sides,
-                      pin_to_one_core, record_decode)
+from checkout import (FIELDS, HEAD, check_root, decode, isolate, load, pin_to_one_core,
+                      record_decode, update_digest)
 
 INPUTS = 16
 SEED = 1
@@ -56,7 +60,7 @@ RESAMPLES = 2000
 
 
 class Side:
-    """One checkout's decodes of one workload's inputs."""
+    """One checkout's decodes of one workload's inputs, in a worker process."""
 
     def __init__(self, package, workloads, name: str):
         import numpy as np
@@ -65,9 +69,19 @@ class Side:
         self.weights = self.wl.build_model()
         self.inputs = self.wl.make_inputs(np.random.default_rng(SEED), self.weights)[:INPUTS]
 
-    def record(self, variant: str, i: int) -> tuple:
-        """``record_decode``'s fields for input ``i``."""
-        return record_decode(*self.side, self.wl, self.weights, variant, self.inputs[i])
+    def record(self, variant: str) -> list:
+        """Per input, one SHA-256 per ``record_decode`` field (``update_digest``
+        of each array) and the decode's score and prune steps."""
+        records = []
+        for inp in self.inputs:
+            fields = record_decode(*self.side, self.wl, self.weights, variant, inp)
+            digests = []
+            for arrays in fields:
+                h = hashlib.sha256()
+                update_digest(h, *arrays)
+                digests.append(h.hexdigest())
+            records.append((digests, len(fields[3]) + len(fields[4])))
+        return records
 
     def batch(self, variant: str, reps: int) -> tuple[float, float, float]:
         """Wall seconds, thread CPU seconds and minor page faults per decode
@@ -84,13 +98,19 @@ class Side:
         return (t1 - t0) / reps, (c1 - c0) / reps, (f1 - f0) / reps
 
 
-def differing_fields(base: tuple, head: tuple) -> list:
-    """Names of the ``FIELDS`` in which two ``Side.record`` results differ."""
-    def same(a, b):
-        return len(a) == len(b) and all(
-            x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-            for x, y in zip(a, b))
-    return [name for name, b, h in zip(FIELDS, base, head) if not same(b, h)]
+_side = None  # a worker process's Side
+
+
+def _start_side(root: Path, name: str) -> None:
+    """A worker's initializer: the ``Side`` of workload ``name`` of the checkout at ``root``."""
+    global _side
+    isolate()
+    _side = Side(*load(root), name)
+
+
+def _call(method: str, *args):
+    """The worker's ``Side.record`` or ``Side.batch``."""
+    return getattr(_side, method)(*args)
 
 
 def bootstrap_interval(values, seed: int = 0) -> tuple[float, float]:
@@ -104,34 +124,40 @@ def bootstrap_interval(values, seed: int = 0) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> dict | None:
-    """Check and time one workload and print what was measured; that record,
-    or None if the decodes differ."""
+def ab_workload(name: str, roots: dict, variants: tuple, rounds: int) -> dict | None:
+    """Check and time one workload, each side of ``roots`` in a worker process of
+    its own, and print what was measured; that record, or None if the decodes differ."""
     import numpy as np
-    pair = {label: Side(*loaded, name) for label, loaded in sides.items()}
-    inputs = len(pair["head"].inputs)
-    if len(pair["base"].inputs) != inputs:
-        print(f"error: base and head make different inputs on workload {name}", file=sys.stderr)
-        return None
-    # per variant, prune or score steps per decode of each input a batch cycles through
-    steps_per_decode = {variant: [] for variant in variants}
-    for variant in variants:
-        for i in range(inputs):
-            base, head = pair["base"].record(variant, i), pair["head"].record(variant, i)
-            differ = differing_fields(base, head)
-            if differ:
-                print(f"error: base and head decodes differ on workload {name} variant "
-                      f"{variant} input {i}: {', '.join(differ)}", file=sys.stderr)
-                return None
-            steps_per_decode[variant].append(len(head[3]) + len(head[4]))
-            del base, head  # hold one input's records per side, not two
+    spawn = multiprocessing.get_context("spawn")  # a forked worker would hold this checkout
+    with ProcessPoolExecutor(1, spawn, _start_side, (roots["base"], name)) as base_pool, \
+            ProcessPoolExecutor(1, spawn, _start_side, (roots["head"], name)) as head_pool:
+        pools = {"base": base_pool, "head": head_pool}
 
-    reps = max(1, round(BATCH_S / pair["base"].batch("baseline", 1)[0]))
-    times = {(label, v): [] for label in pair for v in variants}
-    for r in range(rounds):
+        def call(label: str, method: str, *args):
+            return pools[label].submit(_call, method, *args).result()
+
+        # per variant, prune or score steps per decode of each input a batch cycles through
+        steps_per_decode = {}
         for variant in variants:
-            for label in ("base", "head") if r % 2 == 0 else ("head", "base"):
-                times[label, variant].append(pair[label].batch(variant, reps))
+            base, head = call("base", "record", variant), call("head", "record", variant)
+            if len(base) != len(head):
+                print(f"error: base and head make different inputs on workload {name}",
+                      file=sys.stderr)
+                return None
+            for i, ((base_digests, _), (head_digests, _)) in enumerate(zip(base, head)):
+                differ = [f for f, b, h in zip(FIELDS, base_digests, head_digests) if b != h]
+                if differ:
+                    print(f"error: base and head decodes differ on workload {name} variant "
+                          f"{variant} input {i}: {', '.join(differ)}", file=sys.stderr)
+                    return None
+            steps_per_decode[variant] = [steps for _, steps in head]
+
+        reps = max(1, round(BATCH_S / call("base", "batch", "baseline", 1)[0]))
+        times = {(label, v): [] for label in roots for v in variants}
+        for r in range(rounds):
+            for variant in variants:
+                for label in ("base", "head") if r % 2 == 0 else ("head", "base"):
+                    times[label, variant].append(call(label, "batch", variant, reps))
     # (rounds, 3): wall seconds, CPU seconds and faults per decode
     measured = {key: np.asarray(t) for key, t in times.items()}
     times = {key: m[:, 0] for key, m in measured.items()}
@@ -141,8 +167,8 @@ def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> dict | 
     for variant in variants:
         base_s, head_s = times["base", variant], times["head", variant]
         q1, ratio, q3 = np.percentile(head_s / base_s, [25, 50, 75])
-        cpu = {label: np.median(measured[label, variant][:, 1]) for label in pair}
-        faults = {label: round(np.median(measured[label, variant][:, 2])) for label in pair}
+        cpu = {label: np.median(measured[label, variant][:, 1]) for label in roots}
+        faults = {label: round(np.median(measured[label, variant][:, 2])) for label in roots}
         record["variants"][variant] = {
             "base_s": np.median(base_s), "head_s": np.median(head_s), "ratio": ratio,
             "ratio_q1": q1, "ratio_q3": q3, "interval_95": bootstrap_interval(head_s / base_s),
@@ -156,7 +182,7 @@ def ab_workload(name: str, sides: dict, variants: tuple, rounds: int) -> dict | 
             continue
         # per round and side, microseconds per step over the baseline decode
         over = {label: 1e6 * (times[label, variant] - times[label, "baseline"]) / steps
-                for label in pair}
+                for label in roots}
         diff = over["head"] - over["base"]
         record["per_step"][variant] = {
             "steps": steps, "base_us": float(np.median(over["base"])),
@@ -204,9 +230,8 @@ def main(argv=None) -> int:
         print("error: --rounds must be >= 1", file=sys.stderr)
         return 2
     isolate()
-    pin_to_one_core()
-    sides = load_sides(base)
-    workloads = sides["head"][1]
+    pin_to_one_core()  # the workers inherit the one core
+    workloads = load(HEAD)[1]
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     if any(name not in workloads.WORKLOADS for name in names):
         print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
@@ -221,7 +246,8 @@ def main(argv=None) -> int:
     status = 0
     try:
         for name in names:
-            record = ab_workload(name, sides, tuple(workloads.VARIANTS), args.rounds)
+            record = ab_workload(name, {"base": base, "head": HEAD},
+                                 tuple(workloads.VARIANTS), args.rounds)
             if record is None:
                 status = 1
                 break

@@ -1,27 +1,23 @@
-"""Load checkouts of dlmprune and decode their perfbench workloads, for the tools.
+"""Load a checkout of dlmprune and decode its perfbench workloads, for the tools.
 
-``load_side`` imports a checkout's ``src/dlmprune`` under a package name of
-the caller's choosing (``dlmprune_base``, ``dlmprune_head``), so two trees
-live in one interpreter, together with that checkout's
-``perfbench/workloads.py``. ``isolate`` writes no bytecode into a checkout
-and gives BLAS one thread; it must run before numpy is imported.
-``pin_to_one_core`` is for the tools that time. ``record_decode`` decodes one
-input under one perfbench variant as the benchmark does and returns what
-``tools/decode_digest.py`` hashes and ``tools/ab_decode.py`` compares: the
-decode's results, the keep sets it applied, and the logits and captured maps
-of every forward it ran.
+``load`` imports a checkout's ``src/dlmprune`` and ``perfbench/workloads.py``
+under their own names, so a process holds one checkout. ``isolate`` writes
+no bytecode into a checkout and gives BLAS one thread; it must run before
+numpy is imported. ``pin_to_one_core`` is for the tools that time.
+``record_decode`` decodes one input under one perfbench variant as the
+benchmark does and returns what ``tools/decode_digest.py`` and
+``tools/ab_decode.py`` hash, each with ``update_digest``: the decode's
+results, the keep sets it applied, and the logits and captured maps of every
+forward it ran.
 """
 
 from __future__ import annotations
 
-import importlib
-import importlib.util
 import os
 import sys
 from pathlib import Path
 
 HEAD = Path(__file__).resolve().parents[1]
-SUBMODULES = ("decoder", "harness", "model", "pruning")  # what workloads.py imports
 FIELDS = ("ids", "committed positions", "step lengths", "score traces", "keep sets",
           "logits and captures")
 
@@ -45,36 +41,23 @@ def pin_to_one_core() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def load_side(name: str, root: Path):
-    """(package, workloads module) of the checkout at ``root``, imported as ``name``."""
-    src = root / "src" / "dlmprune"
-    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
-                                                  submodule_search_locations=[str(src)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    for sub in SUBMODULES:
-        importlib.import_module(f"{name}.{sub}")
-    # workloads.py imports ``dlmprune`` by its own name: lend it this side's package
-    spec = importlib.util.spec_from_file_location(f"{name}_workloads",
-                                                  root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # for its dataclasses
-    saved = sys.modules.get("dlmprune")
-    sys.modules["dlmprune"] = package
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        if saved is None:
-            del sys.modules["dlmprune"]
-        else:
-            sys.modules["dlmprune"] = saved
-    return package, workloads
+def load(root: Path):
+    """(dlmprune, workloads module) of the checkout at ``root``, imported under
+    their own names with ``root``'s directories first on ``sys.path``. A
+    process holds one checkout: load it before anything imports either."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import dlmprune
+    import workloads
+    return dlmprune, workloads
 
 
-def load_sides(base: Path) -> dict:
-    """{"base": ..., "head": ...}: ``load_side`` of ``base`` and of this checkout."""
-    return {"base": load_side("dlmprune_base", base), "head": load_side("dlmprune_head", HEAD)}
+def update_digest(h, *arrays) -> None:
+    """Feed each array's dtype, shape and bytes, in order, to the hash ``h``."""
+    import numpy as np
+    for array in arrays:
+        a = np.ascontiguousarray(array)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
 
 
 def decode(package, workloads, wl, weights, variant: str, inp):

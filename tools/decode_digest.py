@@ -40,7 +40,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from checkout import check_root, isolate, record_decode
+from checkout import check_root, isolate, load, record_decode, update_digest
 
 SEEDS = (1, 2)
 MAX_INPUTS = 64
@@ -48,13 +48,6 @@ REPORT_COMMANDS = (["run", "--seed", "9"], ["ablate", "--r", "0.25"], ["similari
                    ["flops", "--r", "0.25", "--strategy", "progressive"], ["bench", "--r", "0.25"])
 POLICIES = ("confidence", "stochastic")
 TIMINGS = ("latency_s_per_sample", "throughput_tok_per_s")
-
-
-def _update(h, array) -> None:
-    import numpy as np
-    a = np.ascontiguousarray(array)
-    h.update(f"{a.dtype.str}{a.shape}".encode())
-    h.update(a.tobytes())
 
 
 def main(argv=None) -> int:
@@ -68,10 +61,8 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     isolate()
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import dlmprune
+    dlmprune, workloads = load(root)
     import numpy as np
-    import workloads
 
     total = 0
     for name, wl in workloads.WORKLOADS.items():
@@ -80,8 +71,7 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             inputs = wl.make_inputs(np.random.default_rng(seed), weights)[:MAX_INPUTS]
             for inp in inputs:
-                _update(h_inputs, inp.visual)
-                _update(h_inputs, inp.prompt)
+                update_digest(h_inputs, inp.visual, inp.prompt)
                 for variant in workloads.VARIANTS:
                     try:
                         ids, committed, lengths, scores, keeps, forwards = record_decode(
@@ -91,13 +81,10 @@ def main(argv=None) -> int:
                         return 1
                     total += 1
                     h.update(variant.encode())
-                    for a in ids + committed + lengths + scores:
-                        _update(h, a)
+                    update_digest(h, *ids, *committed, *lengths, *scores)
                     h.update(f"keeps{len(keeps)}".encode())
-                    for keep in keeps:
-                        _update(h, keep)
-                    for a in forwards:
-                        _update(h_logits, a)
+                    update_digest(h, *keeps)
+                    update_digest(h_logits, *forwards)
         print(f"{name:8s} {h.hexdigest()}")
         print(f"{name} inputs {h_inputs.hexdigest()}")
         print(f"{name} logits {h_logits.hexdigest()}")
